@@ -76,9 +76,9 @@ type Config struct {
 	// scalar register is not ready blocks decode (§3.2, Figure 7). The
 	// "ideal" bars of Figure 7 set this to false.
 	BlockScalarOperand bool
-	// ChurnDamper enables the scalar-operand churn cooldown (DESIGN.md
-	// §6); disabling it reverts to the paper's literal re-create-on-
-	// mismatch rule. Ablation: experiments "ablation" table.
+	// ChurnDamper enables the scalar-operand churn cooldown, a refinement
+	// of this reproduction; disabling it reverts to the paper's literal
+	// re-create-on-mismatch rule. The "ablation" experiment measures both.
 	ChurnDamper bool
 	// RangeOnlyConflicts reverts the store coherence check to the coarse
 	// [first,last] range of §3.6, without the per-element validated-

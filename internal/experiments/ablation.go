@@ -6,8 +6,8 @@ import (
 	"specvec/internal/workload"
 )
 
-// Ablation quantifies the design choices DESIGN.md §6 calls out, all on
-// the 4-way one-wide-port V configuration:
+// Ablation quantifies this reproduction's design choices against the
+// paper's literal rules, all on the 4-way one-wide-port V configuration:
 //
 //   - the churn damper for unstable scalar operands (ours) vs the paper's
 //     literal re-create-on-mismatch rule;

@@ -8,11 +8,11 @@
 // branch outcomes and operand values), and this package replays it against
 // real structural, data and memory-system constraints. On a branch
 // misprediction fetch stalls until the branch resolves plus a redirect
-// penalty; wrong-path instructions are not simulated (see DESIGN.md §3 for
-// why this preserves the paper's behaviour). Vector state survives both
-// mispredictions (control independence, §3.5) and store-conflict squashes
-// (§3.6), which rewind decode-side SDV state through the core.Journal and
-// replay the stream.
+// penalty; wrong-path instructions are not simulated (ARCHITECTURE.md,
+// "Fetch", says why this preserves the paper's behaviour). Vector state
+// survives both mispredictions (control independence, §3.5) and
+// store-conflict squashes (§3.6), which rewind decode-side SDV state
+// through the core.Journal and replay the stream.
 //
 // # Hot-path discipline
 //

@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -50,9 +51,9 @@ func (s Source) Hit() bool { return s != SourceComputed }
 // Cache is a content-addressed result cache: an in-memory LRU bounded by
 // entry count and total value bytes, singleflight deduplication of
 // identical in-flight computations, and optional disk persistence (one
-// file per key; the disk tier survives restarts and is not bounded by the
-// memory limits). Values are opaque byte slices — callers must not
-// mutate a returned slice. Safe for concurrent use.
+// self-verifying file per key; the disk tier survives restarts and is not
+// bounded by the memory limits). Values are opaque byte slices — callers
+// must not mutate a returned slice. Safe for concurrent use.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
@@ -167,25 +168,35 @@ func (c *Cache) put(key string, val []byte) {
 	}
 }
 
-// diskPath maps a key to its persistence file.
+// diskPath maps a key to its persistence file. A file holds the SHA-256
+// of the value followed by the value, so every entry verifies itself.
 func (c *Cache) diskPath(key string) string {
-	return filepath.Join(c.dir, "results", key+".json")
+	return filepath.Join(c.dir, "results", key+".res")
 }
 
-// loadDisk reads a persisted value, if the disk tier is enabled.
+// loadDisk reads a persisted value, if the disk tier is enabled. A file
+// too short to hold its digest, or whose value does not match it (a torn
+// write, bit rot), is a miss and is removed, so the next computation of
+// the key writes it afresh.
 func (c *Cache) loadDisk(key string) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
-	b, err := os.ReadFile(c.diskPath(key))
+	path := c.diskPath(key)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
-	return b, true
+	if len(b) < sha256.Size || sha256.Sum256(b[sha256.Size:]) != [sha256.Size]byte(b[:sha256.Size]) {
+		_ = os.Remove(path) // best effort: a file that stays is re-verified, never served
+		return nil, false
+	}
+	return b[sha256.Size:], true
 }
 
-// storeDisk persists a value, best effort (an unwritable directory
-// degrades to memory-only caching rather than failing the job).
+// storeDisk persists a value behind its digest, best effort (an
+// unwritable directory degrades to memory-only caching rather than
+// failing the job).
 func (c *Cache) storeDisk(key string, val []byte) {
 	if c.dir == "" {
 		return
@@ -194,8 +205,9 @@ func (c *Cache) storeDisk(key string, val []byte) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}
+	sum := sha256.Sum256(val)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, val, 0o644); err != nil {
+	if err := os.WriteFile(tmp, append(sum[:], val...), 0o644); err != nil {
 		return
 	}
 	_ = os.Rename(tmp, path) // atomic publish: readers never see a torn file

@@ -1,0 +1,125 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"io/fs"
+	"os"
+	"testing"
+
+	"specvec/internal/emu"
+	"specvec/internal/experiments"
+	"specvec/internal/trace"
+	"specvec/internal/workload"
+)
+
+// diskCorruptions are the ways a disk-tier file goes bad: writes torn at
+// several lengths and single flipped bits, early and late in the file.
+var diskCorruptions = []struct {
+	name string
+	mut  func([]byte) []byte
+}{
+	{"empty", func(b []byte) []byte { return b[:0] }},
+	{"torn-in-digest", func(b []byte) []byte { return b[:sha256.Size-1] }},
+	{"torn-half", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"torn-last-byte", func(b []byte) []byte { return b[:len(b)-1] }},
+	{"bitflip-head", func(b []byte) []byte { b[3] ^= 0x08; return b }},
+	{"bitflip-tail", func(b []byte) []byte { b[len(b)-2] ^= 0x01; return b }},
+}
+
+// corruptFile rewrites path through mut.
+func corruptFile(t *testing.T, path string, mut func([]byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, mut(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireGone fails unless path no longer exists.
+func requireGone(t *testing.T, name, path string) {
+	t.Helper()
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("%s: corrupt file %s was kept (stat: %v)", name, path, err)
+	}
+}
+
+// TestCacheDiskCorruption: a torn or bit-flipped results file is never
+// served. It reads as a miss, is removed, and the recomputed value is
+// persisted again for the next restart.
+func TestCacheDiskCorruption(t *testing.T) {
+	val := bytes.Repeat([]byte(`{"stats":"persisted"}`), 50)
+	for _, c := range diskCorruptions {
+		dir := t.TempDir()
+		compute := func() ([]byte, error) { return val, nil }
+		if _, _, err := NewCache(8, 1<<20, dir).GetOrCompute(context.Background(), "k", compute); err != nil {
+			t.Fatal(err)
+		}
+		b := NewCache(8, 1<<20, dir)
+		path := b.diskPath("k")
+		corruptFile(t, path, c.mut)
+		if got, ok := b.loadDisk("k"); ok {
+			t.Errorf("%s: corrupt file served (%d bytes)", c.name, len(got))
+		}
+		requireGone(t, c.name, path)
+
+		v, src, err := b.GetOrCompute(context.Background(), "k", compute)
+		if err != nil || src != SourceComputed || !bytes.Equal(v, val) {
+			t.Fatalf("%s: after corruption: %d bytes, %v, %v; want a recomputation", c.name, len(v), src, err)
+		}
+		v, src, err = NewCache(8, 1<<20, dir).GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+			t.Fatalf("%s: rewritten entry not served from disk", c.name)
+			return nil, nil
+		})
+		if err != nil || src != SourceDisk || !bytes.Equal(v, val) {
+			t.Fatalf("%s: rewritten entry: %d bytes, %v, %v", c.name, len(v), src, err)
+		}
+	}
+}
+
+// TestTraceStoreDiskCorruption: a torn or bit-flipped trace artifact is
+// rejected by the codec's checksum, reads as a miss and is removed; a
+// fresh store of the recording is then served from disk again.
+func TestTraceStoreDiskCorruption(t *testing.T) {
+	bench, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bench.Build(2_000, 1)
+	mach, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := trace.NewRecorder(mach, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Finish(3_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := experiments.Options{Scale: 2_000, Seed: 1}.WithDefaults()
+
+	for _, c := range diskCorruptions {
+		dir := t.TempDir()
+		newTraceCache(4, dir).forOptions(opts).Store("compress", tr)
+		tc := newTraceCache(4, dir)
+		path := tc.diskPath("compress-" + traceScope(opts))
+		corruptFile(t, path, c.mut)
+		if _, ok := tc.forOptions(opts).Load("compress"); ok {
+			t.Errorf("%s: corrupt trace artifact served", c.name)
+		}
+		requireGone(t, c.name, path)
+
+		tc.forOptions(opts).Store("compress", tr)
+		back, ok := newTraceCache(4, dir).forOptions(opts).Load("compress")
+		if !ok || back.Len() != tr.Len() || back.TupleCount() != tr.TupleCount() {
+			t.Fatalf("%s: re-stored trace not served from disk (ok=%v)", c.name, ok)
+		}
+	}
+}

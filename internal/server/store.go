@@ -2,7 +2,9 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -119,7 +121,9 @@ func (tc *traceCache) forOptionsWith(o experiments.Options, extra string) experi
 }
 
 // Load implements experiments.TraceStore: memory first, then the disk
-// tier (promoting a disk hit to memory).
+// tier (promoting a disk hit to memory). A file the trace codec rejects
+// (checksum mismatch, truncation) is a miss and is removed, so the next
+// recording of the benchmark replaces it.
 func (s scopedTraces) Load(bench string) (*trace.Trace, bool) {
 	key := bench + "-" + s.scope
 	if tr, ok := s.tc.lookup(key); ok {
@@ -129,8 +133,12 @@ func (s scopedTraces) Load(bench string) (*trace.Trace, bool) {
 	if s.tc.dir == "" {
 		return nil, false
 	}
-	tr, err := trace.ReadFile(s.tc.diskPath(key))
+	path := s.tc.diskPath(key)
+	tr, err := trace.ReadFile(path)
 	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			_ = os.Remove(path) // best effort: a file that stays is re-verified, never served
+		}
 		return nil, false
 	}
 	s.tc.diskLoads.Add(1)

@@ -210,7 +210,8 @@ func (c *creader) varint() (int64, error) {
 	return binary.ReadVarint(c)
 }
 
-// clampCap bounds an initial slice capacity; decode appends beyond it.
+// clampCap bounds an initial slice capacity; decode appends beyond it and
+// compacts once the checksum has verified the counts.
 func clampCap(n int) int { return min(n, 1<<20) }
 
 func (c *creader) count(what string) (int, error) {
@@ -378,6 +379,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
+	// Past the clamp the columns grew by append; drop that slack now that
+	// the counts are known to be genuine.
+	t.compact()
 	return t, nil
 }
 

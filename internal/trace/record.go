@@ -153,9 +153,13 @@ func (r *Recorder) Next() (emu.DynInst, bool) {
 // Pos returns the sequence number of the next record NextRef will return.
 func (r *Recorder) Pos() uint64 { return r.pos }
 
-// Reserve pre-sizes the trace columns and the interning table for about n
-// records, sparing the recording hot path the incremental growth (the
-// caller usually knows the Finish target up front).
+// Reserve pre-sizes the per-record columns for about n records, sparing
+// the recording hot path their incremental growth (the caller usually
+// knows the Finish target up front). The tuple pool and the interning
+// table grow on demand: their size is the number of distinct operand
+// tuples, which varies widely between programs (ARCHITECTURE.md, "The
+// recorded form"), so an up-front guess mostly reserves memory the
+// recording never uses.
 func (r *Recorder) Reserve(n int) {
 	if n <= len(r.t.pcs) {
 		return
@@ -163,10 +167,6 @@ func (r *Recorder) Reserve(n int) {
 	r.t.pcs = append(make([]uint32, 0, n), r.t.pcs...)
 	r.t.flags = append(make([]uint8, 0, n), r.t.flags...)
 	r.t.tupleIdx = append(make([]uint32, 0, n), r.t.tupleIdx...)
-	r.t.tuples = append(make([]uint64, 0, n*tupleWords/2), r.t.tuples...)
-	if len(r.intern) == 0 {
-		r.intern = make(map[[tupleWords]uint64]uint32, n/2)
-	}
 }
 
 // Rewind repositions the stream so that NextRef returns the record with
@@ -194,6 +194,10 @@ func (r *Recorder) Rewind(seq uint64) {
 // stops before halt is marked truncated; Replayer documents how far such
 // a trace can feed a simulation. The error is non-nil only when the
 // recording is unusable outright (an unrecordable PC was produced).
+//
+// Finish ends the recording: the finished trace holds exactly its data
+// (every column trimmed to its length) and the recorder drops its
+// interning table, so it must not be used afterwards.
 func (r *Recorder) Finish(target int) (*Trace, error) {
 	const ctxPoll = 4096 // records between context cancellation checks
 	poll := ctxPoll
@@ -209,6 +213,8 @@ func (r *Recorder) Finish(target int) (*Trace, error) {
 		}
 	}
 	r.t.truncated = !r.t.Halted()
+	r.t.compact()
+	r.intern = nil
 	if r.err != nil {
 		return r.t, r.err
 	}

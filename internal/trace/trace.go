@@ -102,11 +102,11 @@ func (t *Trace) Halted() bool {
 	return n > 0 && t.flags[n-1]&flagHalt != 0
 }
 
-// SizeBytes returns the approximate in-memory footprint of the columns
-// (the inspect tool reports it next to the equivalent array-of-structs
-// size).
+// SizeBytes returns the approximate in-memory footprint of the columns,
+// counting their capacity rather than their length (the inspect tool
+// reports it next to the equivalent array-of-structs size).
 func (t *Trace) SizeBytes() int {
-	n := len(t.pcs)*4 + len(t.flags) + len(t.tupleIdx)*4 + len(t.tuples)*8 + len(t.insts)*24
+	n := cap(t.pcs)*4 + cap(t.flags) + cap(t.tupleIdx)*4 + cap(t.tuples)*8 + cap(t.insts)*16
 	for i := range t.ckpts {
 		n += (3 + len(t.ckpts[i].Regs)) * 8
 		n += len(t.ckpts[i].Pages) * (8 + emu.PageSize)
@@ -164,6 +164,24 @@ func (t *Trace) append(d *emu.DynInst, intern map[[tupleWords]uint64]uint32) {
 		intern[key] = idx
 	}
 	t.tupleIdx = append(t.tupleIdx, idx)
+}
+
+// compact trims the four record columns to their length, so a finished
+// trace holds exactly its data: a recording's pre-sized columns and a
+// decoded trace's append slack are released.
+func (t *Trace) compact() {
+	t.pcs = exact(t.pcs)
+	t.flags = exact(t.flags)
+	t.tupleIdx = exact(t.tupleIdx)
+	t.tuples = exact(t.tuples)
+}
+
+// exact returns s with cap == len, copying only when there is slack.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // validate checks internal consistency (Decode calls it so a logically

@@ -1,6 +1,7 @@
 // Package workload generates the synthetic Spec95-like benchmark programs
 // used by the evaluation, substituting for the proprietary SpecInt95 /
-// SpecFP95 suites (see DESIGN.md §3).
+// SpecFP95 suites (EXPERIMENTS.md, "Paper vs. measured — caveats", says
+// what that substitution preserves).
 //
 // Each generator emits a real program for the specvec ISA whose dynamic
 // behaviour matches the published characteristics that drive the paper's
