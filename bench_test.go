@@ -170,33 +170,10 @@ func fig11Specs() []experiments.RunSpec {
 	return specs
 }
 
-// sweepBench is the shared body of the trace-sharing benchmarks: one cold
-// Runner per iteration executing the Figure 11/12 sweep, so
-// SweepLiveStream vs SweepSharedTrace isolates the
-// record-once/replay-many layer. Gang replay is pinned off (Gang: 1) —
-// each replay materializes its own window — so these two keep measuring
-// the sharing layer alone; the gang layer on top is BenchmarkSweepGang.
-func sweepBench(b *testing.B, noShare bool) {
-	b.Helper()
-	specs := fig11Specs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.Options{
-			Scale: benchScale, Seed: 1, NoSharedTraces: noShare, Gang: 1,
-		})
-		if _, err := r.RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
-// BenchmarkSweepGang runs the identical sweep with gang replay (the
-// default mode): the configurations of each benchmark drive one shared
-// pre-decoded trace walk through per-member cursors. The ratio to
-// BenchmarkSweepSharedTrace is the gang-replay speedup — decode and
-// operand materialization once per block instead of once per
-// configuration.
-func BenchmarkSweepGang(b *testing.B) {
+// BenchmarkSweep runs the Figure 11/12 sweep on one cold Runner per
+// iteration: each benchmark is recorded once by a functional pass and
+// every configuration replays the recording.
+func BenchmarkSweep(b *testing.B) {
 	specs := fig11Specs()
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1})
@@ -207,27 +184,15 @@ func BenchmarkSweepGang(b *testing.B) {
 	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
 }
 
-// BenchmarkSweepLiveStream is the pre-trace baseline: every simulation
-// re-builds its program and re-runs functional emulation.
-func BenchmarkSweepLiveStream(b *testing.B) { sweepBench(b, true) }
-
-// BenchmarkSweepSharded runs the Fig11-shaped sweep of
-// BenchmarkSweepSharedTrace with every simulation split into 4
-// checkpoint-fast-forwarded shards. On a single core this measures the
+// BenchmarkSweepSharded runs the sweep of BenchmarkSweep with every
+// simulation split into 4 checkpoint-fast-forwarded shards. On a single
+// core this measures the
 // sharding overhead (extra warmup replay per shard); on a multi-core
 // machine the shards of one simulation run concurrently, so wall clock
 // approaches the longest shard instead of the full single pass (see
 // BenchmarkShardCriticalPath in internal/experiments).
 func BenchmarkSweepSharded(b *testing.B) {
-	var specs []experiments.RunSpec
-	for _, ports := range []int{1, 2} {
-		for _, mode := range []config.Mode{config.ModeNoIM, config.ModeIM, config.ModeV} {
-			cfg := config.MustNamed(4, ports, mode)
-			for _, name := range workload.Names() {
-				specs = append(specs, experiments.RunSpec{Cfg: cfg, Bench: name})
-			}
-		}
-	}
+	specs := fig11Specs()
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1, Shards: 4})
 		if _, err := r.RunAll(specs); err != nil {
@@ -272,11 +237,6 @@ func BenchmarkShardedReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(committed)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
-
-// BenchmarkSweepSharedTrace records each benchmark once and replays it
-// for the other five configurations; the ratio to BenchmarkSweepLiveStream
-// is the sharing speedup and grows with configs-per-benchmark.
-func BenchmarkSweepSharedTrace(b *testing.B) { sweepBench(b, false) }
 
 // BenchmarkTraceReplay measures raw replay speed: the same simulation as
 // BenchmarkSimulatorThroughput, but fed from a recorded trace instead of

@@ -48,7 +48,6 @@ func main() {
 		jobs          = flag.Int("jobs", 2, "jobs executing concurrently")
 		jobHistory    = flag.Int("job-history", 512, "terminal jobs retained in the registry (older ids answer 404; results stay in the cache)")
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per job (0 = all cores)")
-		gang          = flag.Int("gang", 0, "gang replay within each job: 0 = gang all configurations per benchmark walk, 1 = off, K >= 2 caps gang size (results and cache keys unaffected)")
 		specArg       = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads for /v1/workloads discovery and by-name sim jobs")
 		quiet         = flag.Bool("quiet", false, "suppress operational logging")
 		coordinator   = flag.Bool("coordinator", false, "accept cluster workers (-join) and place replay work across them; results stay byte-identical to a single process")
@@ -91,9 +90,6 @@ func main() {
 	if *cacheBytes < 1 {
 		cliutil.Fatal("sdvd", cliutil.FlagError("cache-bytes", *cacheBytes, ">= 1"))
 	}
-	if err := cliutil.ValidateGang(*gang); err != nil {
-		cliutil.Fatal("sdvd", err)
-	}
 	if err := cliutil.ValidateClusterFlags(*coordinator, *workerRole, *joinURL, *advertise); err != nil {
 		cliutil.Fatal("sdvd", err)
 	}
@@ -119,7 +115,6 @@ func main() {
 		Jobs:         *jobs,
 		JobHistory:   *jobHistory,
 		SimWorkers:   *workers,
-		Gang:         *gang,
 		Logf:         logf,
 		Coordinator:  *coordinator,
 		Worker:       *workerRole,

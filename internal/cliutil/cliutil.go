@@ -32,17 +32,6 @@ func ValidateRunFlags(scale, shards, parallel int) error {
 	return nil
 }
 
-// ValidateGang checks a -gang flag value: 0 gangs every configuration
-// of a benchmark over one shared trace walk, 1 disables gang replay,
-// K >= 2 caps members per gang. Negative values are rejected rather
-// than silently treated as "disabled".
-func ValidateGang(gang int) error {
-	if gang < 0 {
-		return FlagError("gang", gang, ">= 0 (0 = gang all configs, 1 = off)")
-	}
-	return nil
-}
-
 // ValidateSpecPath checks a -spec flag value before it is parsed as a
 // workload-spec file: the path must name an existing, non-empty regular
 // file. Content-level problems (bad YAML, empty workload lists,

@@ -62,24 +62,6 @@ func TestValidateRunFlagsFirstViolation(t *testing.T) {
 	}
 }
 
-func TestValidateGang(t *testing.T) {
-	for _, gang := range []int{0, 1, 2, 6, 128} {
-		if err := ValidateGang(gang); err != nil {
-			t.Errorf("ValidateGang(%d) = %v, want nil", gang, err)
-		}
-	}
-	for _, gang := range []int{-1, -128} {
-		err := ValidateGang(gang)
-		if err == nil {
-			t.Errorf("ValidateGang(%d) accepted a negative cap", gang)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-gang") {
-			t.Errorf("error %q does not name -gang", err)
-		}
-	}
-}
-
 func TestValidateSpecPath(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.yaml")

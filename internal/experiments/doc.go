@@ -8,14 +8,14 @@
 // with single-flight memoisation: figures that share simulations (e.g. the
 // Figure 11/12 sweep) run each one once, and -parallel N fans independent
 // runs across cores with output identical to a sequential run. A second
-// memo layer shares work across the configurations of a sweep: the first
-// simulation of a benchmark builds the program and records its dynamic
-// instruction stream (internal/trace) while running, and every other
-// configuration replays the recording instead of re-running functional
-// emulation. With Options.Shards > 1 each simulation is further split
-// into checkpoint-fast-forwarded intervals that run concurrently
-// (shard.go) and merge their statistics — exact single-pass behaviour is
-// kept at Shards <= 1. See EXPERIMENTS.md for paper-vs-measured results
-// and the performance methodology, and ARCHITECTURE.md for the figure →
-// code map, the trace subsystem and the sharding accuracy contract.
+// memo layer shares work across the configurations of a sweep: each
+// benchmark's dynamic instruction stream is recorded once (internal/trace)
+// by a functional pass, and every configuration replays the recording.
+// A simulation has one execution path: record once, plan max(Shards, 1)
+// checkpoint-fast-forwarded intervals (shard.go), execute each on the
+// local pool or Options.Remote (remote.go), and merge their statistics
+// in plan order — Shards <= 1 is one interval covering the whole run.
+// See EXPERIMENTS.md for paper-vs-measured results and the performance
+// methodology, and ARCHITECTURE.md for the figure → code map, the trace
+// subsystem and the sharding accuracy contract.
 package experiments

@@ -3,11 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"specvec/internal/config"
-	"specvec/internal/obs"
 	"specvec/internal/stats"
 	"specvec/internal/trace"
 )
@@ -59,7 +56,9 @@ type RemoteShards interface {
 // the task's Trace field addresses; the caller resolves it — and
 // returns the interval's statistics. It is the worker-side entry point
 // of remote dispatch and the executor's local fallback; determinism
-// makes the result byte-identical wherever it runs.
+// makes the result byte-identical wherever it runs. A task is a peer's
+// input, so it passes the same interval check as a local interval
+// (ErrIntervalOutOfRange) before anything is simulated.
 func ExecuteShardTask(ctx context.Context, task ShardTask, tr *trace.Trace) (*stats.Sim, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("experiments: shard task %s/%s: nil trace", task.Cfg.Name, task.Bench)
@@ -74,61 +73,6 @@ func ExecuteShardTask(ctx context.Context, task ShardTask, tr *trace.Trace) (*st
 		warmup:     task.Warmup,
 		measure:    task.Measure,
 	}
-	return runShard(ctx, task.Cfg, tr, nil, sp, nil)
-}
-
-// remoteReplay dispatches one replay — a single whole-run task at
-// Shards <= 1, the checkpoint-fast-forwarded plan otherwise — to the
-// cluster executor and merges the interval statistics in plan order,
-// exactly as runShards does locally. The caller holds one local pool
-// slot; it is released across the fan-out (the work burns remote
-// cores, and the executor bounds its own local fallback) and
-// re-acquired before returning, mirroring shardedReplay. sc, when
-// active, receives a "shard-fanout" span with one "shard" child per
-// task; the executor sees each task's span through the dispatch
-// context and grafts the remote half (worker, RTT, pull) under it.
-func (r *Runner) remoteReplay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
-	plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
-	results := make([]*stats.Sim, len(plan))
-	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
-	var finished atomic.Int32
-	fan := sc.Start("shard-fanout")
-	<-r.sem
-	for i, sp := range plan {
-		wg.Add(1)
-		go func(i int, sp shardSpec) {
-			defer wg.Done()
-			task := ShardTask{
-				Cfg: cfg, Bench: bench,
-				ReplayFrom: sp.replayFrom, BHR: sp.bhr, SeedBHR: sp.seedBHR,
-				Warmup: sp.warmup, Measure: sp.measure,
-			}
-			tsc := fan.Start("shard")
-			results[i], errs[i] = r.opts.Remote.RunShard(obs.ContextWith(r.ctx, tsc), task, tr)
-			tsc.End()
-			if errs[i] == nil && r.opts.Progress != nil {
-				r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
-					Shard: int(finished.Add(1)), Shards: len(plan)})
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	r.sem <- struct{}{}
-	fan.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-		}
-	}
-	if len(results) == 0 {
-		return stats.New(), nil
-	}
-	merge := sc.Start("merge")
-	merged := results[0]
-	for _, st := range results[1:] {
-		merged.Merge(st)
-	}
-	merge.End()
-	return merged, nil
+	st, _, err := runShard(ctx, task.Cfg, task.Bench, tr, sp, nil)
+	return st, err
 }

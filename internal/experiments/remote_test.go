@@ -3,6 +3,9 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -48,10 +51,9 @@ func (e *wireExecutor) RunShard(ctx context.Context, task ShardTask, tr *trace.T
 
 // TestRemoteReplayByteIdentical is the cluster acceptance pin at the
 // experiments layer: with Options.Remote set — whole runs (Shards
-// unset) and sharded runs alike, gang replay on and off — the rendered
-// statistics must be byte-identical to a local runner at the same
-// execution shape. Remote dispatch changes where replay runs, never
-// what it computes.
+// unset) and sharded runs alike — the rendered statistics must be
+// byte-identical to a local runner at the same execution shape. Remote
+// dispatch changes where replay runs, never what it computes.
 func TestRemoteReplayByteIdentical(t *testing.T) {
 	cfgs := []config.Config{
 		config.MustNamed(4, 1, config.ModeIM),
@@ -62,9 +64,8 @@ func TestRemoteReplayByteIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"whole runs", Options{Scale: 15_000, Seed: 1, Workers: 4}},
-		{"whole runs, no gang", Options{Scale: 15_000, Seed: 1, Workers: 4, Gang: 1}},
 		{"sharded", Options{Scale: 15_000, Seed: 1, Workers: 4, Shards: 4}},
-		{"sharded, no gang", Options{Scale: 15_000, Seed: 1, Workers: 2, Shards: 3, Gang: 1}},
+		{"sharded, two workers", Options{Scale: 15_000, Seed: 1, Workers: 2, Shards: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,15 +116,73 @@ func TestExecuteShardTaskValidates(t *testing.T) {
 	}
 }
 
+// TestExecuteShardTaskRejectsOutOfRange pins the interval check at the
+// trust boundary: a task whose interval a recording cannot feed fails
+// before simulating, with a one-line error wrapping
+// ErrIntervalOutOfRange that names the configuration, the benchmark and
+// both lengths — not as a pipeline deadlock 200000 cycles later. A task
+// inside the recording still runs.
+func TestExecuteShardTaskRejectsOutOfRange(t *testing.T) {
+	const records = 5_000
+	cfg := config.MustNamed(4, 1, config.ModeV)
+	tr := recordTrace(t, 20_000, records)
+	if !tr.Truncated() || tr.Len() != records {
+		t.Fatalf("test premise broken: want a truncated %d-record trace, got %d records (truncated=%v)",
+			records, tr.Len(), tr.Truncated())
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		task ShardTask
+	}{
+		{"measure past the end", ShardTask{Measure: 6_000}},
+		{"replay from past the end", ShardTask{ReplayFrom: 1 << 40, Measure: 100}},
+		{"warmup past the end", ShardTask{Warmup: 1 << 62, Measure: 100}},
+		{"overflowing interval", ShardTask{Warmup: 1 << 63, Measure: 1 << 63}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			task := tc.task
+			task.Cfg, task.Bench = cfg, "compress"
+			_, err := ExecuteShardTask(ctx, task, tr)
+			if !errors.Is(err, ErrIntervalOutOfRange) {
+				t.Fatalf("want ErrIntervalOutOfRange, got %v", err)
+			}
+			msg := err.Error()
+			if strings.Contains(msg, "\n") {
+				t.Errorf("error spans lines: %q", msg)
+			}
+			for _, want := range []string{cfg.Name, "compress", strconv.Itoa(records)} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error %q does not name %q", msg, want)
+				}
+			}
+		})
+	}
+	st, err := ExecuteShardTask(ctx, ShardTask{Cfg: cfg, Bench: "compress", Measure: 1_000}, tr)
+	if err != nil {
+		t.Fatalf("in-range task: %v", err)
+	}
+	if st.Committed < 1_000 {
+		t.Errorf("in-range task committed %d instructions, want >= 1000", st.Committed)
+	}
+}
+
 // recordSmallTrace produces a tiny recording to exercise task
 // validation against.
 func recordSmallTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	return recordTrace(t, 2_000, 2_000+trace.RecordSlack)
+}
+
+// recordTrace records compress built at scale, finishing the recording
+// at target records.
+func recordTrace(t *testing.T, scale, target int) *trace.Trace {
 	t.Helper()
 	prog, err := workload.Get("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prog.Build(2_000, 1)
+	p := prog.Build(scale, 1)
 	mach, err := emu.New(p)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +191,7 @@ func recordSmallTrace(t *testing.T) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rec.Finish(2_000 + trace.RecordSlack)
+	tr, err := rec.Finish(target)
 	if err != nil {
 		t.Fatal(err)
 	}

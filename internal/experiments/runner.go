@@ -10,7 +10,6 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
-	"specvec/internal/isa"
 	"specvec/internal/obs"
 	"specvec/internal/pipeline"
 	"specvec/internal/profile"
@@ -35,23 +34,14 @@ type Options struct {
 	//
 	//sdv:shape
 	Workers int
-	// NoSharedTraces disables the per-benchmark trace/program memo: every
-	// run builds its own program and emulates functionally, as if it were
-	// the only one. Results are byte-identical either way; the flag exists
-	// for benchmarking the sharing itself and as an escape hatch.
-	//
-	//sdv:shape
-	NoSharedTraces bool
 	// Shards splits every (configuration, benchmark) simulation into this
 	// many measured intervals, each fast-forwarded to a trace checkpoint
 	// and dispatched to the worker pool, with per-interval statistics
-	// merged in a fixed order. <= 1 is exact mode: the single-pass
-	// behaviour, byte-identical to a Runner without sharding. Sharded
-	// (K > 1) figures agree with exact ones within the warmup tolerance
-	// (see ShardWarmup); a single large benchmark stops being a
-	// sequential wall because its intervals run concurrently.
-	// NoSharedTraces disables sharding too: without a shared recording
-	// there are no checkpoints to fast-forward to.
+	// merged in a fixed order. <= 1 is exact mode: one interval covering
+	// the whole run. Sharded (K > 1) figures agree with exact ones within
+	// the warmup tolerance (see ShardWarmup); a single large benchmark
+	// stops being a sequential wall because its intervals run
+	// concurrently.
 	Shards int
 	// CheckpointEvery is the interval, in committed instructions, between
 	// architectural checkpoints embedded in recorded traces. <= 0
@@ -85,20 +75,6 @@ type Options struct {
 	// Runner instances (see TraceStore). A leader checks the store before
 	// recording and publishes successful recordings back to it.
 	Traces TraceStore
-	// Gang controls gang replay: configurations submitted together
-	// (RunAll/Prefetch) that share one recorded benchmark are grouped
-	// into a gang whose members replay a single shared pre-decoded trace
-	// walk (trace.Decoded) through per-member cursors, so column decode
-	// and operand materialization happen once per block instead of once
-	// per configuration. 0 (the default) gangs every configuration of a
-	// benchmark in the batch; 1 disables ganging — each replay
-	// materializes its own window, the pre-gang behaviour; K >= 2 caps
-	// members per gang. Like Workers, this is execution shape only:
-	// results are byte-identical in every mode, which is why the service
-	// layer excludes it from cache keys.
-	//
-	//sdv:shape
-	Gang int
 	// Workloads, when non-nil, resolves benchmark names instead of the
 	// global workload registry. The service layer threads a per-job
 	// resolver built from the job's workload-spec payload through here,
@@ -106,12 +82,12 @@ type Options struct {
 	// other's generated workloads. Nil means workload.Get: built-ins plus
 	// whatever the process registered at startup (CLI -spec flags).
 	Workloads func(name string) (workload.Benchmark, error)
-	// Remote, when non-nil, dispatches trace-replay simulations — whole
-	// runs and shards alike — to cluster workers (see RemoteShards).
-	// Recording and live-emulation fallbacks stay local. Execution shape
-	// only: replay is deterministic, so results are byte-identical with
-	// and without it, at any worker count, and across worker failures
-	// (the executor requeues a dead node's tasks).
+	// Remote, when non-nil, executes every replay interval — whole runs
+	// and shards alike — on cluster workers (see RemoteShards) instead of
+	// the local pool. Recording stays local. Execution shape only: replay
+	// is deterministic, so results are byte-identical with and without
+	// it, at any worker count, and across worker failures (the executor
+	// requeues a dead node's tasks).
 	//
 	//sdv:shape
 	Remote RemoteShards
@@ -201,30 +177,18 @@ type call struct {
 	err  error
 }
 
-// traceCall is one memoised (benchmark, scale, seed) recording: the built
-// program and the recorded dynamic instruction stream, shared by every
-// configuration that simulates the benchmark. The first requester records
-// (while its own timing simulation runs); every later requester replays.
-// The resolved fields encode three outcomes:
-//
-//   - prog != nil, tr != nil: recording usable, followers replay.
-//   - prog != nil, tr == nil: recording failed; err wraps
-//     ErrRecordingUnusable (never nil — publishTrace enforces it) and
-//     followers fall back to live emulation of the shared program.
-//   - prog == nil: program construction failed; err is fatal for every
-//     run of the benchmark.
+// traceCall is one memoised (benchmark, scale, seed) recording, shared by
+// every configuration that simulates the benchmark and by the stream
+// pass. Exactly one of tr and err is set once done is closed.
 type traceCall struct {
 	done chan struct{}
-	prog *isa.Program
 	tr   *trace.Trace
 	err  error
 }
 
-// ErrRecordingUnusable marks a shared-trace entry whose recording failed
-// after the benchmark program itself was built: the benchmark is still
-// simulable, so followers emulate live instead of replaying. It replaces
-// the old behaviour of silently discarding rec.Finish errors, which
-// published a nil trace with a nil error to every follower.
+// ErrRecordingUnusable marks a benchmark whose program was built but whose
+// recording failed: every run of the benchmark fails with it, since every
+// run replays the recording.
 var ErrRecordingUnusable = errors.New("experiments: benchmark recording unusable")
 
 // Runner executes (configuration, benchmark) pairs on a bounded worker
@@ -234,22 +198,15 @@ var ErrRecordingUnusable = errors.New("experiments: benchmark recording unusable
 type Runner struct {
 	opts Options
 	ctx  context.Context // Options.Context or Background; never nil
-	sem  chan struct{}   // bounds concurrently executing simulations
+	sem  chan struct{}   // the worker pool: one token per executing pass (see slot)
 
-	mu      sync.Mutex
-	cache   map[runKey]*call
-	traces  map[string]*traceCall
-	decoded map[string]*decodedEntry // per-benchmark gang-shared decoded traces
+	mu     sync.Mutex
+	cache  map[runKey]*call
+	traces map[string]*traceCall
 
 	sims     atomic.Int64 // simulations actually executed (cache misses)
 	recorded atomic.Int64 // benchmark traces recorded (trace-cache misses)
-	replayed atomic.Int64 // simulations served from a recorded trace
 	loaded   atomic.Int64 // benchmark traces loaded from Options.Traces
-
-	gangBatches atomic.Int64 // gangs of >= 2 members that shared a walk
-	gangRuns    atomic.Int64 // member simulations those gangs served
-	decodes     atomic.Int64 // decoded-trace blocks decoded (retired entries)
-	decodeLoads atomic.Int64 // decoded-trace block fetches (retired entries)
 
 	// Aggregated pipeline hot-path counters across every simulation the
 	// runner executed (service /metrics). Folded via profile.HotStats.Add
@@ -266,12 +223,11 @@ func NewRunner(opts Options) *Runner {
 		ctx = context.Background()
 	}
 	return &Runner{
-		opts:    opts,
-		ctx:     ctx,
-		sem:     make(chan struct{}, opts.Workers),
-		cache:   map[runKey]*call{},
-		traces:  map[string]*traceCall{},
-		decoded: map[string]*decodedEntry{},
+		opts:   opts,
+		ctx:    ctx,
+		sem:    make(chan struct{}, opts.Workers),
+		cache:  map[runKey]*call{},
+		traces: map[string]*traceCall{},
 	}
 }
 
@@ -317,47 +273,9 @@ func (r *Runner) Simulations() int64 { return r.sims.Load() }
 // (at most one per benchmark).
 func (r *Runner) TraceRecordings() int64 { return r.recorded.Load() }
 
-// TraceReplays returns how many simulations ran from a recorded trace
-// instead of live functional emulation.
-func (r *Runner) TraceReplays() int64 { return r.replayed.Load() }
-
 // TraceLoads returns how many benchmark traces were served by
 // Options.Traces instead of being recorded.
 func (r *Runner) TraceLoads() int64 { return r.loaded.Load() }
-
-// GangBatches returns how many gangs of two or more members shared one
-// decoded trace walk.
-func (r *Runner) GangBatches() int64 { return r.gangBatches.Load() }
-
-// GangRuns returns the total member simulations those gangs served;
-// GangRuns / GangBatches is the mean number of configurations driven per
-// shared walk.
-func (r *Runner) GangRuns() int64 { return r.gangRuns.Load() }
-
-// DecodedBlocks returns how many trace blocks gang replay actually
-// decoded, including blocks of entries still live.
-func (r *Runner) DecodedBlocks() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.decodes.Load()
-	for _, e := range r.decoded {
-		n += e.d.BlockDecodes()
-	}
-	return n
-}
-
-// DecodedBlockLoads returns how many block fetches gang cursors
-// performed; DecodedBlockLoads - DecodedBlocks is the decode work the
-// sharing saved.
-func (r *Runner) DecodedBlockLoads() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.decodeLoads.Load()
-	for _, e := range r.decoded {
-		n += e.d.BlockLoads()
-	}
-	return n
-}
 
 // Run simulates benchmark bench under cfg and returns its statistics.
 // Results are memoised on (config name, variant flags, benchmark); an
@@ -379,19 +297,11 @@ func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 	r.cache[key] = c
 	r.mu.Unlock()
 
-	// Check the context before the pool: select{} picks randomly when both
-	// a free slot and a cancelled context are ready, and a cancelled runner
-	// must not start new simulations.
 	if err := r.ctx.Err(); err != nil {
+		// A cancelled runner must not start new simulations.
 		c.err = err
 	} else {
-		select {
-		case r.sem <- struct{}{}:
-			c.st, c.err = r.simulate(cfg, bench)
-			<-r.sem
-		case <-r.ctx.Done():
-			c.err = r.ctx.Err()
-		}
+		c.st, c.err = r.simulate(cfg, bench)
 	}
 	if c.err != nil && cancelled(c.err) {
 		// A cancelled run must not poison the memo: evict the entry before
@@ -408,6 +318,46 @@ func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 	return c.st, c.err
 }
 
+// simulate is one uncached simulation and the runner's only way to run
+// one: get the benchmark's recording, plan Shards intervals over it,
+// execute every interval, merge the statistics in plan order.
+func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
+	r.sims.Add(1)
+	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
+	run := obs.FromContext(r.ctx).StartRun("run", cfg.Name, bench)
+	defer run.End()
+	tr, err := r.recording(bench, run)
+	var st *stats.Sim
+	if err == nil {
+		plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
+		st, err = r.execute(cfg, bench, tr, plan, run)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
+	}
+	return st, nil
+}
+
+// slot runs fn on one worker-pool slot. It is the pool's only point of
+// acquisition, and its callers — a recording pass, a local interval, a
+// stream walk — never call anything from fn that takes another slot, so
+// no goroutine waits for a slot while holding one (which at Workers: 1
+// would deadlock). A run waiting for its recording holds none.
+func (r *Runner) slot(fn func() error) error {
+	// Check the context first: select picks randomly when both a free
+	// slot and a cancelled context are ready.
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case r.sem <- struct{}{}:
+	case <-r.ctx.Done():
+		return r.ctx.Err()
+	}
+	defer func() { <-r.sem }()
+	return fn()
+}
+
 // recordTarget is the length a recording is extended to when the program
 // has not halted by then: the commit limit (Scale) plus more than the
 // in-flight capacity of the widest configuration. No replay can observe
@@ -415,62 +365,105 @@ func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 // emulated to their halt.
 func (r *Runner) recordTarget() int { return r.opts.Scale + trace.RecordSlack }
 
-// usable reports whether the recorded trace can feed a simulation under
-// cfg: it either ends in a halt or extends past the commit limit by at
-// least cfg's in-flight capacity.
-func (r *Runner) usable(tr *trace.Trace, cfg config.Config) bool {
-	return tr != nil && (tr.Halted() || tr.Len() >= r.opts.Scale+pipeline.SourceWindow(cfg))
-}
-
-// sharedTrace returns the bench's trace entry, electing the caller's
-// goroutine as recorder if none exists yet. The second return is true for
-// the leader, which receives an unresolved entry (prog/tr unset) and MUST
-// resolve it via publishTrace or publishLoadedTrace. Followers block until
-// the entry resolves or the runner's context is cancelled (non-nil error).
-func (r *Runner) sharedTrace(bench string) (*traceCall, bool, error) {
+// recording returns bench's recording: the one entry point through which
+// every run and the stream pass get their input. The first requester
+// leads — it loads the recording from Options.Traces or records it with
+// a functional pass — and every later requester waits for the leader,
+// holding no pool slot. sc, when active, receives the leader's
+// "trace-load" and "record" spans.
+func (r *Runner) recording(bench string, sc obs.SpanContext) (*trace.Trace, error) {
 	r.mu.Lock()
 	tc, ok := r.traces[bench]
 	if !ok {
 		tc = &traceCall{done: make(chan struct{})}
 		r.traces[bench] = tc
-		r.mu.Unlock()
-		return tc, true, nil
 	}
 	r.mu.Unlock()
+	if !ok {
+		r.lead(bench, tc, sc)
+	}
 	select {
 	case <-tc.done:
 	case <-r.ctx.Done():
-		return nil, false, r.ctx.Err()
+		return nil, r.ctx.Err()
 	}
-	return tc, false, nil
+	return tc.tr, tc.err
 }
 
-// dropTrace evicts bench's trace entry if it is still tc, so a
-// cancellation-poisoned recording does not stick to the benchmark for
-// every later run. Call before publishing the entry.
-func (r *Runner) dropTrace(bench string, tc *traceCall) {
-	r.mu.Lock()
-	if r.traces[bench] == tc {
-		delete(r.traces, bench)
+// lead resolves a new trace entry: from Options.Traces when it holds a
+// usable recording, from a fresh functional recording otherwise. A
+// cancelled recording evicts the entry, so cancellation never sticks to
+// the benchmark for a later requester.
+func (r *Runner) lead(bench string, tc *traceCall, sc obs.SpanContext) {
+	if r.opts.Traces != nil {
+		load := sc.Start("trace-load")
+		tr, ok := r.loadStoredTrace(bench)
+		load.End()
+		if ok {
+			tc.tr = tr
+			r.loaded.Add(1)
+			close(tc.done)
+			return
+		}
 	}
-	r.mu.Unlock()
+	tr, err := r.record(bench, sc)
+	if cancelled(err) {
+		r.mu.Lock()
+		if r.traces[bench] == tc {
+			delete(r.traces, bench)
+		}
+		r.mu.Unlock()
+	}
+	r.publishTrace(tc, bench, tr, err)
+}
+
+// record builds bench's program and records its dynamic stream with a
+// pure functional pass (no timing simulation) on one pool slot,
+// embedding checkpoints when the runner is configured for them.
+func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) {
+	var tr *trace.Trace
+	err := r.slot(func() error {
+		rsc := sc.StartRun("record", "", bench)
+		defer rsc.End()
+		b, err := r.lookup(bench)
+		if err != nil {
+			return err
+		}
+		prog := b.Build(r.opts.Scale, r.opts.Seed)
+		mach, err := emu.New(prog)
+		if err != nil {
+			return err
+		}
+		rec, err := trace.NewRecorder(mach, prog, 0)
+		if err == nil && r.opts.CheckpointEvery > 0 {
+			err = rec.EnableCheckpoints(r.opts.CheckpointEvery)
+		}
+		if err == nil {
+			rec.SetContext(r.ctx)
+			rec.Reserve(r.recordTarget())
+			tr, err = rec.Finish(r.recordTarget())
+		}
+		if err != nil && !cancelled(err) {
+			return fmt.Errorf("%w: %v", ErrRecordingUnusable, err)
+		}
+		return err
+	})
+	return tr, err
 }
 
 // publishTrace resolves a leader's trace entry and wakes the followers.
 // An entry without a trace must carry the reason: a nil trace published
-// with a nil error would leave followers unable to distinguish "the
-// recording failed" from anything else (the swallowed-error bug this
-// guard pins shut), so such a call is coerced to ErrRecordingUnusable.
-// A freshly recorded trace is persisted to Options.Traces, if configured
-// — after the followers are woken: the store's disk tier encodes and
-// writes megabytes, and the in-memory trace is already complete, so the
-// sweep's critical path must not wait out the persistence of an
-// optimisation.
-func (r *Runner) publishTrace(tc *traceCall, bench string, prog *isa.Program, tr *trace.Trace, err error) {
+// with a nil error would leave followers replaying nothing, so such a
+// call is coerced to ErrRecordingUnusable. A freshly recorded trace is
+// persisted to Options.Traces, if configured — after the followers are
+// woken: the store's disk tier encodes and writes megabytes, and the
+// in-memory trace is already complete, so the sweep's critical path must
+// not wait out the persistence of an optimisation.
+func (r *Runner) publishTrace(tc *traceCall, bench string, tr *trace.Trace, err error) {
 	if tr == nil && err == nil {
 		err = ErrRecordingUnusable
 	}
-	tc.prog, tc.tr, tc.err = prog, tr, err
+	tc.tr, tc.err = tr, err
 	if tr != nil {
 		r.recorded.Add(1)
 	}
@@ -480,23 +473,11 @@ func (r *Runner) publishTrace(tc *traceCall, bench string, prog *isa.Program, tr
 	}
 }
 
-// publishLoadedTrace resolves a leader's trace entry with a recording
-// served by Options.Traces (counted separately from fresh recordings, and
-// not written back to the store).
-func (r *Runner) publishLoadedTrace(tc *traceCall, prog *isa.Program, tr *trace.Trace) {
-	tc.prog, tc.tr = prog, tr
-	r.loaded.Add(1)
-	close(tc.done)
-}
-
 // loadStoredTrace asks Options.Traces for a usable recording of bench: it
 // must cover this runner's record target (or end in a halt) and, for
 // sharded runs, carry checkpoints to fast-forward to. An unusable stored
 // trace is ignored — the leader records afresh.
 func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
-	if r.opts.Traces == nil {
-		return nil, false
-	}
 	tr, ok := r.opts.Traces.Load(bench)
 	if !ok || tr == nil {
 		return nil, false
@@ -519,195 +500,79 @@ func (r *Runner) lookup(bench string) (workload.Benchmark, error) {
 	return workload.Get(bench)
 }
 
-// buildProgram constructs the benchmark program at the runner's scale and
-// seed.
-func (r *Runner) buildProgram(bench string) (*isa.Program, error) {
-	b, err := r.lookup(bench)
-	if err != nil {
-		return nil, err
+// execute hands every interval of plan to the executor —
+// Options.Remote.RunShard when set, a local pool slot otherwise — and
+// merges the statistics in plan order, so scheduling never shows through.
+// sc, when active, receives a "shard-fanout" span with one "shard" child
+// per interval (a remote executor grafts its worker's spans under it)
+// and a "merge" span.
+func (r *Runner) execute(cfg config.Config, bench string, tr *trace.Trace, plan []shardSpec, sc obs.SpanContext) (*stats.Sim, error) {
+	results := make([]*stats.Sim, len(plan))
+	errs := make([]error, len(plan))
+	var wg sync.WaitGroup
+	var finished atomic.Int32
+	fan := sc.Start("shard-fanout")
+	for i, sp := range plan {
+		wg.Add(1)
+		go func(i int, sp shardSpec) {
+			defer wg.Done()
+			tsc := fan.Start("shard")
+			defer tsc.End()
+			if r.opts.Remote != nil {
+				task := ShardTask{
+					Cfg: cfg, Bench: bench,
+					ReplayFrom: sp.replayFrom, BHR: sp.bhr, SeedBHR: sp.seedBHR,
+					Warmup: sp.warmup, Measure: sp.measure,
+				}
+				results[i], errs[i] = r.opts.Remote.RunShard(obs.ContextWith(r.ctx, tsc), task, tr)
+			} else {
+				results[i], errs[i] = r.runLocal(cfg, bench, tr, sp, len(plan) == 1)
+			}
+			if errs[i] == nil && len(plan) > 1 {
+				r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
+					Shard: int(finished.Add(1)), Shards: len(plan)})
+			}
+		}(i, sp)
 	}
-	return b.Build(r.opts.Scale, r.opts.Seed), nil
-}
-
-// simulate is one uncached simulation. The first simulation of a
-// benchmark builds the program and records the dynamic instruction stream
-// while its own timing run executes; every other configuration of the
-// same benchmark replays the recording instead of re-running functional
-// emulation.
-func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
-	r.sims.Add(1)
-	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
-	run := obs.FromContext(r.ctx).StartRun("run", cfg.Name, bench)
-	defer run.End()
-	if r.opts.NoSharedTraces {
-		prog, err := r.buildProgram(bench)
+	wg.Wait()
+	fan.End()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		return r.timedRun(run, "emulate", cfg, bench, func() (*pipeline.Simulator, error) {
-			return pipeline.New(cfg, prog)
-		})
 	}
-
-	tc, leader, err := r.sharedTrace(bench)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
+	merge := sc.Start("merge")
+	defer merge.End()
+	merged := results[0]
+	for _, st := range results[1:] {
+		merged.Merge(st)
 	}
-	if leader {
-		var load obs.SpanContext
-		if r.opts.Traces != nil {
-			load = run.Start("trace-load")
-		}
-		tr, ok := r.loadStoredTrace(bench)
-		load.End()
-		switch {
-		case ok:
-			// A warm store spares both the recording and the functional
-			// emulation; the program is still built for the live-emulation
-			// fallback of configurations the trace cannot feed.
-			if prog, err := r.buildProgram(bench); err != nil {
-				r.publishTrace(tc, bench, nil, nil, err)
-			} else {
-				r.publishLoadedTrace(tc, prog, tr)
-			}
-		case r.opts.Shards > 1:
-			// Sharded mode records with a pure functional pass (embedding
-			// checkpoints) so the leader's own timing run can be sharded
-			// exactly like every follower's; it then falls through to the
-			// common post-publish paths below.
-			r.recordShared(bench, tc, run)
-		default:
-			return r.recordRun(cfg, bench, tc, run)
-		}
-	}
-	if tc.prog == nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, tc.err)
-	}
-	if !r.usable(tc.tr, cfg) {
-		// Failed recording (tc.err says why — see ErrRecordingUnusable) or
-		// one too short for this configuration's in-flight capacity:
-		// emulate live on the shared program.
-		return r.timedRun(run, "emulate", cfg, bench, func() (*pipeline.Simulator, error) {
-			return pipeline.New(cfg, tc.prog)
-		})
-	}
-	r.replayed.Add(1)
-	if r.opts.Remote != nil {
-		return r.remoteReplay(cfg, bench, tc.tr, run)
-	}
-	if r.opts.Shards > 1 {
-		return r.shardedReplay(cfg, bench, tc.tr, nil, run)
-	}
-	return r.timedRun(run, "replay", cfg, bench, func() (*pipeline.Simulator, error) {
-		return pipeline.NewFromSource(cfg, trace.NewReplayer(tc.tr, pipeline.SourceWindow(cfg)))
-	})
+	return merged, nil
 }
 
-// recordShared resolves a leader's trace entry with a pure functional
-// recording pass (no timing simulation), embedding checkpoints when the
-// runner is configured for them. The entry is always resolved. Sharded
-// sweeps and stream-only experiments (VecLen) record this way. sc, when
-// active, receives a "record" span covering the pass.
-func (r *Runner) recordShared(bench string, tc *traceCall, sc obs.SpanContext) {
-	rsc := sc.StartRun("record", "", bench)
-	defer rsc.End()
-	prog, err := r.buildProgram(bench)
-	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
-		return
-	}
-	mach, err := emu.New(prog)
-	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
-		return
-	}
-	rec, err := trace.NewRecorder(mach, prog, 0)
-	if err != nil {
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-		return
-	}
-	if r.opts.CheckpointEvery > 0 {
-		if err := rec.EnableCheckpoints(r.opts.CheckpointEvery); err != nil {
-			r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-			return
+// runLocal executes one interval on a pool slot. A whole run (a
+// one-interval plan) reports RunProgress events as it commits; the
+// intervals of a sharded run report ShardDone instead (see execute).
+func (r *Runner) runLocal(cfg config.Config, bench string, tr *trace.Trace, sp shardSpec, whole bool) (*stats.Sim, error) {
+	var prepare func(*pipeline.Simulator)
+	if whole && r.opts.Progress != nil {
+		target := uint64(r.opts.Scale)
+		prepare = func(sim *pipeline.Simulator) {
+			sim.SetProgress(r.progressStride(), func(committed uint64) {
+				r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
+					Committed: committed, Target: target})
+			})
 		}
 	}
-	rec.SetContext(r.ctx)
-	rec.Reserve(r.recordTarget())
-	tr, recErr := rec.Finish(r.recordTarget())
-	if recErr != nil {
-		if cancelled(recErr) {
-			// Cancellation is not a property of the benchmark: evict the
-			// entry so a later requester records afresh.
-			r.dropTrace(bench, tc)
-		}
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, recErr))
-		return
-	}
-	r.publishTrace(tc, bench, prog, tr, nil)
-}
-
-// recordRun is the leader's simulation: it records the dynamic stream
-// while the timing run executes, completes the trace afterwards and
-// publishes it for the followers. The trace entry is always resolved,
-// even when program construction or the simulation itself fails. sc,
-// when active, receives a "record" span covering the whole
-// record-while-timing pass (the timing run is inseparable from the
-// recording here, so no nested phase span is opened).
-func (r *Runner) recordRun(cfg config.Config, bench string, tc *traceCall, sc obs.SpanContext) (*stats.Sim, error) {
-	rsc := sc.StartRun("record", cfg.Name, bench)
-	defer rsc.End()
-	prog, err := r.buildProgram(bench)
-	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
-		return nil, err
-	}
-	mach, err := emu.New(prog)
-	if err != nil {
-		r.publishTrace(tc, bench, nil, nil, err)
-		return nil, err
-	}
-	rec, err := trace.NewRecorder(mach, prog, pipeline.SourceWindow(cfg))
-	if err != nil {
-		// The program is fine; only the recording is lost. Followers fall
-		// back to live emulation while this leader reports the failure.
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-		return nil, err
-	}
-	if r.opts.CheckpointEvery > 0 {
-		if err := rec.EnableCheckpoints(r.opts.CheckpointEvery); err != nil {
-			r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err))
-			return nil, err
-		}
-	}
-	rec.SetContext(r.ctx)
-	rec.Reserve(r.recordTarget())
-	st, simErr := r.timedRun(obs.SpanContext{}, "", cfg, bench, func() (*pipeline.Simulator, error) {
-		return pipeline.NewFromSource(cfg, rec)
+	var st *stats.Sim
+	err := r.slot(func() error {
+		var hot profile.HotStats
+		var err error
+		st, hot, err = runShard(r.ctx, cfg, bench, tr, sp, prepare)
+		r.collectHot(hot)
+		return err
 	})
-	if cancelled(simErr) {
-		// Don't extend a recording nobody will use: evict the entry (so a
-		// later requester records afresh) and publish the cancellation.
-		r.dropTrace(bench, tc)
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, simErr))
-		return st, simErr
-	}
-	// Finish extends the recording to its target length even when the
-	// timing run stopped early (commit limit) or failed (an invalid
-	// configuration must not poison the benchmark for other configs). A
-	// Finish failure is published with its cause, never as a bare nil
-	// trace: followers fall back to live emulation and anyone inspecting
-	// the entry sees why the recording was dropped.
-	tr, recErr := rec.Finish(r.recordTarget())
-	if recErr != nil {
-		if cancelled(recErr) {
-			r.dropTrace(bench, tc)
-		}
-		r.publishTrace(tc, bench, prog, nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, recErr))
-	} else {
-		r.publishTrace(tc, bench, prog, tr, nil)
-	}
-	return st, simErr
+	return st, err
 }
 
 // progressStride is the committed-instruction spacing of RunProgress
@@ -717,41 +582,11 @@ func (r *Runner) progressStride() uint64 {
 	return uint64(max(r.opts.Scale/8, 4096))
 }
 
-// timedRun executes one timing simulation built by mk, wired to the
-// runner's context and progress observation. When phase is non-empty
-// and sc active, a phase span ("emulate", "replay") covers the
-// simulator's construction and execution.
-func (r *Runner) timedRun(sc obs.SpanContext, phase string, cfg config.Config, bench string, mk func() (*pipeline.Simulator, error)) (*stats.Sim, error) {
-	if phase != "" {
-		psc := sc.Start(phase)
-		defer psc.End()
-	}
-	sim, err := mk()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-	}
-	sim.SetContext(r.ctx)
-	if r.opts.Progress != nil {
-		target := uint64(r.opts.Scale)
-		sim.SetProgress(r.progressStride(), func(committed uint64) {
-			r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
-				Committed: committed, Target: target})
-		})
-	}
-	st, err := sim.Run(uint64(r.opts.Scale))
-	r.collectHot(sim.HotStats())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-	}
-	return st, nil
-}
-
 // RunAll submits every spec to the worker pool at once and returns the
 // statistics in spec order. The first error (in spec order) is returned
 // after all runs settle, so a failed batch leaves no simulation in
 // flight.
 func (r *Runner) RunAll(specs []RunSpec) ([]*stats.Sim, error) {
-	r.dispatchGangs(specs)
 	out := make([]*stats.Sim, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -774,7 +609,7 @@ func (r *Runner) RunAll(specs []RunSpec) ([]*stats.Sim, error) {
 // Prefetch begins computing the given runs in the background without
 // waiting for them. Submission fans out over at most Workers feeder
 // goroutines that pull specs from a shared cursor, so a large sweep does
-// not spawn one goroutine per spec ahead of the semaphore. Errors are not
+// not spawn one goroutine per spec ahead of the pool. Errors are not
 // reported here; they resurface from the memo when Run or RunAll later
 // requests the same key. Cancelling the runner's context stops the
 // feeders from starting further specs; runs already executing abort
@@ -783,7 +618,6 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 	if len(specs) == 0 {
 		return
 	}
-	r.dispatchGangs(specs)
 	specs = append([]RunSpec(nil), specs...)
 	next := new(atomic.Int64)
 	for n := min(len(specs), r.opts.Workers); n > 0; n-- {
@@ -799,12 +633,11 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 	}
 }
 
-// each runs fn(0..n-1) on the runner's worker pool and returns the first
-// error in index order. It is used for per-benchmark work that does not
-// go through the simulation cache (e.g. the functional-emulation pass of
-// VecLen) so that it shares the same concurrency bound. fn holds a pool
-// slot for its whole duration and therefore must not call Run/RunAll:
-// with Workers=1 the nested acquisition would deadlock.
+// each runs fn(0..n-1) concurrently and returns the first error in index
+// order. It is used for per-benchmark work that does not go through the
+// simulation cache (the stream pass of VecLen); fn takes pool slots
+// through the runner's own entry points (recording, slot), so the work
+// shares the simulations' concurrency bound.
 func (r *Runner) each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -812,13 +645,6 @@ func (r *Runner) each(n int, fn func(i int) error) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-			case <-r.ctx.Done():
-				errs[i] = r.ctx.Err()
-				return
-			}
-			defer func() { <-r.sem }()
 			errs[i] = fn(i)
 		}(i)
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"specvec/internal/config"
+	"specvec/internal/isa"
+	"specvec/internal/pipeline"
 	"specvec/internal/stats"
 	"specvec/internal/workload"
 )
@@ -176,48 +178,116 @@ func TestAppendAggregatesSkipsEmpty(t *testing.T) {
 	}
 }
 
-// TestSharedTraceIdentical runs the same multi-config sweep with trace
-// sharing on and off and requires identical rendered statistics — the
-// record-once/replay-many layer must be invisible in the results — while
-// the counters prove it actually recorded once per benchmark and
-// replayed everything else.
+// TestSharedTraceIdentical runs a multi-config sweep and requires every
+// run to match a direct live-emulation simulation of the same program —
+// the record-once/replay-many path must be invisible in the results —
+// while the counters prove it recorded once per benchmark and simulated
+// every configuration.
 func TestSharedTraceIdentical(t *testing.T) {
+	const scale, seed = 15_000, 1
 	cfgs := []config.Config{
 		config.MustNamed(4, 1, config.ModeNoIM),
 		config.MustNamed(4, 1, config.ModeIM),
 		config.MustNamed(4, 1, config.ModeV),
 	}
-	render := func(opts Options) (string, *Runner) {
-		r := NewRunner(opts)
-		var sb strings.Builder
-		for _, cfg := range cfgs {
-			sims, err := r.RunAll(suiteSpecs(cfg))
+	shared, r := renderSuite(t, Options{Scale: scale, Seed: seed, Workers: 4}, cfgs...)
+
+	var live strings.Builder
+	for _, cfg := range cfgs {
+		for _, name := range workload.Names() {
+			b, err := workload.Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range sims {
-				sb.WriteString(st.String())
-			}
+			live.WriteString(liveRun(t, cfg, b.Build(scale, seed), scale).String())
 		}
-		return sb.String(), r
 	}
-
-	shared, rs := render(Options{Scale: 15_000, Seed: 1, Workers: 4})
-	unshared, ru := render(Options{Scale: 15_000, Seed: 1, Workers: 4, NoSharedTraces: true})
-	if shared != unshared {
-		t.Error("trace sharing changed simulation statistics")
+	if shared != live.String() {
+		t.Error("replaying shared recordings changed simulation statistics")
 	}
 
 	nbench := int64(len(workload.Names()))
-	if got := rs.TraceRecordings(); got != nbench {
-		t.Errorf("shared runner recorded %d traces, want %d", got, nbench)
+	if got := r.TraceRecordings(); got != nbench {
+		t.Errorf("runner recorded %d traces, want %d", got, nbench)
 	}
-	// 3 configs per benchmark: the first records, the other two replay.
-	if got, want := rs.TraceReplays(), 2*nbench; got != want {
-		t.Errorf("shared runner replayed %d runs, want %d", got, want)
+	if got, want := r.Simulations(), int64(len(cfgs))*nbench; got != want {
+		t.Errorf("runner executed %d simulations, want %d", got, want)
 	}
-	if got := ru.TraceRecordings(); got != 0 {
-		t.Errorf("unshared runner recorded %d traces, want 0", got)
+}
+
+// liveRun simulates prog under cfg with live functional emulation, the
+// reference every replayed run must match.
+func liveRun(t *testing.T, cfg config.Config, prog *isa.Program, scale int) *stats.Sim {
+	t.Helper()
+	sim, err := pipeline.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Run(uint64(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// sweepSpecs is a sweep-shaped fan-out: six configurations over a few
+// benchmarks, so every benchmark's recording serves several runs.
+func sweepSpecs() []RunSpec {
+	cfgs := []config.Config{
+		config.MustNamed(4, 1, config.ModeV),
+		config.MustNamed(4, 1, config.ModeIM),
+		config.MustNamed(4, 1, config.ModeNoIM),
+		config.MustNamed(8, 1, config.ModeV),
+		config.MustNamed(8, 1, config.ModeIM),
+		config.MustNamed(8, 1, config.ModeNoIM),
+	}
+	benches := []string{"compress", "swim", "applu"}
+	var specs []RunSpec
+	for _, cfg := range cfgs {
+		for _, b := range benches {
+			specs = append(specs, RunSpec{Cfg: cfg, Bench: b})
+		}
+	}
+	return specs
+}
+
+// TestRunAllConcurrentHammer drives overlapping RunAll sweeps from many
+// goroutines at one Runner: concurrent runs share benchmark recordings
+// while the memo deduplicates keys. Under -race this proves the memo and
+// trace entry machinery is concurrency-safe; the counters prove each
+// unique key was simulated once and each benchmark recorded once.
+func TestRunAllConcurrentHammer(t *testing.T) {
+	r := NewRunner(Options{Scale: 8_000, Seed: 1, Workers: 4})
+	specs := sweepSpecs()
+	unique := map[runKey]bool{}
+	benches := map[string]bool{}
+	for _, s := range specs {
+		unique[r.key(s.Cfg, s.Bench)] = true
+		benches[s.Bench] = true
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Rotated and truncated batches so the sweeps of each
+			// goroutine overlap but never coincide.
+			rot := append(append([]RunSpec(nil), specs[g%len(specs):]...), specs[:g%len(specs)]...)
+			if _, err := r.RunAll(rot[:len(rot)-g%4]); err != nil {
+				t.Error(err)
+			}
+			if _, err := r.RunAll(specs); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := r.Simulations(), int64(len(unique)); got != want {
+		t.Errorf("executed %d simulations for %d unique keys", got, want)
+	}
+	if got, want := r.TraceRecordings(), int64(len(benches)); got != want {
+		t.Errorf("recorded %d traces for %d benchmarks", got, want)
 	}
 }
 

@@ -72,6 +72,70 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
+// TestRunAllCancellationEvicts cancels a sweep mid-run and checks the
+// eviction contract: once RunAll returns, no memo entry and no trace
+// entry carries the cancellation, and a fresh runner recomputes the
+// sweep successfully — a cancelled sweep must not poison the next one.
+func TestRunAllCancellationEvicts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	r := NewRunner(Options{
+		Scale: 200_000, Seed: 1, Workers: 2, Context: ctx,
+		Progress: func(ev ProgressEvent) {
+			if ev.Kind == RunProgress {
+				once.Do(cancel)
+			}
+		},
+	})
+	specs := sweepSpecs()
+	_, err := r.RunAll(specs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	// RunAll returns after every run settled, and a run evicts its entry
+	// before resolving it, so the maps are final here.
+	r.mu.Lock()
+	var poisoned []string
+	for _, s := range specs {
+		c, ok := r.cache[r.key(s.Cfg, s.Bench)]
+		if !ok {
+			continue
+		}
+		select {
+		case <-c.done:
+			if c.err != nil {
+				poisoned = append(poisoned, s.Cfg.Name+"/"+s.Bench)
+			}
+		default:
+			poisoned = append(poisoned, "unresolved "+s.Cfg.Name+"/"+s.Bench)
+		}
+	}
+	for bench, tc := range r.traces {
+		select {
+		case <-tc.done:
+			if tc.err != nil {
+				poisoned = append(poisoned, "trace "+bench)
+			}
+		default:
+			poisoned = append(poisoned, "unresolved trace "+bench)
+		}
+	}
+	r.mu.Unlock()
+	if len(poisoned) > 0 {
+		t.Errorf("cancelled sweep left entries behind: %v", poisoned)
+	}
+
+	// The next sweep — a fresh runner with a live context, as the service
+	// layer would construct — recomputes from scratch.
+	fresh := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 2})
+	if _, err := fresh.RunAll(specs); err != nil {
+		t.Fatalf("recompute after cancelled sweep: %v", err)
+	}
+	if fresh.Simulations() != int64(len(specs)) {
+		t.Errorf("fresh runner executed %d of %d sweeps", fresh.Simulations(), len(specs))
+	}
+}
+
 // TestRunnerCancelledBeforeStart asserts an already-cancelled context
 // rejects work without simulating.
 func TestRunnerCancelledBeforeStart(t *testing.T) {

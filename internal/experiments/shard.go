@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 
 	"specvec/internal/config"
 	"specvec/internal/obs"
@@ -47,6 +46,7 @@ type shardSpec struct {
 // [warmup, warmup+checkpoint interval); with no usable checkpoint the
 // shard replays from record zero (correct, just a longer warmup). A
 // halted trace shorter than total clamps the plan to what was recorded.
+// The plan always holds at least one interval.
 func shardPlan(tr *trace.Trace, total uint64, shards int, warmup uint64) []shardSpec {
 	if n := uint64(tr.Len()); tr.Halted() && n < total {
 		total = n
@@ -81,22 +81,48 @@ func shardPlan(tr *trace.Trace, total uint64, shards int, warmup uint64) []shard
 	return plan
 }
 
-// runShard executes one interval of the plan. A non-nil ctx cancels the
-// interval (service-layer jobs); a non-nil hot callback receives the
-// shard simulator's hot-path counters. A non-nil d replays through a
-// cursor over the shared decoded trace (gang replay) instead of
-// materializing a private window — the shards of every gang member then
-// decode each block once between them.
-func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.Decoded, sp shardSpec, hot func(profile.HotStats)) (*stats.Sim, error) {
-	var src pipeline.Source
-	if d != nil {
-		src = d.CursorAt(sp.replayFrom)
-	} else {
-		src = trace.NewReplayerAt(tr, pipeline.SourceWindow(cfg), sp.replayFrom)
+// ErrIntervalOutOfRange marks a replay interval the recording cannot
+// feed: it ends past the last record or, for a recording that stops
+// short of the program's halt, leaves the pipeline fewer records past
+// its end than the configuration can fetch ahead.
+var ErrIntervalOutOfRange = errors.New("experiments: replay interval exceeds recording")
+
+// checkInterval is the one check every interval passes before it is
+// simulated, locally or for a peer (ExecuteShardTask): replayFrom +
+// warmup + measure must not overflow and must lie within the recording,
+// and a recording that does not end in a halt must extend at least
+// pipeline.SourceWindow(cfg) records past that end. Without it a bad
+// interval surfaces only as a pipeline deadlock.
+func checkInterval(cfg config.Config, bench string, tr *trace.Trace, sp shardSpec) error {
+	end, c1 := bits.Add64(sp.replayFrom, sp.warmup, 0)
+	end, c2 := bits.Add64(end, sp.measure, 0)
+	need, c3 := end, uint64(0)
+	if !tr.Halted() {
+		need, c3 = bits.Add64(end, uint64(pipeline.SourceWindow(cfg)), 0)
 	}
-	sim, err := pipeline.NewFromSource(cfg, src)
+	if c1|c2|c3 != 0 {
+		return fmt.Errorf("%w: %s/%s: interval @%d+%d+%d overflows, recording has %d records",
+			ErrIntervalOutOfRange, cfg.Name, bench, sp.replayFrom, sp.warmup, sp.measure, tr.Len())
+	}
+	if need > uint64(tr.Len()) {
+		return fmt.Errorf("%w: %s/%s: interval needs %d records, recording has %d",
+			ErrIntervalOutOfRange, cfg.Name, bench, need, tr.Len())
+	}
+	return nil
+}
+
+// runShard checks and executes one interval on the calling goroutine,
+// replaying it through a windowed trace.Replayer from its checkpoint. A
+// non-nil ctx cancels the interval; a non-nil prepare sees the
+// simulator before it runs (progress reporting). The returned hot-path
+// counters are the interval simulator's.
+func runShard(ctx context.Context, cfg config.Config, bench string, tr *trace.Trace, sp shardSpec, prepare func(*pipeline.Simulator)) (*stats.Sim, profile.HotStats, error) {
+	if err := checkInterval(cfg, bench, tr, sp); err != nil {
+		return nil, profile.HotStats{}, err
+	}
+	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayerAt(tr, pipeline.SourceWindow(cfg), sp.replayFrom))
 	if err != nil {
-		return nil, err
+		return nil, profile.HotStats{}, err
 	}
 	if ctx != nil {
 		sim.SetContext(ctx)
@@ -104,110 +130,26 @@ func runShard(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.
 	if sp.seedBHR {
 		sim.SeedBranchHistory(sp.bhr)
 	}
+	if prepare != nil {
+		prepare(sim)
+	}
 	st, err := sim.RunInterval(sp.warmup, sp.measure)
-	if hot != nil {
-		hot(sim.HotStats())
-	}
-	return st, err
-}
-
-// runShards executes a plan concurrently — one worker-pool slot per
-// in-flight shard — and merges the interval statistics in shard order.
-// onDone (optional) observes each finished interval with the count of
-// completed intervals so far; it may be called concurrently.
-func runShards(ctx context.Context, cfg config.Config, tr *trace.Trace, d *trace.Decoded, plan []shardSpec,
-	sem chan struct{}, hot func(profile.HotStats), onDone func(done, total int)) (*stats.Sim, error) {
-	results := make([]*stats.Sim, len(plan))
-	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
-	var finished atomic.Int32
-	for i, sp := range plan {
-		wg.Add(1)
-		go func(i int, sp shardSpec) {
-			defer wg.Done()
-			if ctx != nil {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[i] = ctx.Err()
-					return
-				}
-			} else {
-				sem <- struct{}{}
-			}
-			defer func() { <-sem }()
-			results[i], errs[i] = runShard(ctx, cfg, tr, d, sp, hot)
-			if errs[i] == nil && onDone != nil {
-				onDone(int(finished.Add(1)), len(plan))
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(results) == 0 {
-		return stats.New(), nil
-	}
-	merged := results[0]
-	for _, st := range results[1:] {
-		merged.Merge(st)
-	}
-	return merged, nil
-}
-
-// shardedReplay runs one sharded simulation on the runner's worker pool.
-// The caller (Run) holds one pool slot; it is released while the shards
-// fan out — each shard acquires its own — and re-acquired before
-// returning so Run's release stays balanced and total concurrency never
-// exceeds Workers. sc, when active, receives a "shard-fanout" span
-// covering the whole fan-out (per-interval timing lives in the merged
-// statistics, not the timeline — local shards share one clock, so the
-// envelope is what a waterfall needs).
-func (r *Runner) shardedReplay(cfg config.Config, bench string, tr *trace.Trace, d *trace.Decoded, sc obs.SpanContext) (*stats.Sim, error) {
-	plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
-	var onDone func(done, total int)
-	if r.opts.Progress != nil {
-		onDone = func(done, total int) {
-			r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
-				Shard: done, Shards: total})
-		}
-	}
-	fan := sc.Start("shard-fanout")
-	<-r.sem
-	st, err := runShards(r.ctx, cfg, tr, d, plan, r.sem, r.collectHot, onDone)
-	r.sem <- struct{}{}
-	fan.End()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
-	}
-	return st, nil
+	return st, sim.HotStats(), err
 }
 
 // ShardedReplay simulates total committed instructions of a recorded
 // trace under cfg as shards checkpoint-fast-forwarded intervals running
 // on up to workers goroutines, and merges the per-interval statistics
-// (sdvsim -trace-replay -shards). shards <= 1 is exact mode: one
-// single-pass replay, byte-identical to an unsharded run. warmup <= 0
-// uses DefaultShardWarmup; workers <= 0 uses every core. A trace without
-// checkpoints still shards correctly, but every shard then replays from
-// record zero, serializing most of the win.
+// (sdvsim -trace-replay -shards). It is the Runner's executor without
+// the Runner's memo: shards <= 1 is exact mode, one interval covering
+// the whole run. warmup <= 0 uses DefaultShardWarmup; workers <= 0 uses
+// every core. A trace without checkpoints still shards correctly, but
+// every shard then replays from record zero, serializing most of the
+// win.
 func ShardedReplay(cfg config.Config, tr *trace.Trace, total uint64, shards, warmup, workers int) (*stats.Sim, error) {
-	if shards <= 1 {
-		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run(total)
-	}
 	if warmup <= 0 {
 		warmup = DefaultShardWarmup
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runShards(nil, cfg, tr, nil, shardPlan(tr, total, shards, uint64(warmup)),
-		make(chan struct{}, workers), nil, nil)
+	r := NewRunner(Options{Workers: workers})
+	return r.execute(cfg, tr.Name(), tr, shardPlan(tr, total, shards, uint64(warmup)), obs.SpanContext{})
 }

@@ -48,7 +48,7 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 		maxShard = 0
 		for _, sp := range plan {
 			start := time.Now()
-			if _, err := runShard(nil, cfg, tr, nil, sp, nil); err != nil {
+			if _, _, err := runShard(nil, cfg, "swim", tr, sp, nil); err != nil {
 				b.Fatal(err)
 			}
 			if d := time.Since(start); d > maxShard {

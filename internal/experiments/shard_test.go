@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
-	"specvec/internal/isa"
 	"specvec/internal/trace"
 	"specvec/internal/workload"
 )
@@ -163,9 +163,8 @@ func TestShardPlan(t *testing.T) {
 // followers as such — the guard substitutes ErrRecordingUnusable.
 func TestPublishTraceNeverNilNil(t *testing.T) {
 	r := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 1})
-	prog := &isa.Program{Name: "stub", Insts: []isa.Inst{{Op: isa.OpHalt}}}
 	tc := &traceCall{done: make(chan struct{})}
-	r.publishTrace(tc, "stub", prog, nil, nil)
+	r.publishTrace(tc, "stub", nil, nil)
 	<-tc.done
 	if !errors.Is(tc.err, ErrRecordingUnusable) {
 		t.Errorf("nil-trace/nil-error publish resolved with err=%v, want ErrRecordingUnusable", tc.err)
@@ -175,45 +174,41 @@ func TestPublishTraceNeverNilNil(t *testing.T) {
 	}
 }
 
-// TestRecordingFailureFallsBack seeds a shared-trace entry in the failed
-// state (valid program, no trace, ErrRecordingUnusable) and checks that
-// timing runs and the stream pass (VecLen's eachRecord) both fall back
-// to live emulation with results identical to an unshared runner.
-func TestRecordingFailureFallsBack(t *testing.T) {
+// TestRecordingFailureFailsRuns seeds a shared-trace entry in the failed
+// state (no trace, ErrRecordingUnusable) and checks that timing runs and
+// the stream pass (VecLen's eachRecord) both fail with a one-line error
+// wrapping it, while a runner whose recording succeeds matches a direct
+// live-emulation run of the same program.
+func TestRecordingFailureFailsRuns(t *testing.T) {
 	const bench = "compress"
 	opts := Options{Scale: 10_000, Seed: 1, Workers: 2}
 	cfg := config.MustNamed(4, 1, config.ModeV)
+
+	seeded := NewRunner(opts)
+	tc := &traceCall{done: make(chan struct{})}
+	seeded.publishTrace(tc, bench, nil, fmt.Errorf("%w: indirect jump target out of range", ErrRecordingUnusable))
+	seeded.traces[bench] = tc
+
+	_, err := seeded.Run(cfg, bench)
+	if !errors.Is(err, ErrRecordingUnusable) {
+		t.Fatalf("run over a failed recording: want ErrRecordingUnusable, got %v", err)
+	}
+	if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, cfg.Name) || !strings.Contains(msg, bench) {
+		t.Errorf("error %q is not one line naming %s and %s", msg, cfg.Name, bench)
+	}
+	if err := seeded.eachRecord(bench, 1000, func(*emu.DynInst) {}); !errors.Is(err, ErrRecordingUnusable) {
+		t.Errorf("stream pass over a failed recording: want ErrRecordingUnusable, got %v", err)
+	}
 
 	b, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := b.Build(opts.Scale, opts.Seed)
-
-	seeded := NewRunner(opts)
-	tc := &traceCall{done: make(chan struct{})}
-	seeded.publishTrace(tc, bench, prog, nil, ErrRecordingUnusable)
-	seeded.traces[bench] = tc
-
-	st, err := seeded.Run(cfg, bench)
-	if err != nil {
-		t.Fatalf("failed recording was fatal for the benchmark: %v", err)
-	}
-	plain := NewRunner(Options{Scale: opts.Scale, Seed: opts.Seed, Workers: 1, NoSharedTraces: true})
-	want, err := plain.Run(cfg, bench)
+	st, err := NewRunner(opts).Run(cfg, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.String() != want.String() {
-		t.Error("live-emulation fallback produced different statistics than an unshared run")
-	}
-
-	// The stream pass must also fall back and still see every record.
-	var n int
-	if err := seeded.eachRecord(bench, 1000, func(*emu.DynInst) { n++ }); err != nil {
-		t.Fatalf("eachRecord with a failed recording: %v", err)
-	}
-	if n != 1000 {
-		t.Errorf("eachRecord yielded %d records, want 1000", n)
+	if st.String() != liveRun(t, cfg, b.Build(opts.Scale, opts.Seed), opts.Scale).String() {
+		t.Error("replayed run differs from a direct live-emulation run")
 	}
 }

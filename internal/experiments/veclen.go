@@ -1,48 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+
 	"specvec/internal/emu"
 	"specvec/internal/obs"
 )
 
-// functionalTrace returns the bench's shared trace entry, recording it
-// with a pure functional pass (no timing simulation) when no entry exists
-// yet. Experiments that only need the dynamic stream (VecLen) share the
-// same recording that timing sweeps replay. The error is non-nil only
-// when the benchmark cannot be simulated at all (program construction
-// failed); a failed recording propagates through tc.err — wrapping
-// ErrRecordingUnusable, never a silent nil — and callers fall back to
-// live emulation of tc.prog.
-func (r *Runner) functionalTrace(bench string) (*traceCall, error) {
-	tc, leader, err := r.sharedTrace(bench)
-	if err != nil {
-		return nil, err
-	}
-	if leader {
-		if tr, ok := r.loadStoredTrace(bench); ok {
-			if prog, err := r.buildProgram(bench); err != nil {
-				r.publishTrace(tc, bench, nil, nil, err)
-			} else {
-				r.publishLoadedTrace(tc, prog, tr)
-			}
-		} else {
-			// The "record" span parents directly under whatever span the
-			// job's context carries — a stream-only experiment has no
-			// per-run span of its own.
-			r.recordShared(bench, tc, obs.FromContext(r.ctx))
-		}
-	}
-	if tc.prog == nil {
-		return tc, tc.err
-	}
-	return tc, nil
-}
-
 // meanRunLength measures, per static load, the lengths of maximal
 // constant-stride runs over the benchmark's dynamic stream, returning
 // their mean (runs of length >= 2 only: a "run" of one repeat is not a
-// pattern). The stream comes from the runner's shared trace when
-// available; otherwise the benchmark is emulated functionally.
+// pattern). The stream comes from the runner's shared recording.
 func meanRunLength(r *Runner, bench string) (float64, error) {
 	type state struct {
 		lastAddr uint64
@@ -103,47 +71,25 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 }
 
 // eachRecord yields the first budget records of the benchmark's dynamic
-// stream, from the shared trace when sharing is enabled and the recording
-// usable, from live functional emulation otherwise. Both paths produce
-// the identical sequence: emulation stops at halt or budget, and a trace
-// ends with its halt record.
+// stream from the shared recording — the same one the timing runs
+// replay — walking it on one pool slot. The "record" span, if this call
+// leads the recording, parents under whatever span the job's context
+// carries: a stream-only experiment has no per-run span of its own.
 func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.DynInst)) error {
-	if !r.opts.NoSharedTraces {
-		tc, err := r.functionalTrace(bench)
-		if err != nil {
-			return err
-		}
-		if tc.tr != nil && (tc.tr.Halted() || tc.tr.Len() >= budget) {
-			var d emu.DynInst
-			for i, n := 0, min(tc.tr.Len(), budget); i < n; i++ {
-				tc.tr.Record(i, &d)
-				yield(&d)
-			}
-			return nil
-		}
-		// Unusable recording: emulate the shared program live.
-		m, err := emu.New(tc.prog)
-		if err != nil {
-			return err
-		}
-		return emulateRecords(m, budget, yield)
-	}
-	b, err := r.lookup(bench)
+	tr, err := r.recording(bench, obs.FromContext(r.ctx))
 	if err != nil {
-		return err
+		return fmt.Errorf("experiments: %s: %w", bench, err)
 	}
-	m, err := emu.New(b.Build(r.opts.Scale, r.opts.Seed))
-	if err != nil {
-		return err
+	if !tr.Halted() && tr.Len() < budget {
+		return fmt.Errorf("%w: %s: stream pass needs %d records, recording has %d",
+			ErrIntervalOutOfRange, bench, budget, tr.Len())
 	}
-	return emulateRecords(m, budget, yield)
-}
-
-func emulateRecords(m *emu.Machine, budget int, yield func(*emu.DynInst)) error {
-	for !m.Halted() && budget > 0 {
-		d := m.Step()
-		budget--
-		yield(&d)
-	}
-	return nil
+	return r.slot(func() error {
+		var d emu.DynInst
+		for i, n := 0, min(tr.Len(), budget); i < n; i++ {
+			tr.Record(i, &d)
+			yield(&d)
+		}
+		return nil
+	})
 }

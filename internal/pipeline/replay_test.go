@@ -99,7 +99,7 @@ func TestReplayEquivalence(t *testing.T) {
 func TestRecordSlackCoversMatrix(t *testing.T) {
 	for _, cfg := range config.Matrix() {
 		if w := SourceWindow(cfg); w > trace.RecordSlack {
-			t.Errorf("%s: SourceWindow %d exceeds trace.RecordSlack %d; recordings would silently fall back to live emulation",
+			t.Errorf("%s: SourceWindow %d exceeds trace.RecordSlack %d; runs of that configuration would fail the interval check",
 				cfg.Name, w, trace.RecordSlack)
 		}
 	}

@@ -11,6 +11,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"specvec/internal/config"
+	"specvec/internal/emu"
+	"specvec/internal/experiments"
+	"specvec/internal/trace"
+	"specvec/internal/workload"
 )
 
 // clusterHarness boots a coordinator plus n workers over httptest,
@@ -330,8 +336,7 @@ func (f *flakyArtifacts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // still byte-identical to a healthy cluster's.
 func TestWorkerPullRetryAndVerify(t *testing.T) {
 	const scale = 15_000
-	// Sharded so the recording is replayed (a single-config experiment
-	// records each benchmark on its only run and would never dispatch).
+	// Sharded so every run dispatches several intervals.
 	spec := JobSpec{Exp: "fig1", Scale: scale, Shards: 2, CheckpointEvery: 2000}
 
 	_, plainTS := testServer(t, Options{})
@@ -377,13 +382,42 @@ func TestWorkerPullRetryAndVerify(t *testing.T) {
 }
 
 // TestShardEndpointValidation pins the worker's /v1/shards input
-// checks: bad JSON and an addressless task are 4xx (the coordinator
-// must not requeue those), an unknown artifact is 5xx.
+// checks: bad JSON, an addressless task and an interval its recording
+// cannot feed are 4xx (the coordinator must not requeue those).
 func TestShardEndpointValidation(t *testing.T) {
 	w := New(Options{Worker: true, JoinURL: "http://127.0.0.1:1", SimWorkers: 1})
 	defer w.Close()
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
+
+	// Seed the worker's trace cache so the out-of-range task resolves its
+	// recording without a coordinator.
+	b, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := b.Build(2_000, 1)
+	mach, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := trace.NewRecorder(mach, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Finish(2_000 + trace.RecordSlack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.agent.mu.Lock()
+	w.agent.entries["seeded"] = w.agent.order.PushFront(&workerTraceEntry{id: "seeded", tr: tr})
+	w.agent.mu.Unlock()
+	outOfRange, err := json.Marshal(experiments.ShardTask{
+		Cfg: config.MustNamed(4, 1, config.ModeV), Bench: "compress", Trace: "seeded", Measure: 1 << 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		body string
@@ -391,6 +425,7 @@ func TestShardEndpointValidation(t *testing.T) {
 	}{
 		{`{not json`, http.StatusBadRequest},
 		{`{"cfg":{},"bench":"x","replayFrom":0,"warmup":0,"measure":10}`, http.StatusBadRequest}, // no trace address
+		{string(outOfRange), http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/shards", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -98,7 +98,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, exec, pull, err := s.agent.execute(r.Context(), task)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "shard %s/%s@%d: %v", task.Cfg.Name, task.Bench, task.ReplayFrom, err)
+		code := http.StatusInternalServerError
+		if errors.Is(err, experiments.ErrIntervalOutOfRange) {
+			code = http.StatusBadRequest // the recording is content-addressed: no node could run it
+		}
+		writeError(w, code, "shard %s/%s@%d: %v", task.Cfg.Name, task.Bench, task.ReplayFrom, err)
 		return
 	}
 	// The worker cannot append to the coordinator's trace; it echoes the

@@ -120,15 +120,7 @@ func (s *Server) buildRegistry() *obs.Registry {
 	if s.traces != nil {
 		reg.Register(s.traces.loads, s.traces.diskLoads, s.traces.stores, s.traces.evictions)
 	}
-	reg.Register(sc.sims, sc.recorded, sc.replayed, sc.traceLoads)
-	reg.Register(
-		sc.gangBatches, sc.gangRuns, sc.decodedBlocks,
-		// decode_saved is derived: block fetches that reused an
-		// already-decoded block instead of decoding their own copy.
-		obs.NewFunc("sdvd_gang_decode_saved_total", func() int64 {
-			return sc.decodedBlockLoads.Value() - sc.decodedBlocks.Value()
-		}),
-	)
+	reg.Register(sc.sims, sc.recorded, sc.traceLoads)
 	if s.cluster != nil {
 		reg.Register(
 			obs.NewFunc("sdvd_cluster_workers", func() int64 { return int64(s.cluster.liveWorkers()) }),

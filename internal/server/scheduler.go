@@ -34,7 +34,6 @@ type scheduler struct {
 	cache   *Cache
 	traces  *traceCache
 	workers int // per-job simulation workers
-	gang    int // gang replay mode for each job's Runner (Options.Gang)
 	// remote, when non-nil, is the cluster placement layer every job's
 	// replay work dispatches through (set on a coordinator). Execution
 	// shape only: results and cache keys are unaffected.
@@ -64,11 +63,9 @@ type scheduler struct {
 	running                                 *obs.Gauge
 
 	// Runner counters aggregated across every job.
-	sims, recorded, replayed, traceLoads *obs.Counter
-	gangBatches, gangRuns                *obs.Counter
-	decodedBlocks, decodedBlockLoads     *obs.Counter
-	hotMu                                sync.Mutex
-	hot                                  profile.HotStats
+	sims, recorded, traceLoads *obs.Counter
+	hotMu                      sync.Mutex
+	hot                        profile.HotStats
 }
 
 func newScheduler(jobWorkers, queueDepth, simWorkers, history int, cache *Cache, traces *traceCache, logf func(string, ...any)) *scheduler {
@@ -108,14 +105,9 @@ func newScheduler(jobWorkers, queueDepth, simWorkers, history int, cache *Cache,
 		cancelled: obs.NewCounter("sdvd_jobs_cancelled_total"),
 		running:   obs.NewGauge("sdvd_jobs_running"),
 
-		sims:              obs.NewCounter("sdvd_sims_total"),
-		recorded:          obs.NewCounter("sdvd_trace_recordings_total"),
-		replayed:          obs.NewCounter("sdvd_trace_replays_total"),
-		traceLoads:        obs.NewCounter("sdvd_runner_trace_loads_total"),
-		gangBatches:       obs.NewCounter("sdvd_gang_batches_total"),
-		gangRuns:          obs.NewCounter("sdvd_gang_runs_total"),
-		decodedBlocks:     obs.NewCounter("sdvd_gang_decoded_blocks_total"),
-		decodedBlockLoads: obs.NewCounter("sdvd_gang_decoded_block_loads_total"),
+		sims:       obs.NewCounter("sdvd_sims_total"),
+		recorded:   obs.NewCounter("sdvd_trace_recordings_total"),
+		traceLoads: obs.NewCounter("sdvd_runner_trace_loads_total"),
 	}
 	for i := 0; i < jobWorkers; i++ {
 		s.wg.Add(1)
@@ -347,7 +339,6 @@ func (s *scheduler) compute(ctx context.Context, job *Job) ([]byte, error) {
 		CheckpointEvery: spec.CheckpointEvery,
 		Context:         ctx,
 		Progress:        job.progressHook,
-		Gang:            s.gang,
 	}.WithDefaults()
 	opts.Remote = s.remote
 	// A job carrying a workload-spec payload resolves its generated
@@ -423,12 +414,7 @@ func (s *scheduler) compute(ctx context.Context, job *Job) ([]byte, error) {
 func (s *scheduler) collect(r *experiments.Runner) {
 	s.sims.Add(r.Simulations())
 	s.recorded.Add(r.TraceRecordings())
-	s.replayed.Add(r.TraceReplays())
 	s.traceLoads.Add(r.TraceLoads())
-	s.gangBatches.Add(r.GangBatches())
-	s.gangRuns.Add(r.GangRuns())
-	s.decodedBlocks.Add(r.DecodedBlocks())
-	s.decodedBlockLoads.Add(r.DecodedBlockLoads())
 	s.hotMu.Lock()
 	s.hot.Add(r.HotStats())
 	s.hotMu.Unlock()

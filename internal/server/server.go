@@ -35,12 +35,6 @@ type Options struct {
 	// SimWorkers bounds concurrent simulations per job (default
 	// GOMAXPROCS).
 	SimWorkers int
-	// Gang controls gang replay inside each job's Runner: 0 (default)
-	// gangs every configuration sharing a benchmark recording over one
-	// decoded trace walk, 1 disables ganging, K >= 2 caps gang size.
-	// Execution shape only — results and cache keys are unaffected, so a
-	// daemon restarted with a different Gang still hits its result cache.
-	Gang int
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 
@@ -94,7 +88,6 @@ func New(opts Options) *Server {
 		runtime: newRuntimeGauges(),
 	}
 	s.sched = newScheduler(opts.Jobs, opts.QueueDepth, opts.SimWorkers, opts.JobHistory, s.cache, s.traces, opts.Logf)
-	s.sched.gang = opts.Gang
 	if opts.Coordinator {
 		s.cluster = newCluster(opts.SimWorkers, 0, opts.WorkerExpiry, opts.Logf)
 		s.cluster.rtt = s.sched.metrics.shardRTT

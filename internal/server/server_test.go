@@ -436,10 +436,6 @@ func TestMetricsAndHealth(t *testing.T) {
 		"sdvd_cache_hits_total 1",
 		"sdvd_cache_misses_total 1",
 		"sdvd_sims_total",
-		"sdvd_gang_batches_total",
-		"sdvd_gang_runs_total",
-		"sdvd_gang_decoded_blocks_total",
-		"sdvd_gang_decode_saved_total",
 		"sdvd_hotpath_uop_recycles_total",
 		"sdvd_go_goroutines",
 	} {
@@ -459,42 +455,6 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	if health["status"] != "ok" {
 		t.Errorf("healthz: %v", health)
-	}
-}
-
-// TestMetricsGangCounters submits a sweep-shaped experiment (headline
-// prefetches four configurations per benchmark) and checks the gang
-// gauges moved: the daemon ganged the sweep's replays over shared
-// decoded walks and saved decode work doing so.
-func TestMetricsGangCounters(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	if _, code := postJob(t, ts.URL, JobSpec{Exp: "headline", Scale: 10_000}, true); code != http.StatusOK {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	vals := map[string]int64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		var name string
-		var v int64
-		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
-			vals[name] = v
-		}
-	}
-	if vals["sdvd_gang_batches_total"] < 1 {
-		t.Errorf("sdvd_gang_batches_total = %d, want >= 1", vals["sdvd_gang_batches_total"])
-	}
-	if vals["sdvd_gang_runs_total"] < 2*vals["sdvd_gang_batches_total"] {
-		t.Errorf("sdvd_gang_runs_total = %d for %d batches, want >= 2 per batch",
-			vals["sdvd_gang_runs_total"], vals["sdvd_gang_batches_total"])
-	}
-	if vals["sdvd_gang_decode_saved_total"] < 1 {
-		t.Errorf("sdvd_gang_decode_saved_total = %d, want >= 1 (no decode work shared)",
-			vals["sdvd_gang_decode_saved_total"])
 	}
 }
 

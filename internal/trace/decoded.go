@@ -10,7 +10,7 @@ import (
 // Decoded is the shared, pre-decoded form of a Trace: records are
 // materialized into immutable fixed-size blocks of emu.DynInst, each
 // block decoded at most once (modulo a benign publication race) and then
-// served by reference to any number of concurrent Cursors. A gang of
+// served by reference to any number of concurrent Cursors. A group of
 // simulators replaying the same recording pays the column decode —
 // tuple-pool lookups, static-instruction fetch, successor-PC derivation —
 // once per block instead of once per simulator, and a Cursor needs no
@@ -20,9 +20,9 @@ import (
 // Blocks decode lazily, on first touch by any cursor, so a short replay
 // (a sharded warmup interval, a cancelled run) never pays for the whole
 // trace. The decoded form is about 5x the size of the column form
-// (DynInst is ~100 bytes per record against ~20 compressed); callers that
-// care about memory hold a Decoded only while a gang is draining it (see
-// experiments.Runner) rather than for the life of the trace.
+// (DynInst is ~100 bytes per record against ~20 compressed), which is
+// why experiments.Runner replays through a windowed Replayer instead:
+// Decoded is the bench ladder's shared-walk reader (cmd/sdvbench).
 type Decoded struct {
 	t      *Trace
 	blocks []atomic.Pointer[[]emu.DynInst]

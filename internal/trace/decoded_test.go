@@ -162,7 +162,7 @@ func TestDecodedBlocksDecodeOnce(t *testing.T) {
 }
 
 // TestDecodedConcurrentCursors runs many cursors over one Decoded at
-// once — the gang shape — and verifies every one observes the exact
+// once — the shared-walk shape — and verifies every one observes the exact
 // recorded stream. Run with -race this also proves the lazy block publish
 // is sound under concurrent first touch.
 func TestDecodedConcurrentCursors(t *testing.T) {

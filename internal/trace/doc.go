@@ -13,16 +13,24 @@
 //
 // Three faces:
 //
-//   - Recorder wraps a live emu.Machine and captures records while the
-//     first simulation runs. It serves the pipeline exactly like
-//     emu.Stream (bounded window, rewind on squash), so the recording run
-//     is byte-identical to an unrecorded one. Finish then runs the
-//     machine to halt so the trace covers the complete dynamic stream.
+//   - Recorder wraps a live emu.Machine and captures records. It can
+//     serve the pipeline exactly like emu.Stream (bounded window, rewind
+//     on squash), so a recording run is byte-identical to an unrecorded
+//     one (sdvsim -trace-record). Finish then runs the machine to its
+//     target so the trace covers the dynamic stream; called on a fresh
+//     recorder it is a pure functional recording pass, which is how
+//     experiments.Runner records.
 //   - Replayer serves a recorded Trace with the same semantics, without a
 //     machine, a memory image, or per-instruction interpretation; its
-//     steady state allocates nothing.
+//     steady state allocates nothing. It is the one replay source of
+//     experiments.Runner.
 //   - Encode/Decode stream a Trace to and from a compact, versioned,
 //     checksummed file (format in codec.go).
+//
+// Decoded and Cursor are a fourth, shared-walk reader: a trace decoded
+// once into blocks that any number of cursors read. The bench ladder
+// (cmd/sdvbench) measures it; experiments.Runner does not use it, since
+// a walked Decoded holds 96 B per record against a Replayer's window.
 //
 // The in-memory form is structure-of-arrays: a PC column, a flag column
 // (branch outcome, halt) and an interned-tuple index per record, plus one

@@ -4,8 +4,8 @@ package wspec_test
 // pair must compile to a byte-identical program, record a byte-identical
 // trace and address the same server cache entry, while distinct seeds —
 // runner or spec — produce distinct programs. Every downstream layer
-// (shared trace memo, gang replay, shards, the sdvd result cache)
-// assumes exactly this.
+// (shared trace memo, shards, the sdvd result cache) assumes exactly
+// this.
 
 import (
 	"bytes"
