@@ -1,6 +1,7 @@
 // Command sdvd is the long-running simulation daemon: it serves the
 // experiment/simulation engine over an HTTP JSON API with a bounded job
-// scheduler, a content-addressed result cache and streaming progress.
+// scheduler, a content-addressed per-run result cache and streaming
+// progress.
 //
 // Usage:
 //
@@ -41,12 +42,12 @@ func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8077", "listen address")
 		cacheDir      = flag.String("cache-dir", "", "persist results and trace artifacts under this directory (empty = memory only)")
-		cacheEntries  = flag.Int("cache-entries", 512, "in-memory result cache entry bound")
-		cacheBytes    = flag.Int64("cache-bytes", 256<<20, "in-memory result cache byte bound")
+		cacheEntries  = flag.Int("cache-entries", 512, "in-memory result cache entry bound (one entry per simulation run)")
+		cacheBytes    = flag.Int64("cache-bytes", 256<<20, "in-memory result cache bound on encoded bytes")
 		traceEntries  = flag.Int("trace-entries", 16, "in-memory trace artifact cache entry bound")
 		queueDepth    = flag.Int("queue", 64, "job queue depth (submissions beyond it get 503)")
 		jobs          = flag.Int("jobs", 2, "jobs executing concurrently")
-		jobHistory    = flag.Int("job-history", 512, "terminal jobs retained in the registry (older ids answer 404; results stay in the cache)")
+		jobHistory    = flag.Int("job-history", 512, "terminal jobs retained in the registry (older ids answer 404; their runs stay in the cache)")
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per job (0 = all cores)")
 		specArg       = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads for /v1/workloads discovery and by-name sim jobs")
 		quiet         = flag.Bool("quiet", false, "suppress operational logging")

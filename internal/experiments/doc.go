@@ -15,6 +15,10 @@
 // checkpoint-fast-forwarded intervals (shard.go), execute each on the
 // local pool or Options.Remote (remote.go), and merge their statistics
 // in plan order — Shards <= 1 is one interval covering the whole run.
+// Both memo layers are content-addressed: RunKey (results.go) names a
+// run's statistics, and Options.Results and Options.Traces extend the
+// memos across Runners — the service layer shares every run and every
+// recording between jobs through them.
 // See EXPERIMENTS.md for paper-vs-measured results and the performance
 // methodology, and ARCHITECTURE.md for the figure → code map, the trace
 // subsystem and the sharding accuracy contract.

@@ -18,7 +18,8 @@ const (
 	// (Shard / Shards carry the 1-based index and the plan size).
 	ShardDone
 	// RunDone: a Run call resolved. Cached marks results served from the
-	// memo without simulating; Err carries the run's error, if any.
+	// memo or Options.Results without simulating; Err carries the run's
+	// error, if any.
 	RunDone
 )
 
@@ -49,7 +50,8 @@ type ProgressEvent struct {
 	Committed, Target uint64
 	// Shard/Shards identify a ShardDone interval (1-based / plan size).
 	Shard, Shards int
-	// Cached marks a RunDone resolved from the memo without simulating.
+	// Cached marks a RunDone resolved from the memo or Options.Results
+	// without simulating.
 	Cached bool
 	// Err is the run's error on RunDone (nil on success).
 	Err error

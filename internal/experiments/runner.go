@@ -62,6 +62,8 @@ type Options struct {
 	// poisons the cache for a later requester. Results are unaffected: a
 	// run that completes before cancellation is byte-identical to one
 	// without a context.
+	//
+	//sdv:shape
 	Context context.Context
 	// Progress, when non-nil, receives run lifecycle events (see
 	// ProgressEvent). It is called concurrently from worker goroutines —
@@ -75,6 +77,11 @@ type Options struct {
 	// Runner instances (see TraceStore). A leader checks the store before
 	// recording and publishes successful recordings back to it.
 	Traces TraceStore
+	// Results, when non-nil, persists per-run statistics across Runner
+	// instances (see ResultStore). Run consults it on a memo miss, before
+	// recording, and stores what it simulates; a hit costs no recording
+	// and no pool slot.
+	Results ResultStore
 	// Workloads, when non-nil, resolves benchmark names instead of the
 	// global workload registry. The service layer threads a per-job
 	// resolver built from the job's workload-spec payload through here,
@@ -136,36 +143,6 @@ type RunSpec struct {
 	Bench string
 }
 
-// runKey is the comparable memo key of one simulation: the configuration
-// fields that influence results plus the benchmark name. Scale and seed
-// are fixed per Runner and need no representation. A struct key keeps
-// string formatting out of the memo hot path.
-type runKey struct {
-	name               string
-	unbounded          bool
-	blockScalarOperand bool
-	churnDamper        bool
-	rangeOnlyConflicts bool
-	vectorLen          int
-	vectorRegs         int
-	confThreshold      int
-	bench              string
-}
-
-func (r *Runner) key(cfg config.Config, bench string) runKey {
-	return runKey{
-		name:               cfg.Name,
-		unbounded:          cfg.Unbounded,
-		blockScalarOperand: cfg.BlockScalarOperand,
-		churnDamper:        cfg.ChurnDamper,
-		rangeOnlyConflicts: cfg.RangeOnlyConflicts,
-		vectorLen:          cfg.VectorLen,
-		vectorRegs:         cfg.VectorRegs,
-		confThreshold:      cfg.ConfThreshold,
-		bench:              bench,
-	}
-}
-
 // call is one memoised simulation. The first requester of a key becomes
 // the leader and computes; every later requester blocks on done and
 // shares the leader's result (singleflight), so experiments that overlap
@@ -192,16 +169,17 @@ type traceCall struct {
 var ErrRecordingUnusable = errors.New("experiments: benchmark recording unusable")
 
 // Runner executes (configuration, benchmark) pairs on a bounded worker
-// pool with two memo layers: per-(config, benchmark) statistics, and
-// per-benchmark recorded traces shared across every configuration of a
-// sweep. It is safe for concurrent use by multiple goroutines.
+// pool with two memo layers: per-run statistics keyed by RunKey (backed
+// by Options.Results when set), and per-benchmark recorded traces shared
+// across every configuration of a sweep (backed by Options.Traces). It is
+// safe for concurrent use by multiple goroutines.
 type Runner struct {
 	opts Options
 	ctx  context.Context // Options.Context or Background; never nil
 	sem  chan struct{}   // the worker pool: one token per executing pass (see slot)
 
 	mu     sync.Mutex
-	cache  map[runKey]*call
+	cache  map[string]*call // by RunKey
 	traces map[string]*traceCall
 
 	sims     atomic.Int64 // simulations actually executed (cache misses)
@@ -226,7 +204,7 @@ func NewRunner(opts Options) *Runner {
 		opts:   opts,
 		ctx:    ctx,
 		sem:    make(chan struct{}, opts.Workers),
-		cache:  map[runKey]*call{},
+		cache:  map[string]*call{},
 		traces: map[string]*traceCall{},
 	}
 }
@@ -278,10 +256,10 @@ func (r *Runner) TraceRecordings() int64 { return r.recorded.Load() }
 func (r *Runner) TraceLoads() int64 { return r.loaded.Load() }
 
 // Run simulates benchmark bench under cfg and returns its statistics.
-// Results are memoised on (config name, variant flags, benchmark); an
-// in-flight run for the same key is joined rather than duplicated.
+// Results are memoised on RunKey; an in-flight run for the same key is
+// joined rather than duplicated.
 func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
-	key := r.key(cfg, bench)
+	key := RunKey(r.opts, cfg, bench)
 	r.mu.Lock()
 	if c, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -297,11 +275,12 @@ func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 	r.cache[key] = c
 	r.mu.Unlock()
 
+	stored := false
 	if err := r.ctx.Err(); err != nil {
 		// A cancelled runner must not start new simulations.
 		c.err = err
 	} else {
-		c.st, c.err = r.simulate(cfg, bench)
+		c.st, stored, c.err = r.result(cfg, bench, key)
 	}
 	if c.err != nil && cancelled(c.err) {
 		// A cancelled run must not poison the memo: evict the entry before
@@ -314,18 +293,35 @@ func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 		r.mu.Unlock()
 	}
 	close(c.done)
-	r.emit(ProgressEvent{Kind: RunDone, Cfg: cfg.Name, Bench: bench, Err: c.err})
+	r.emit(ProgressEvent{Kind: RunDone, Cfg: cfg.Name, Bench: bench, Cached: stored, Err: c.err})
 	return c.st, c.err
+}
+
+// result produces one memo entry's statistics under a "run" span: from
+// Options.Results when it holds them (stored reports that), by simulating
+// otherwise — and then the store keeps what was simulated.
+func (r *Runner) result(cfg config.Config, bench, key string) (st *stats.Sim, stored bool, err error) {
+	run := obs.FromContext(r.ctx).StartRun("run", cfg.Name, bench)
+	defer run.End()
+	if r.opts.Results == nil {
+		st, err = r.simulate(cfg, bench, run)
+		return st, false, err
+	}
+	stored = true
+	st, err = r.opts.Results.GetOrCompute(obs.ContextWith(r.ctx, run), key, func() (*stats.Sim, error) {
+		stored = false
+		return r.simulate(cfg, bench, run)
+	})
+	return st, stored && err == nil, err
 }
 
 // simulate is one uncached simulation and the runner's only way to run
 // one: get the benchmark's recording, plan Shards intervals over it,
-// execute every interval, merge the statistics in plan order.
-func (r *Runner) simulate(cfg config.Config, bench string) (*stats.Sim, error) {
+// execute every interval, merge the statistics in plan order. run is the
+// run's span.
+func (r *Runner) simulate(cfg config.Config, bench string, run obs.SpanContext) (*stats.Sim, error) {
 	r.sims.Add(1)
 	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
-	run := obs.FromContext(r.ctx).StartRun("run", cfg.Name, bench)
-	defer run.End()
 	tr, err := r.recording(bench, run)
 	var st *stats.Sim
 	if err == nil {
@@ -425,7 +421,7 @@ func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) 
 	err := r.slot(func() error {
 		rsc := sc.StartRun("record", "", bench)
 		defer rsc.End()
-		b, err := r.lookup(bench)
+		b, err := r.opts.Resolve(bench)
 		if err != nil {
 			return err
 		}
@@ -489,15 +485,6 @@ func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
 		return nil, false
 	}
 	return tr, true
-}
-
-// lookup resolves a benchmark name through the runner's resolver, or the
-// global registry when none is set.
-func (r *Runner) lookup(bench string) (workload.Benchmark, error) {
-	if r.opts.Workloads != nil {
-		return r.opts.Workloads(bench)
-	}
-	return workload.Get(bench)
 }
 
 // execute hands every interval of plan to the executor —

@@ -64,7 +64,7 @@ func TestRunnerConcurrentHammer(t *testing.T) {
 	benches := []string{"go", "compress", "swim", "applu"}
 
 	type res struct {
-		key runKey
+		key string
 		st  *stats.Sim
 	}
 	const goroutines = 32
@@ -85,13 +85,13 @@ func TestRunnerConcurrentHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				results[g] = append(results[g], res{r.key(cfg, bench), st})
+				results[g] = append(results[g], res{RunKey(r.opts, cfg, bench), st})
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	byKey := map[runKey]*stats.Sim{}
+	byKey := map[string]*stats.Sim{}
 	for _, rs := range results {
 		for _, x := range rs {
 			if prev, ok := byKey[x.key]; ok && prev != x.st {
@@ -259,10 +259,10 @@ func sweepSpecs() []RunSpec {
 func TestRunAllConcurrentHammer(t *testing.T) {
 	r := NewRunner(Options{Scale: 8_000, Seed: 1, Workers: 4})
 	specs := sweepSpecs()
-	unique := map[runKey]bool{}
+	unique := map[string]bool{}
 	benches := map[string]bool{}
 	for _, s := range specs {
-		unique[r.key(s.Cfg, s.Bench)] = true
+		unique[RunKey(r.opts, s.Cfg, s.Bench)] = true
 		benches[s.Bench] = true
 	}
 	const goroutines = 8

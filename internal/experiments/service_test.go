@@ -59,7 +59,7 @@ func TestRunnerCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	r.mu.Lock()
-	_, poisoned := r.cache[r.key(cfg, "compress")]
+	_, poisoned := r.cache[RunKey(r.opts, cfg, "compress")]
 	r.mu.Unlock()
 	if poisoned {
 		t.Error("cancelled run left a poisoned memo entry")
@@ -97,7 +97,7 @@ func TestRunAllCancellationEvicts(t *testing.T) {
 	r.mu.Lock()
 	var poisoned []string
 	for _, s := range specs {
-		c, ok := r.cache[r.key(s.Cfg, s.Bench)]
+		c, ok := r.cache[RunKey(r.opts, s.Cfg, s.Bench)]
 		if !ok {
 			continue
 		}

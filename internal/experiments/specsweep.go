@@ -50,7 +50,7 @@ func SpecSweep(r *Runner, names []string) ([]*Table, error) {
 			sdv.MemRequestsPerInst(),
 		}
 		rows = append(rows, Row{Name: name, Cells: vals})
-		b, err := r.lookup(name)
+		b, err := r.opts.Resolve(name)
 		if err != nil {
 			return nil, err
 		}

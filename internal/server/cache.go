@@ -4,16 +4,19 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"specvec/internal/obs"
+	"specvec/internal/stats"
 )
 
-// Source says where GetOrCompute found a value.
+// Source says where the cache found a value.
 type Source int
 
 const (
@@ -48,12 +51,15 @@ func (s Source) String() string {
 // Hit reports whether the value was served without computing.
 func (s Source) Hit() bool { return s != SourceComputed }
 
-// Cache is a content-addressed result cache: an in-memory LRU bounded by
-// entry count and total value bytes, singleflight deduplication of
-// identical in-flight computations, and optional disk persistence (one
-// self-verifying file per key; the disk tier survives restarts and is not
-// bounded by the memory limits). Values are opaque byte slices — callers
-// must not mutate a returned slice. Safe for concurrent use.
+// Cache is the daemon's content-addressed result store: an in-memory LRU
+// bounded by entry count and total encoded bytes, singleflight
+// deduplication of identical in-flight computations, and optional disk
+// persistence (one self-verifying file per key; the disk tier survives
+// restarts and is not bounded by the memory limits). The scheduler keeps
+// one statistics entry per simulation run in it (GetOrComputeRun, keyed
+// by experiments.RunKey), so every job on the daemon shares every run;
+// GetOrCompute stores opaque byte values under the same machinery. Safe
+// for concurrent use.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
@@ -70,21 +76,31 @@ type Cache struct {
 	hits, misses, diskHits, coalesced, evictions *obs.Counter
 }
 
+// value is one cached result: its encoding — the disk form, and what the
+// byte bound counts — and, for a run entry, the decoded statistics that
+// every memory hit shares without decoding. Neither is ever mutated.
+type value struct {
+	enc []byte
+	sim *stats.Sim
+}
+
 type cacheEntry struct {
 	key string
-	val []byte
+	val value
 }
 
 // flight is one in-progress computation; followers block on done.
 type flight struct {
 	done chan struct{}
-	val  []byte
+	val  value
 	err  error
 }
 
 // NewCache returns a cache bounded to maxEntries values and maxBytes
-// total value size (<= 0 for the defaults: 512 entries, 256 MiB). dir
-// enables disk persistence when non-empty; it is created on first write.
+// total encoded size (<= 0 for the defaults: 512 entries, which hold the
+// 348 distinct runs of one sdvexp -exp all sweep without eviction, and
+// 256 MiB). dir enables disk persistence when non-empty; it is created
+// on first write.
 func NewCache(maxEntries int, maxBytes int64, dir string) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 512
@@ -114,7 +130,7 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// Bytes returns the total in-memory value size.
+// Bytes returns the total encoded size of the in-memory entries.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,12 +143,12 @@ func (c *Cache) Counters() (hits, misses, diskHits, coalesced, evictions int64) 
 }
 
 // lookup returns the in-memory value for key, refreshing its recency.
-func (c *Cache) lookup(key string) ([]byte, bool) {
+func (c *Cache) lookup(key string) (value, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return value{}, false
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
@@ -141,19 +157,19 @@ func (c *Cache) lookup(key string) ([]byte, bool) {
 // put inserts val under key and evicts from the LRU tail until both
 // bounds hold. A value larger than maxBytes is not cached at all (it
 // would evict everything and still not fit).
-func (c *Cache) put(key string, val []byte) {
-	if int64(len(val)) > c.maxBytes {
+func (c *Cache) put(key string, val value) {
+	if int64(len(val.enc)) > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		c.bytes += int64(len(val)) - int64(len(el.Value.(*cacheEntry).val))
+		c.bytes += int64(len(val.enc)) - int64(len(el.Value.(*cacheEntry).val.enc))
 		el.Value.(*cacheEntry).val = val
 		c.order.MoveToFront(el)
 	} else {
 		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-		c.bytes += int64(len(val))
+		c.bytes += int64(len(val.enc))
 	}
 	for c.order.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		tail := c.order.Back()
@@ -163,7 +179,7 @@ func (c *Cache) put(key string, val []byte) {
 		e := tail.Value.(*cacheEntry)
 		c.order.Remove(tail)
 		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.val))
+		c.bytes -= int64(len(e.val.enc))
 		c.evictions.Add(1)
 	}
 }
@@ -201,39 +217,110 @@ func (c *Cache) storeDisk(key string, val []byte) {
 	if c.dir == "" {
 		return
 	}
-	path := c.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
 	sum := sha256.Sum256(val)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(sum[:], val...), 0o644); err != nil {
-		return
+	_ = writeDurable(c.diskPath(key), func(w io.Writer) error {
+		_, err := w.Write(append(sum[:], val...))
+		return err
+	})
+}
+
+// writeDurable publishes a disk-tier file: write a temporary file next to
+// path, fsync it, rename it over path, fsync the directory. Readers never
+// see a torn file (the rename is atomic), and once writeDurable returns
+// the entry survives a crash or power loss. Both disk tiers write through
+// it.
+func writeDurable(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	_ = os.Rename(tmp, path) // atomic publish: readers never see a torn file
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write error is the one worth surfacing
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // errFlightAbandoned marks a singleflight whose leader was cancelled; a
 // follower with a live context retries the computation itself.
 var errFlightAbandoned = errors.New("server: in-flight computation abandoned")
 
-// GetOrCompute returns the value for key, from (in order) the in-memory
-// LRU, the disk tier, an identical in-flight computation, or by running
-// compute. Concurrent calls for the same key run compute once
-// (singleflight); followers share the leader's result. A leader whose
-// compute fails caches nothing. If the leader is cancelled, waiting
-// followers whose own context is still live retry the computation instead
-// of inheriting the cancellation.
+// GetOrCompute returns the opaque value for key, from (in order) the
+// in-memory LRU, the disk tier, an identical in-flight computation, or by
+// running compute. Callers must not mutate a returned slice. The
+// singleflight and cancellation contract is get's.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, Source, error) {
+	v, src, err := c.get(ctx, key, func() (value, error) {
+		enc, err := compute()
+		return value{enc: enc}, err
+	}, func(enc []byte) (value, error) { return value{enc: enc}, nil })
+	return v.enc, src, err
+}
+
+// GetOrComputeRun returns one run's statistics under key (an
+// experiments.RunKey), like GetOrCompute. A memory hit returns the
+// shared, decoded statistics; the disk tier holds their stats.Sim JSON,
+// decoded once when a disk hit is promoted to memory. A computed result
+// is encoded once, for the byte bound and the disk tier.
+func (c *Cache) GetOrComputeRun(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, Source, error) {
+	v, src, err := c.get(ctx, key, func() (value, error) {
+		st, err := compute()
+		if err != nil {
+			return value{}, err
+		}
+		enc, err := json.Marshal(st)
+		return value{enc: enc, sim: st}, err
+	}, func(enc []byte) (value, error) {
+		st := new(stats.Sim)
+		err := json.Unmarshal(enc, st)
+		return value{enc: enc, sim: st}, err
+	})
+	return v.sim, src, err
+}
+
+// get returns the value for key, from (in order) the in-memory LRU, the
+// disk tier (through decode; a file that does not decode is a miss and is
+// removed), an identical in-flight computation, or by running compute.
+// Concurrent calls for the same key run compute once (singleflight);
+// followers share the leader's result. A leader whose compute fails
+// caches nothing. If the leader is cancelled, waiting followers whose own
+// context is still live retry the computation instead of inheriting the
+// cancellation.
+func (c *Cache) get(ctx context.Context, key string, compute func() (value, error), decode func([]byte) (value, error)) (value, Source, error) {
 	for {
 		if val, ok := c.lookup(key); ok {
 			c.hits.Add(1)
 			return val, SourceMemory, nil
 		}
-		if val, ok := c.loadDisk(key); ok {
-			c.diskHits.Add(1)
-			c.put(key, val)
-			return val, SourceDisk, nil
+		if enc, ok := c.loadDisk(key); ok {
+			if val, err := decode(enc); err == nil {
+				c.diskHits.Add(1)
+				c.put(key, val)
+				return val, SourceDisk, nil
+			}
+			_ = os.Remove(c.diskPath(key)) // verified but undecodable: recompute and rewrite it
 		}
 
 		c.mu.Lock()
@@ -242,7 +329,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, SourceCoalesced, ctx.Err()
+				return value{}, SourceCoalesced, ctx.Err()
 			}
 			if f.err == nil {
 				c.coalesced.Add(1)
@@ -251,7 +338,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 			if errors.Is(f.err, errFlightAbandoned) && ctx.Err() == nil {
 				continue // the leader was cancelled, not the work: retry
 			}
-			return nil, SourceCoalesced, f.err
+			return value{}, SourceCoalesced, f.err
 		}
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
@@ -266,15 +353,72 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		}
 		if f.err == nil {
 			c.put(key, val)
-			c.storeDisk(key, val)
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(f.done)
+		if f.err == nil {
+			// Persist after waking the followers: they need the value,
+			// not its durability.
+			c.storeDisk(key, val.enc)
+		}
 		if f.err != nil && errors.Is(f.err, errFlightAbandoned) {
-			return nil, SourceComputed, err
+			return value{}, SourceComputed, err
 		}
 		return val, SourceComputed, f.err
 	}
+}
+
+// jobRuns is one job's view of the Cache: the experiments.ResultStore its
+// Runner consults for every run. Each lookup is a "cache-lookup" span
+// under the run's span, observed in sdvd_cache_lookup_seconds, and the
+// view tallies where the job's runs came from (see source).
+type jobRuns struct {
+	cache  *Cache
+	lookup *obs.Histogram
+
+	mu   sync.Mutex
+	from [SourceCoalesced + 1]int // successful runs per Source
+}
+
+// GetOrCompute implements experiments.ResultStore. The lookup span
+// covers the time before any computation: the memory and disk checks or,
+// for a coalesced follower, the whole wait on the in-flight leader. A
+// miss ends it the moment compute starts.
+func (j *jobRuns) GetOrCompute(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, error) {
+	sc := obs.FromContext(ctx).Start("cache-lookup")
+	looking := true
+	endLookup := func() {
+		if looking {
+			looking = false
+			sc.End()
+			j.lookup.Observe(sc.T.Duration(sc.Span).Seconds())
+		}
+	}
+	st, src, err := j.cache.GetOrComputeRun(ctx, key, func() (*stats.Sim, error) {
+		endLookup()
+		return compute()
+	})
+	endLookup()
+	if err == nil {
+		j.mu.Lock()
+		j.from[src]++
+		j.mu.Unlock()
+	}
+	return st, err
+}
+
+// source summarises where the job's runs came from: computed if any run
+// was, else disk if any run was read from disk, else coalesced if any
+// joined another job's computation, else memory.
+func (j *jobRuns) source() Source {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, src := range []Source{SourceComputed, SourceDisk, SourceCoalesced} {
+		if j.from[src] > 0 {
+			return src
+		}
+	}
+	return SourceMemory
 }

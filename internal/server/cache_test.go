@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"specvec/internal/config"
 	"specvec/internal/experiments"
 )
 
@@ -27,7 +28,7 @@ func mustNorm(t *testing.T, s JobSpec) JobSpec {
 func TestCacheLRUEntryBound(t *testing.T) {
 	c := NewCache(4, 1<<20, "")
 	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		c.put(fmt.Sprintf("k%d", i), value{enc: []byte{byte(i)}})
 	}
 	if c.Len() != 4 {
 		t.Fatalf("entries = %d, want 4", c.Len())
@@ -52,10 +53,10 @@ func TestCacheLRUEntryBound(t *testing.T) {
 // entry bound, and that recency (lookup) protects an entry.
 func TestCacheLRUByteBound(t *testing.T) {
 	c := NewCache(100, 100, "")
-	c.put("a", make([]byte, 40))
-	c.put("b", make([]byte, 40))
+	c.put("a", value{enc: make([]byte, 40)})
+	c.put("b", value{enc: make([]byte, 40)})
 	c.lookup("a") // refresh a: b becomes the LRU victim
-	c.put("c", make([]byte, 40))
+	c.put("c", value{enc: make([]byte, 40)})
 	if c.Bytes() > 100 {
 		t.Fatalf("bytes = %d, want <= 100", c.Bytes())
 	}
@@ -66,7 +67,7 @@ func TestCacheLRUByteBound(t *testing.T) {
 		t.Error("a (refreshed) was evicted")
 	}
 	// A value larger than the whole bound must not wipe the cache.
-	c.put("huge", make([]byte, 200))
+	c.put("huge", value{enc: make([]byte, 200)})
 	if _, ok := c.lookup("huge"); ok {
 		t.Error("over-bound value was cached")
 	}
@@ -175,47 +176,53 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	<-done
 }
 
-// TestCacheKeySensitivity: changing any of seed, scale, shards, exp,
-// workload or config produces a different content address; normalization
-// makes explicit defaults and omitted fields the same address.
+// TestCacheKeySensitivity: a spec's runs are addressed by its scale,
+// seed, shards and — when sharded — checkpoint spacing, so changing any
+// of them moves every run; normalization makes explicit defaults and
+// omitted fields the same address, and an experiment and a sim job over
+// the same (configuration, benchmark) share the run.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := mustNorm(t, JobSpec{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 1})
+	cfg := config.MustNamed(4, 1, config.ModeV)
+	key := func(s JobSpec) string {
+		t.Helper()
+		opts, _, err := mustNorm(t, s).runOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return experiments.RunKey(opts, cfg, "swim")
+	}
+	base := key(JobSpec{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 1})
 	variants := []JobSpec{
 		{Exp: "fig11", Scale: 50_000, Seed: 2, Shards: 1},
 		{Exp: "fig11", Scale: 60_000, Seed: 1, Shards: 1},
 		{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 4},
-		{Exp: "fig12", Scale: 50_000, Seed: 1, Shards: 1},
-		{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 1, CheckpointEvery: 1000},
-		{Workload: "swim", Config: "4w-1pV", Scale: 50_000, Seed: 1},
-		{Workload: "swim", Config: "8w-1pV", Scale: 50_000, Seed: 1},
-		{Workload: "compress", Config: "4w-1pV", Scale: 50_000, Seed: 1},
+		{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 4, CheckpointEvery: 1000},
 	}
-	seen := map[string]string{base.Key(): "base"}
+	seen := map[string]string{base: "base"}
 	for _, v := range variants {
-		norm := mustNorm(t, v)
-		key := norm.Key()
-		if prev, dup := seen[key]; dup {
+		k := key(v)
+		if prev, dup := seen[k]; dup {
 			t.Errorf("spec %+v collides with %s", v, prev)
 		}
-		seen[key] = norm.Title()
+		seen[k] = mustNorm(t, v).Title()
 	}
-	// Defaults normalize to the same address as their explicit form.
-	implicit := mustNorm(t, JobSpec{Exp: "fig11", Scale: 50_000})
-	if implicit.Key() != base.Key() {
-		t.Error("omitted defaults produced a different key than explicit ones")
+	for _, same := range []JobSpec{
+		{Exp: "fig11", Scale: 50_000},                        // omitted defaults
+		{Exp: "fig12", Scale: 50_000},                        // another figure
+		{Workload: "swim", Config: "4w-1pV", Scale: 50_000},  // a sim job
+		{Exp: "fig11", Scale: 50_000, CheckpointEvery: 1000}, // spacing is moot unsharded
+	} {
+		if key(same) != base {
+			t.Errorf("spec %+v does not share the base run", same)
+		}
 	}
-	// ... including the sharded-mode auto checkpoint spacing.
+	// The sharded-mode auto checkpoint spacing normalizes to its value.
 	autoCkpt := experiments.Options{Shards: 4}.WithDefaults().CheckpointEvery
 	if autoCkpt <= 0 {
 		t.Fatalf("test premise broken: auto ckpt spacing %d", autoCkpt)
 	}
-	shardedImplicit := mustNorm(t, JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4})
-	shardedExplicit := mustNorm(t, JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4, CheckpointEvery: autoCkpt})
-	if shardedImplicit.Key() != shardedExplicit.Key() {
+	if key(JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4}) != key(JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4, CheckpointEvery: autoCkpt}) {
 		t.Error("omitted auto ckptEvery produced a different key than its explicit value")
-	}
-	if base.Key() != base.Key() {
-		t.Error("key not deterministic")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package server is the simulation service behind cmd/sdvd: a
 // long-running daemon that executes simulation and experiment specs on a
-// bounded job scheduler, caches results by content address and streams
-// progress to clients.
+// bounded job scheduler, caches per-run results by content address and
+// streams progress to clients.
 //
 // # API surface
 //
@@ -21,21 +21,25 @@
 // A job executes on the same experiments.Runner machinery as the batch
 // CLIs, with the same normalized defaults, so a served result is
 // byte-identical to a local run of the same spec (the CI server smoke job
-// diffs `sdvexp -server` against local `sdvexp`). The cache key is a
-// SHA-256 over the canonical spec plus the module version and result
-// schema, so nothing built from different code or shapes is ever served
-// as equal.
+// diffs `sdvexp -server` against local `sdvexp`). Results are cached per
+// simulation run under experiments.RunKey — a SHA-256 over every
+// configuration field, the benchmark and its definition digest, scale,
+// seed, sharding, the result schema and the module version — so nothing
+// built from different code, inputs or definitions is ever served as
+// equal, and execution shape never splits a run.
 //
 // # Caching and deduplication
 //
-// Results live in an in-memory LRU bounded by entries and bytes, with
-// optional disk persistence (Options.CacheDir) that survives restarts.
-// Identical in-flight specs are deduplicated (singleflight): concurrent
-// submissions of the same work simulate once and share the outcome.
-// Recorded benchmark traces are kept in a separate artifact store scoped
-// by (scale, seed, checkpoint spacing), so later jobs replay instead of
-// re-recording even when their result key differs (e.g. a different
-// experiment over the same workloads).
+// Every job is a render over run results: its Runner asks the Cache for
+// each run before recording anything, so jobs that share runs (Figures
+// 11 and 12, or a sim job inside a figure's sweep) simulate each run once
+// and a repeated job simulates nothing. The Cache is an in-memory LRU of
+// decoded statistics bounded by entries and encoded bytes, with optional
+// disk persistence (Options.CacheDir) that survives restarts. Identical
+// in-flight runs are deduplicated across jobs (singleflight). Recorded
+// benchmark traces are kept in a separate artifact store scoped by
+// (scale, seed, checkpoint spacing) and definition digest, so a job that
+// does need a simulation replays instead of re-recording.
 //
 // # Cancellation
 //

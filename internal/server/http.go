@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -153,14 +154,23 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeJobSpec reads a submitted JobSpec body: at most 1 MiB, unknown
+// fields rejected. w, when non-nil, learns that an oversized body was
+// cut off.
+func decodeJobSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // handleSubmit accepts a JobSpec, normalizes it and queues a job.
 // ?wait=1 blocks until the job resolves and returns it with its result;
 // an abandoned waiting request cancels the job it submitted.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(w, r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}

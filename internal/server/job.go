@@ -56,18 +56,18 @@ const maxJobEvents = 8192
 type Job struct {
 	ID   string
 	Spec JobSpec // normalized
-	Key  string  // content address of the result
 
 	// trace is the job's span tree (set by Submit, on the scheduler's
-	// clock); queueSpan is its queue-wait child, opened at submission
-	// and ended when a worker picks the job up.
+	// clock; dropped once the timeline is published); queueSpan is its
+	// queue-wait child, opened at submission and ended when a worker
+	// picks the job up.
 	trace     *obs.Trace
 	queueSpan obs.SpanID
 
 	mu       sync.Mutex
 	state    JobState
 	err      string
-	source   Source // where the result came from (valid when done)
+	source   Source // where the job's runs came from (valid when done)
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -82,11 +82,10 @@ type Job struct {
 	tied     context.Context // optional request context a waited job dies with
 }
 
-func newJob(id string, spec JobSpec, key string) *Job {
+func newJob(id string, spec JobSpec) *Job {
 	j := &Job{
 		ID:      id,
 		Spec:    spec,
-		Key:     key,
 		state:   StateQueued,
 		created: time.Now(),
 		subs:    map[chan Event]struct{}{},
@@ -233,13 +232,16 @@ func (j *Job) finish(result []byte, src Source, err error, cancelledErr bool) {
 
 // JobView is the wire representation of a job.
 type JobView struct {
-	ID       string    `json:"id"`
-	Spec     JobSpec   `json:"spec"`
-	Key      string    `json:"key"`
-	State    JobState  `json:"state"`
-	Error    string    `json:"error,omitempty"`
+	ID    string   `json:"id"`
+	Spec  JobSpec  `json:"spec"`
+	State JobState `json:"state"`
+	Error string   `json:"error,omitempty"`
+	// CacheHit and Source say where the job's runs came from: Source is
+	// "computed" if any run was simulated, else "disk" if any was read
+	// from the disk tier, else "coalesced" if any joined another job's
+	// simulation, else "memory"; CacheHit is Source != "computed".
 	CacheHit bool      `json:"cacheHit"`
-	Source   string    `json:"source,omitempty"` // computed | memory | disk | coalesced
+	Source   string    `json:"source,omitempty"`
 	Created  time.Time `json:"created"`
 	Started  time.Time `json:"started,omitzero"`
 	Finished time.Time `json:"finished,omitzero"`
@@ -255,7 +257,6 @@ func (j *Job) View(includeResult bool) JobView {
 	v := JobView{
 		ID:      j.ID,
 		Spec:    j.Spec,
-		Key:     j.Key,
 		State:   j.state,
 		Error:   j.err,
 		Created: j.created,

@@ -16,16 +16,16 @@ import (
 type serverMetrics struct {
 	// jobDuration is sdvd_job_duration_seconds{kind,phase}: phase
 	// "total" is the job's wall time, the other phases are the root
-	// span's direct children (queue-wait, cache-lookup, compute).
+	// span's direct children (queue-wait, compute).
 	jobDuration *obs.HistogramVec
 	// queueWait is sdvd_queue_wait_seconds: submission to worker pickup.
 	queueWait *obs.Histogram
 	// shardRTT is sdvd_shard_rtt_seconds: coordinator-observed round
 	// trip of one remote shard dispatch (network + queueing + replay).
 	shardRTT *obs.Histogram
-	// cacheLookup is sdvd_cache_lookup_seconds: the result-cache check
-	// (memory, disk, or joining an in-flight computation) before any
-	// compute starts.
+	// cacheLookup is sdvd_cache_lookup_seconds: one run's result-cache
+	// check (memory, disk, or joining an in-flight computation) before
+	// its simulation starts — one observation per run a job looks up.
 	cacheLookup *obs.Histogram
 }
 

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,8 +11,6 @@ import (
 	"specvec/internal/experiments"
 	"specvec/internal/obs"
 	"specvec/internal/profile"
-	"specvec/internal/workload"
-	"specvec/internal/wspec"
 )
 
 // ErrQueueFull rejects submissions when the bounded job queue is at
@@ -27,9 +23,10 @@ var ErrShutdown = errors.New("server: shutting down")
 
 // scheduler owns the bounded job queue and the worker pool that drains
 // it. Each job executes on its own experiments.Runner (bounded to
-// SimWorkers concurrent simulations) with its own cancellable context;
-// results flow through the content-addressed cache, so identical specs —
-// concurrent or repeated — simulate at most once.
+// SimWorkers concurrent simulations) with its own cancellable context.
+// Every run the job needs flows through the content-addressed cache, so
+// a simulation shared by any jobs — concurrent or repeated — runs at
+// most once, and a job whose runs are all cached is only a render.
 type scheduler struct {
 	cache   *Cache
 	traces  *traceCache
@@ -149,7 +146,7 @@ func (s *scheduler) Submit(spec JobSpec, tied context.Context) (*Job, error) {
 	}
 	s.seq++
 	id := fmt.Sprintf("j%06d", s.seq)
-	job := newJob(id, spec, spec.Key())
+	job := newJob(id, spec)
 	job.tied = tied
 	// The job's trace opens at submission: the root span is the job's
 	// whole lifetime and queue-wait measures submission to pickup.
@@ -173,7 +170,7 @@ func (s *scheduler) Submit(spec JobSpec, tied context.Context) (*Job, error) {
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.submitted.Add(1)
-	s.logf("job %s queued: %s (key %.12s…)", id, spec.Title(), job.Key)
+	s.logf("job %s queued: %s", id, spec.Title())
 	return job, nil
 }
 
@@ -239,21 +236,13 @@ func (s *scheduler) run(job *Job) {
 	tr.End(job.queueSpan)
 	s.metrics.queueWait.Observe(tr.Duration(job.queueSpan).Seconds())
 
-	// cache-lookup covers the time before any computation: the memory
-	// and disk checks, or — for a coalesced follower — the whole wait on
-	// the in-flight leader. A true miss ends it the moment the compute
-	// closure starts and opens the compute span in its place; the
-	// trailing End is the idempotent no-op on that path.
-	lookup := tr.Start(obs.RootSpan, "cache-lookup")
-	val, src, err := s.cache.GetOrCompute(ctx, job.Key, func() ([]byte, error) {
-		tr.End(lookup)
-		comp := tr.Start(obs.RootSpan, "compute")
-		defer tr.End(comp)
-		cctx := obs.ContextWith(ctx, obs.SpanContext{T: tr, Span: comp})
-		return s.compute(cctx, job)
-	})
-	tr.End(lookup)
-	s.metrics.cacheLookup.Observe(tr.Duration(lookup).Seconds())
+	// Every job renders: compute runs the spec on a Runner whose runs
+	// come from the cache when it holds them (see jobRuns).
+	runs := &jobRuns{cache: s.cache, lookup: s.metrics.cacheLookup}
+	comp := tr.Start(obs.RootSpan, "compute")
+	val, err := s.compute(obs.ContextWith(ctx, obs.SpanContext{T: tr, Span: comp}), job, runs)
+	tr.End(comp)
+	src := runs.source()
 
 	cancelledErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	switch {
@@ -283,7 +272,9 @@ func (s *scheduler) run(job *Job) {
 }
 
 // finishTimeline closes the job's trace, feeds the duration histograms
-// and publishes the span tree to the timeline ring.
+// and publishes the span tree to the timeline ring. The job then drops
+// its trace: the published tree is the only form read from here on, and
+// a retained job would otherwise keep its whole span array.
 func (s *scheduler) finishTimeline(job *Job, state JobState) {
 	tr := job.trace
 	tr.Finish()
@@ -295,14 +286,14 @@ func (s *scheduler) finishTimeline(job *Job, state JobState) {
 		}
 	}
 	s.timelines.Add(obs.NewTimeline(job.ID, kind, string(state), tr, s.clock.Now()))
+	job.trace = nil
 }
 
 // prune evicts the oldest terminal jobs past the retention bound, so a
 // long-running daemon's registry — jobs carry their result bytes and
 // event history — stays bounded by history + queue depth + workers
 // (queued and running jobs are never evicted). Evicted job ids answer
-// 404; their results remain reachable through the content-addressed
-// cache by resubmitting the spec.
+// 404; resubmitting the spec renders the result again from cached runs.
 func (s *scheduler) prune() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,50 +318,26 @@ func (s *scheduler) prune() {
 	s.order = keep
 }
 
-// compute runs the spec on a fresh Runner and encodes the Result. The
-// runner's counters fold into the scheduler aggregates even on failure.
-func (s *scheduler) compute(ctx context.Context, job *Job) ([]byte, error) {
+// compute runs the spec on a fresh Runner, whose runs come from and go
+// to the result cache through runs, and encodes the Result. The runner's
+// counters fold into the scheduler aggregates even on failure.
+func (s *scheduler) compute(ctx context.Context, job *Job, runs *jobRuns) ([]byte, error) {
 	spec := job.Spec
-	opts := experiments.Options{
-		Scale:           spec.Scale,
-		Seed:            spec.Seed,
-		Workers:         s.workers,
-		Shards:          spec.Shards,
-		CheckpointEvery: spec.CheckpointEvery,
-		Context:         ctx,
-		Progress:        job.progressHook,
-	}.WithDefaults()
-	opts.Remote = s.remote
 	// A job carrying a workload-spec payload resolves its generated
-	// workloads through a per-job resolver, so concurrent jobs with
-	// different spec files never observe each other's definitions, and
-	// its trace artifacts are additionally scoped by the payload's hash
-	// (same name, different definition, different recording).
-	var specFile *wspec.File
-	if spec.Specs != "" {
-		f, err := wspec.Parse([]byte(spec.Specs))
-		if err != nil {
-			return nil, err
-		}
-		specFile = f
-		compiled := map[string]workload.Benchmark{}
-		for _, w := range f.Workloads {
-			compiled[w.Name] = wspec.CompileSpec(w)
-		}
-		opts.Workloads = func(name string) (workload.Benchmark, error) {
-			if b, ok := compiled[name]; ok {
-				return b, nil
-			}
-			return workload.Get(name)
-		}
+	// workloads through a per-job resolver (runOptions), so concurrent
+	// jobs with different spec files never observe each other's
+	// definitions, and run and trace keys carry each definition's digest.
+	opts, specFile, err := spec.runOptions()
+	if err != nil {
+		return nil, err
 	}
+	opts.Workers = s.workers
+	opts.Remote = s.remote
+	opts.Context = ctx
+	opts.Progress = job.progressHook
+	opts.Results = runs
 	if s.traces != nil {
-		if spec.Specs != "" {
-			sum := sha256.Sum256([]byte(spec.Specs))
-			opts.Traces = s.traces.forOptionsWith(opts, hex.EncodeToString(sum[:6]))
-		} else {
-			opts.Traces = s.traces.forOptions(opts)
-		}
+		opts.Traces = s.traces.forOptions(opts)
 	}
 	runner := experiments.NewRunner(opts)
 	defer s.collect(runner)

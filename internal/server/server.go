@@ -16,8 +16,9 @@ type Options struct {
 	// CacheDir enables disk persistence of results and trace artifacts
 	// under this directory ("" = memory only).
 	CacheDir string
-	// CacheEntries / CacheBytes bound the in-memory result LRU
-	// (defaults 512 entries / 256 MiB).
+	// CacheEntries / CacheBytes bound the in-memory result LRU: one entry
+	// per simulation run, bytes counted in encoded form (defaults 512
+	// entries / 256 MiB).
 	CacheEntries int
 	CacheBytes   int64
 	// TraceEntries bounds the in-memory trace artifact LRU (default 16 —
@@ -30,7 +31,7 @@ type Options struct {
 	Jobs int
 	// JobHistory bounds how many terminal jobs the registry retains
 	// (default 512). Older ones are evicted — their ids answer 404, but
-	// their results stay reachable through the cache by resubmitting.
+	// resubmitting renders them again from the cached runs.
 	JobHistory int
 	// SimWorkers bounds concurrent simulations per job (default
 	// GOMAXPROCS).

@@ -1,12 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"runtime/debug"
-	"sync"
 
 	"specvec/internal/config"
 	"specvec/internal/experiments"
@@ -15,32 +10,26 @@ import (
 	"specvec/internal/wspec"
 )
 
-// resultSchema versions the Result encoding itself. Bump it when the JSON
-// shape of Result/Table/stats.Sim changes incompatibly: the version is
-// hashed into every cache key, so persisted entries from an older schema
-// miss instead of decoding wrongly.
-const resultSchema = 1
-
 // JobSpec names one unit of servable work: either a full experiment (the
 // sdvexp figures/tables) or a single (workload, configuration)
 // simulation. The zero values of Scale/Seed/Shards resolve to the same
 // defaults the batch CLIs use, so a spec submitted with and without
-// explicit defaults is the same cache entry.
+// explicit defaults reuses the same cached runs.
 type JobSpec struct {
 	// Kind is "experiment" or "sim". Empty is inferred: Exp set implies
 	// "experiment", Workload set implies "sim".
 	Kind string `json:"kind"`
 	// Exp is the experiment id (see GET /v1/experiments). "all" is not
-	// accepted server-side: clients submit one job per experiment so each
-	// figure is cached — and invalidated — independently.
+	// accepted server-side: clients submit one job per experiment.
 	Exp string `json:"exp,omitempty"`
 	// Workload and Config select a single simulation (sim kind), by
 	// benchmark name and paper-style configuration name.
 	Workload string `json:"workload,omitempty"`
 	Config   string `json:"config,omitempty"`
 	// Scale, Seed, Shards and CheckpointEvery mirror the sdvexp flags of
-	// the same names and participate in the cache key: changing any of
-	// them is a different result.
+	// the same names and scope every per-run cache key (see runOptions):
+	// changing any of them is a different result. CheckpointEvery only
+	// matters when Shards > 1.
 	Scale           int   `json:"scale,omitempty"`
 	Seed            int64 `json:"seed,omitempty"`
 	Shards          int   `json:"shards,omitempty"`
@@ -48,9 +37,8 @@ type JobSpec struct {
 	// Specs carries a workload-spec document (internal/wspec, YAML or
 	// JSON; Normalize stores the canonical form). Required for the sweep
 	// kind; for the sim kind it may define the generated workload being
-	// simulated. It participates in the cache key, so a generated
-	// workload's cache entry is addressed by its full definition, never
-	// just its name.
+	// simulated. A generated workload's runs are keyed by the digest of
+	// its definition, never just its name.
 	Specs string `json:"specs,omitempty"`
 }
 
@@ -63,8 +51,8 @@ const (
 )
 
 // Normalize validates s and resolves every default, returning the
-// canonical form used for keying and execution. Two specs that normalize
-// equal are the same content-addressed result.
+// canonical form used for execution. Two specs that normalize equal
+// render the same result from the same runs.
 func (s JobSpec) Normalize() (JobSpec, error) {
 	switch {
 	case s.Kind == "" && s.Exp != "" && s.Workload == "":
@@ -75,8 +63,8 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		s.Kind = KindSweep
 	}
 	// Parse and re-canonicalize the workload-spec payload, so two
-	// submissions that format the same spec differently share a cache
-	// entry and a malformed payload fails at submission, not mid-job.
+	// submissions that format the same spec differently are the same
+	// spec and a malformed payload fails at submission, not mid-job.
 	var specFile *wspec.File
 	if s.Specs != "" {
 		f, err := wspec.Parse([]byte(s.Specs))
@@ -143,7 +131,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	// Resolve the sharded-mode auto checkpoint spacing exactly the way the
 	// Runner will (experiments.Options.WithDefaults), so an omitted and an
-	// explicitly-default ckptEvery are the same cache entry.
+	// explicitly-default ckptEvery are the same spec.
 	s.CheckpointEvery = experiments.Options{
 		Shards: s.Shards, CheckpointEvery: s.CheckpointEvery,
 	}.WithDefaults().CheckpointEvery
@@ -153,9 +141,8 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 // resolveSimWorkload checks the sim kind's workload name. A built-in
 // always resolves. A generated name must come with its definition: either
 // the submission already carries it in Specs, or the daemon loaded it at
-// startup (-spec) and its definition is folded into Specs here — either
-// way the cache key ends up covering the workload's content, so two
-// specs reusing a name can never alias each other's results.
+// startup (-spec) and its definition is folded into Specs here, so the
+// job records the definition it ran.
 func (s *JobSpec) resolveSimWorkload(specFile *wspec.File) error {
 	for _, n := range workload.Names() {
 		if n == s.Workload {
@@ -177,31 +164,45 @@ func (s *JobSpec) resolveSimWorkload(specFile *wspec.File) error {
 	}
 	_, err := workload.Get(s.Workload)
 	if err == nil {
-		// Registered in-process but not through wspec: no definition to
-		// carry, so refuse rather than cache under an unsound key.
+		// Registered in-process but not through wspec: no definition
+		// digest to key its runs by, so refuse rather than risk aliasing.
 		return fmt.Errorf("workload %q has no spec definition to key the result by", s.Workload)
 	}
 	return err
 }
 
-// Key returns the spec's content address: a hex SHA-256 over the
-// canonical JSON of the normalized spec, the module version (a daemon
-// built from different code is a different result space) and the result
-// schema version. Worker counts and other execution-shape knobs are
-// deliberately absent — results are byte-identical regardless of
-// parallelism, so they would only fragment the cache.
-//
-//sdv:cachekey
-func (s JobSpec) Key() string {
-	canon, err := json.Marshal(s)
-	if err != nil {
-		// JobSpec is plain data; Marshal cannot fail.
-		panic(fmt.Sprintf("server: marshalling JobSpec: %v", err))
+// runOptions returns the experiments.Options the spec fixes for its
+// Runner — the scope of every per-run key it produces: scale, seed,
+// shards and checkpoint spacing with defaults resolved and, for a spec
+// carrying a workload-spec payload, a resolver that serves the payload's
+// generated workloads (each carrying its definition digest) before the
+// registry. It also returns the parsed payload (nil without one).
+// Execution shape is the scheduler's to add.
+func (s JobSpec) runOptions() (experiments.Options, *wspec.File, error) {
+	opts := experiments.Options{
+		Scale:           s.Scale,
+		Seed:            s.Seed,
+		Shards:          s.Shards,
+		CheckpointEvery: s.CheckpointEvery,
+	}.WithDefaults()
+	if s.Specs == "" {
+		return opts, nil, nil
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "specvec/%d\x00%s\x00", resultSchema, moduleVersion())
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil))
+	f, err := wspec.Parse([]byte(s.Specs))
+	if err != nil {
+		return opts, nil, err
+	}
+	compiled := map[string]workload.Benchmark{}
+	for _, w := range f.Workloads {
+		compiled[w.Name] = wspec.CompileSpec(w)
+	}
+	opts.Workloads = func(name string) (workload.Benchmark, error) {
+		if b, ok := compiled[name]; ok {
+			return b, nil
+		}
+		return workload.Get(name)
+	}
+	return opts, f, nil
 }
 
 // Title renders the spec for logs and job listings.
@@ -227,8 +228,9 @@ func (s JobSpec) specWorkloadCount() int {
 }
 
 // Result is the servable outcome of a job: rendered-table inputs for
-// experiments, raw statistics for single simulations. Encoded with the
-// stable stats.Sim JSON and cached by the spec's content address.
+// experiments, raw statistics for single simulations, encoded with the
+// stable stats.Sim JSON. Every submission renders it afresh from its
+// runs.
 type Result struct {
 	Spec   JobSpec              `json:"spec"`
 	Tables []*experiments.Table `json:"tables,omitempty"`
@@ -243,35 +245,4 @@ func configByName(name string) (config.Config, error) {
 		}
 	}
 	return config.Config{}, fmt.Errorf("unknown config %q (see GET /v1/configs)", name)
-}
-
-var (
-	moduleOnce sync.Once
-	moduleVer  string
-)
-
-// moduleVersion identifies the running build for cache keying: module
-// version and sum when built from a module, VCS revision when embedded,
-// "devel" otherwise. vcs.modified and vcs.time are included so a dirty
-// build does not share cache entries with the clean build of the same
-// commit (it would serve that build's persisted results as current).
-// Two successive dirty builds still collide — development against a
-// persistent -cache-dir should use a scratch directory.
-func moduleVersion() string {
-	moduleOnce.Do(func() {
-		moduleVer = "devel"
-		bi, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
-		}
-		v := bi.Main.Version + "+" + bi.Main.Sum
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision", "vcs.modified", "vcs.time":
-				v += "+" + s.Key + "=" + s.Value
-			}
-		}
-		moduleVer = v
-	})
-	return moduleVer
 }

@@ -12,16 +12,18 @@ import (
 	"specvec/internal/experiments"
 	"specvec/internal/obs"
 	"specvec/internal/trace"
+	"specvec/internal/workload"
 )
 
 // traceCache holds decoded benchmark recordings across jobs: an LRU
 // bounded by entry count (recordings are the big artifacts — SizeBytes of
 // a full-scale trace runs to megabytes) with optional disk persistence of
 // the encoded form. Entries are keyed by benchmark plus the effective
-// (scale, seed, checkpoint spacing) scope, so a runner never sees a
-// recording made under different options (the experiments.TraceStore
-// contract). One traceCache serves every scope; scopedTraces is the
-// per-job view handed to a Runner.
+// (scale, seed, checkpoint spacing) scope and, for a generated workload,
+// its definition digest, so a runner never sees a recording made under
+// different options or of a different program (the
+// experiments.TraceStore contract). One traceCache serves every scope;
+// scopedTraces is the per-job view handed to a Runner.
 type traceCache struct {
 	maxEntries int
 	dir        string // "" = memory only
@@ -97,27 +99,30 @@ func traceScope(o experiments.Options) string {
 // scopedTraces is the experiments.TraceStore view of a traceCache for one
 // effective option set.
 type scopedTraces struct {
-	tc    *traceCache
-	scope string
+	tc      *traceCache
+	scope   string
+	resolve func(bench string) (workload.Benchmark, error) // the Runner's resolver
 }
 
 // forOptions returns the store view a Runner built with o may use. o must
 // already have its defaults resolved (Options.WithDefaults) so the scope
-// reflects the effective checkpoint spacing.
+// reflects the effective checkpoint spacing, and must carry the Runner's
+// workload resolver, through which key finds generated definitions.
 func (tc *traceCache) forOptions(o experiments.Options) experiments.TraceStore {
-	return scopedTraces{tc: tc, scope: traceScope(o)}
+	return scopedTraces{tc: tc, scope: traceScope(o), resolve: o.Resolve}
 }
 
-// forOptionsWith returns the store view for o with an extra scope
-// component. Jobs carrying a workload-spec payload pass a hash of its
-// canonical form, so two specs that reuse a workload name with
-// different definitions can never share a recorded trace.
-func (tc *traceCache) forOptionsWith(o experiments.Options, extra string) experiments.TraceStore {
-	scope := traceScope(o)
-	if extra != "" {
-		scope += "-" + extra
+// key names bench's recording: the benchmark, the option scope and, for
+// a generated workload, the digest of its definition — a name
+// redefined by a job payload or a -spec file is a different recording.
+//
+//sdv:cachekey
+func (s scopedTraces) key(bench string) string {
+	key := bench + "-" + s.scope
+	if b, err := s.resolve(bench); err == nil && b.Digest != "" {
+		key += "-" + b.Digest
 	}
-	return scopedTraces{tc: tc, scope: scope}
+	return key
 }
 
 // Load implements experiments.TraceStore: memory first, then the disk
@@ -125,7 +130,7 @@ func (tc *traceCache) forOptionsWith(o experiments.Options, extra string) experi
 // (checksum mismatch, truncation) is a miss and is removed, so the next
 // recording of the benchmark replaces it.
 func (s scopedTraces) Load(bench string) (*trace.Trace, bool) {
-	key := bench + "-" + s.scope
+	key := s.key(bench)
 	if tr, ok := s.tc.lookup(key); ok {
 		s.tc.loads.Add(1)
 		return tr, true
@@ -148,20 +153,11 @@ func (s scopedTraces) Load(bench string) (*trace.Trace, bool) {
 
 // Store implements experiments.TraceStore, best effort on the disk tier.
 func (s scopedTraces) Store(bench string, tr *trace.Trace) {
-	key := bench + "-" + s.scope
+	key := s.key(bench)
 	s.tc.put(key, tr)
 	s.tc.stores.Add(1)
 	if s.tc.dir == "" {
 		return
 	}
-	path := s.tc.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if err := tr.WriteFile(tmp); err != nil {
-		_ = os.Remove(tmp)
-		return
-	}
-	_ = os.Rename(tmp, path)
+	_ = writeDurable(s.tc.diskPath(key), tr.Encode)
 }

@@ -51,8 +51,9 @@ func findSpans(n *obs.TreeNode, name string) []*obs.TreeNode {
 // TestJobTimelineAcceptance is the timeline acceptance pin: a computed
 // job's span tree covers its wall time — the root duration matches the
 // job view's created→finished interval, and the top-level phases
-// (queue-wait, cache-lookup, compute) account for the root within 10% —
-// and the compute subtree carries the runner's per-run phase spans.
+// (queue-wait, compute) account for the root within 10% — and the
+// compute subtree carries the runner's per-run phase spans, each run
+// opening with its cache lookup.
 func TestJobTimelineAcceptance(t *testing.T) {
 	const scale = 20_000
 	_, ts := testServer(t, Options{})
@@ -89,15 +90,15 @@ func TestJobTimelineAcceptance(t *testing.T) {
 		t.Errorf("root duration %dus vs job wall time %dus (slop %dus)", tl.DurationUs, wall, slop)
 	}
 
-	// The top-level phases partition the job: queue-wait, cache-lookup
-	// and compute are sequential and must sum to the root within 10%.
+	// The top-level phases partition the job: queue-wait and compute are
+	// sequential and must sum to the root within 10%.
 	var phases int64
 	seen := map[string]int{}
 	for _, c := range tl.Root.Children {
 		phases += c.DurationUs
 		seen[c.Name]++
 	}
-	for _, want := range []string{"queue-wait", "cache-lookup", "compute"} {
+	for _, want := range []string{"queue-wait", "compute"} {
 		if seen[want] != 1 {
 			t.Errorf("root has %d %q children, want 1 (children: %v)", seen[want], want, seen)
 		}
@@ -116,15 +117,21 @@ func TestJobTimelineAcceptance(t *testing.T) {
 		if run.Cfg == "" || run.Bench == "" {
 			t.Errorf("run span missing labels: cfg=%q bench=%q", run.Cfg, run.Bench)
 		}
+		if n := len(childSpans(run, "cache-lookup")); n != 1 {
+			t.Errorf("run %s/%s has %d cache-lookup children, want 1", run.Cfg, run.Bench, n)
+		}
+	}
+	if n := len(findSpans(tl.Root, "cache-lookup")); n != len(runs) {
+		t.Errorf("timeline has %d cache-lookup spans for %d runs", n, len(runs))
 	}
 	if rec := findSpans(tl.Root, "record"); len(rec) == 0 {
 		t.Error("timeline has no record spans")
 	}
 }
 
-// TestJobTimelineCacheHit pins the cache-hit shape: the second
-// submission's timeline has the queue and lookup phases but no compute
-// span — the result never touched the runner.
+// TestJobTimelineCacheHit pins the warm shape: a resubmitted job still
+// renders under a compute span, but every run is one cache lookup — no
+// recording, no trace load, no replayed interval.
 func TestJobTimelineCacheHit(t *testing.T) {
 	const scale = 12_000
 	_, ts := testServer(t, Options{})
@@ -140,12 +147,35 @@ func TestJobTimelineCacheHit(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("timeline: HTTP %d: %s", code, body)
 	}
-	if n := findSpans(tl.Root, "compute"); len(n) != 0 {
-		t.Errorf("cache-hit timeline has %d compute spans", len(n))
+	for _, name := range []string{"record", "trace-load", "shard"} {
+		if n := findSpans(tl.Root, name); len(n) != 0 {
+			t.Errorf("warm timeline has %d %s spans", len(n), name)
+		}
 	}
-	if n := findSpans(tl.Root, "cache-lookup"); len(n) != 1 {
-		t.Errorf("cache-hit timeline has %d cache-lookup spans, want 1", len(n))
+	runs := findSpans(tl.Root, "run")
+	if len(runs) == 0 {
+		t.Fatal("warm timeline has no run spans")
 	}
+	for _, run := range runs {
+		if n := len(childSpans(run, "cache-lookup")); n != 1 || len(run.Children) != 1 {
+			t.Errorf("warm run %s/%s has %d cache-lookup of %d children, want exactly one lookup",
+				run.Cfg, run.Bench, n, len(run.Children))
+		}
+	}
+	if n := len(findSpans(tl.Root, "cache-lookup")); n != len(runs) {
+		t.Errorf("warm timeline has %d cache-lookup spans for %d runs", n, len(runs))
+	}
+}
+
+// childSpans returns n's direct children named name.
+func childSpans(n *obs.TreeNode, name string) []*obs.TreeNode {
+	var out []*obs.TreeNode
+	for _, c := range n.Children {
+		if c.Name == name {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // TestJobTimelineNotFound pins the two 404 shapes: an unknown id, and a

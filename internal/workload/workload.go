@@ -15,6 +15,11 @@ type Benchmark struct {
 	// Generated marks a workload compiled from a declarative spec
 	// (internal/wspec) rather than one of the built-in Spec95 substitutes.
 	Generated bool
+	// Digest identifies a generated workload's definition (wspec.Digest);
+	// it is "" for built-ins, whose definition is the code. Cache keys
+	// carry it, so two definitions sharing a name never share a result
+	// or a recording.
+	Digest string
 	// Description summarises the real program this stands in for and the
 	// behaviour the generator reproduces.
 	Description string

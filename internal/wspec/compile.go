@@ -78,6 +78,7 @@ func CompileSpec(s Spec) workload.Benchmark {
 		Name:        spec.Name,
 		FP:          spec.FP,
 		Generated:   true,
+		Digest:      Digest(spec),
 		Description: describe(spec),
 		Build: func(scale int, seed int64) *isa.Program {
 			return buildSpec(spec, scale, seed)

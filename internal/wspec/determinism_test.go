@@ -2,7 +2,7 @@ package wspec_test
 
 // The determinism contract, pinned end to end: the same (spec, seed)
 // pair must compile to a byte-identical program, record a byte-identical
-// trace and address the same server cache entry, while distinct seeds —
+// trace and address the same cached run, while distinct seeds —
 // runner or spec — produce distinct programs. Every downstream layer
 // (shared trace memo, shards, the sdvd result cache) assumes exactly
 // this.
@@ -12,10 +12,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"specvec/internal/config"
 	"specvec/internal/emu"
+	"specvec/internal/experiments"
 	"specvec/internal/isa"
-	"specvec/internal/server"
 	"specvec/internal/trace"
+	"specvec/internal/workload"
 	"specvec/internal/wspec"
 )
 
@@ -155,17 +157,22 @@ workloads:
 	}
 }
 
-// TestCacheKeyFollowsContent pins the server-side half of the contract:
-// two submissions of the same spec content — formatted differently —
-// share a cache key, and seed or content changes split it.
+// TestCacheKeyFollowsContent pins the cache half of the contract: a
+// generated workload's run key follows its definition's content, so two
+// submissions of the same spec — formatted differently — share a key,
+// and seed or content changes split it.
 func TestCacheKeyFollowsContent(t *testing.T) {
 	key := func(specs string, seed int64) string {
 		t.Helper()
-		js, err := server.JobSpec{Kind: server.KindSweep, Specs: specs, Seed: seed}.Normalize()
+		f, err := wspec.Parse([]byte(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return js.Key()
+		b := wspec.CompileSpec(f.Workloads[0])
+		opts := experiments.Options{Scale: 8_000, Seed: seed, Workloads: func(string) (workload.Benchmark, error) {
+			return b, nil
+		}}.WithDefaults()
+		return experiments.RunKey(opts, config.MustNamed(4, 1, config.ModeV), b.Name)
 	}
 	yaml := `
 wspec: 1

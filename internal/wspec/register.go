@@ -1,6 +1,8 @@
 package wspec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -31,6 +33,18 @@ type regEntry struct {
 func canonicalSpec(s Spec) string {
 	one := File{Version: Version, Workloads: []Spec{s}}
 	return one.Canonical()
+}
+
+// Digest returns the hex SHA-256 of a workload spec's canonical form: the
+// identity of its definition. CompileSpec stamps it on the Benchmark
+// (workload.Benchmark.Digest), so resolving a generated workload by name
+// — from a job payload or from registration — also looks up its
+// definition, and every cache key built from it names the content.
+//
+//sdv:cachekey
+func Digest(s Spec) string {
+	sum := sha256.Sum256([]byte(canonicalSpec(s)))
+	return hex.EncodeToString(sum[:])
 }
 
 // RegisterFile compiles and registers every workload in a parsed file.
