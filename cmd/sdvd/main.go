@@ -51,10 +51,6 @@ func main() {
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per job (0 = all cores)")
 		specArg       = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads for /v1/workloads discovery and by-name sim jobs")
 		quiet         = flag.Bool("quiet", false, "suppress operational logging")
-		coordinator   = flag.Bool("coordinator", false, "accept cluster workers (-join) and place replay work across them; results stay byte-identical to a single process")
-		workerRole    = flag.Bool("worker", false, "join a coordinator (-join) and execute shards for it")
-		joinURL       = flag.String("join", "", "coordinator base URL a -worker registers with (e.g. http://127.0.0.1:8077)")
-		advertise     = flag.String("advertise", "", "URL a -worker advertises to the coordinator (default: derived from -addr)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (opt-in; empty = disabled)")
 		metricsSample = flag.Duration("metrics-sample", 10*time.Second, "how often the sdvd_go_* runtime gauges are refreshed; /metrics reports them at most one interval stale")
 	)
@@ -91,9 +87,6 @@ func main() {
 	if *cacheBytes < 1 {
 		cliutil.Fatal("sdvd", cliutil.FlagError("cache-bytes", *cacheBytes, ">= 1"))
 	}
-	if err := cliutil.ValidateClusterFlags(*coordinator, *workerRole, *joinURL, *advertise); err != nil {
-		cliutil.Fatal("sdvd", err)
-	}
 	if *pprofAddr != "" {
 		if err := cliutil.ValidateListenAddr("pprof", *pprofAddr); err != nil {
 			cliutil.Fatal("sdvd", err)
@@ -117,10 +110,6 @@ func main() {
 		JobHistory:   *jobHistory,
 		SimWorkers:   *workers,
 		Logf:         logf,
-		Coordinator:  *coordinator,
-		Worker:       *workerRole,
-		JoinURL:      *joinURL,
-		AdvertiseURL: *advertise,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

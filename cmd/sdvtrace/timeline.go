@@ -16,9 +16,7 @@ import (
 // timelineCmd implements `sdvtrace timeline JOB_ID`: fetch a completed
 // job's span tree from a daemon and render it as an indented waterfall
 // — one line per span with its offset, duration and a bar scaled to the
-// job's total time. Spans that ran on a cluster worker are marked
-// [remote]; their durations were reported by the worker and grafted
-// into the coordinator's timeline.
+// job's total time.
 func timelineCmd(args []string) int {
 	fs := flag.NewFlagSet("sdvtrace timeline", flag.ExitOnError)
 	server := fs.String("server", "http://127.0.0.1:8077", "daemon base URL")
@@ -90,12 +88,6 @@ func renderNode(w io.Writer, n *obs.TreeNode, depth int, total int64, width int)
 	label := n.Name
 	if n.Cfg != "" || n.Bench != "" {
 		label += " " + strings.TrimSpace(n.Cfg+"/"+n.Bench)
-	}
-	if n.Detail != "" {
-		label += " (" + n.Detail + ")"
-	}
-	if n.Remote {
-		label += " [remote]"
 	}
 	fmt.Fprintf(w, "%10s %10s  |%s|  %s%s\n",
 		"+"+fmtUs(n.StartUs), fmtUs(n.DurationUs),

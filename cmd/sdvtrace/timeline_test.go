@@ -13,7 +13,7 @@ import (
 
 // buildTimeline assembles a deterministic three-phase job timeline on a
 // manual clock: 1ms queue wait, 2ms lookup, 40ms compute holding one
-// run with a grafted remote shard.
+// run with one 35ms shard.
 func buildTimeline() obs.Timeline {
 	clk := obs.NewManualClock(time.Unix(100, 0))
 	tr := obs.NewTrace("t01", clk, "job")
@@ -25,8 +25,10 @@ func buildTimeline() obs.Timeline {
 	tr.End(l)
 	comp := tr.Start(obs.RootSpan, "compute")
 	run := tr.StartRun(comp, "run", "sdv", "swim")
-	clk.Advance(40 * time.Millisecond)
-	tr.Graft(run, "shard-remote", "http://w1", 35*time.Millisecond, true)
+	clk.Advance(5 * time.Millisecond)
+	shard := tr.Start(run, "shard")
+	clk.Advance(35 * time.Millisecond)
+	tr.End(shard)
 	tr.End(run)
 	tr.End(comp)
 	tr.Finish()
@@ -44,7 +46,6 @@ func TestRenderTimeline(t *testing.T) {
 		"cache-lookup",
 		"compute",
 		"run sdv/swim",
-		"shard-remote (http://w1) [remote]",
 		"|====================|  job",
 	} {
 		if !strings.Contains(out, want) {
@@ -52,9 +53,12 @@ func TestRenderTimeline(t *testing.T) {
 		}
 	}
 	// Depth is conveyed by indentation: the run nests two levels under
-	// the root, its remote graft three.
+	// the root, its shard three.
 	if !strings.Contains(out, "|      run sdv/swim") {
 		t.Errorf("run span not indented two levels:\n%s", out)
+	}
+	if !strings.Contains(out, "|        shard") {
+		t.Errorf("shard span not indented three levels:\n%s", out)
 	}
 }
 

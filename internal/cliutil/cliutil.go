@@ -79,9 +79,8 @@ func SplitSpecPaths(arg string) ([]string, error) {
 }
 
 // ValidateServerURL checks a flag naming a server base URL (sdvexp
-// -server, sdvd -join, -advertise): it must parse as an absolute
-// http(s) URL with a host and no trailing junk a join would silently
-// mangle.
+// -server): it must parse as an absolute http(s) URL with a host and no
+// trailing junk that appending an API path would silently mangle.
 func ValidateServerURL(name, raw string) error {
 	if raw == "" {
 		return FlagError(name, "\"\"", "an http(s) base URL")
@@ -98,37 +97,6 @@ func ValidateServerURL(name, raw string) error {
 	}
 	if u.RawQuery != "" || u.Fragment != "" {
 		return FlagError(name, fmt.Sprintf("%q", raw), "a base URL without query or fragment")
-	}
-	return nil
-}
-
-// ValidateClusterFlags checks sdvd's cluster role flags as a set:
-// -coordinator and -worker are mutually exclusive roles, -join is
-// required by (and only meaningful with) -worker, and -advertise only
-// makes sense on a worker. URL values are checked with
-// ValidateServerURL.
-func ValidateClusterFlags(coordinator, worker bool, joinURL, advertiseURL string) error {
-	if coordinator && worker {
-		return fmt.Errorf("invalid flags: -coordinator and -worker are mutually exclusive (a worker joins a coordinator, it is not one)")
-	}
-	if worker && joinURL == "" {
-		return fmt.Errorf("invalid flags: -worker requires -join <coordinator URL>")
-	}
-	if !worker && joinURL != "" {
-		return fmt.Errorf("invalid flags: -join requires -worker")
-	}
-	if !worker && advertiseURL != "" {
-		return fmt.Errorf("invalid flags: -advertise requires -worker")
-	}
-	if joinURL != "" {
-		if err := ValidateServerURL("join", joinURL); err != nil {
-			return err
-		}
-	}
-	if advertiseURL != "" {
-		if err := ValidateServerURL("advertise", advertiseURL); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -132,7 +132,7 @@ func TestValidateServerURL(t *testing.T) {
 	}{
 		{"plain http", "http://127.0.0.1:8077", false, ""},
 		{"https with path", "https://sim.example/api", false, ""},
-		{"empty", "", true, "-join"},
+		{"empty", "", true, "-server"},
 		{"no scheme", "127.0.0.1:8077", true, "http(s)"},
 		{"wrong scheme", "ftp://host:21", true, "http(s)"},
 		{"scheme only", "http://", true, "host"},
@@ -141,48 +141,9 @@ func TestValidateServerURL(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateServerURL("join", tc.raw)
+			err := ValidateServerURL("server", tc.raw)
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidateServerURL(join, %q) = %v, wantErr %v", tc.raw, err, tc.wantErr)
-			}
-			if err == nil {
-				return
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Errorf("multi-line error: %q", err)
-			}
-		})
-	}
-}
-
-func TestValidateClusterFlags(t *testing.T) {
-	cases := []struct {
-		name                string
-		coordinator, worker bool
-		join, advertise     string
-		wantErr             bool
-		want                string
-	}{
-		{"no cluster role", false, false, "", "", false, ""},
-		{"coordinator alone", true, false, "", "", false, ""},
-		{"worker with join", false, true, "http://127.0.0.1:8077", "", false, ""},
-		{"worker with advertise", false, true, "http://c:1", "http://10.0.0.2:8078", false, ""},
-		{"both roles", true, true, "http://c:1", "", true, "mutually exclusive"},
-		{"worker without join", false, true, "", "", true, "-join"},
-		{"join without worker", false, false, "http://c:1", "", true, "-worker"},
-		{"advertise without worker", false, false, "", "http://w:1", true, "-worker"},
-		{"bad join url", false, true, "c:1", "", true, "-join"},
-		{"bad advertise url", false, true, "http://c:1", "not a url", true, "-advertise"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateClusterFlags(tc.coordinator, tc.worker, tc.join, tc.advertise)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidateClusterFlags(%v, %v, %q, %q) = %v, wantErr %v",
-					tc.coordinator, tc.worker, tc.join, tc.advertise, err, tc.wantErr)
+				t.Fatalf("ValidateServerURL(server, %q) = %v, wantErr %v", tc.raw, err, tc.wantErr)
 			}
 			if err == nil {
 				return

@@ -12,9 +12,9 @@
 // benchmark's dynamic instruction stream is recorded once (internal/trace)
 // by a functional pass, and every configuration replays the recording.
 // A simulation has one execution path: record once, plan max(Shards, 1)
-// checkpoint-fast-forwarded intervals (shard.go), execute each on the
-// local pool or Options.Remote (remote.go), and merge their statistics
-// in plan order — Shards <= 1 is one interval covering the whole run.
+// checkpoint-fast-forwarded intervals (shard.go), execute each on a
+// local pool slot, and merge their statistics in plan order — Shards <= 1
+// is one interval covering the whole run.
 // Both memo layers are content-addressed: RunKey (results.go) names a
 // run's statistics, and Options.Results and Options.Traces extend the
 // memos across Runners — the service layer shares every run and every

@@ -46,7 +46,7 @@ const resultSchema = 1
 // through o, Scale and Seed, Shards (with ShardWarmup and
 // CheckpointEvery when sharded), the result schema and the module
 // version (a build from different code is a different result space).
-// Execution shape — Workers, Remote, Progress, Context — never enters
+// Execution shape — Workers, Progress, Context — never enters
 // it: results are byte-identical across all of them. o must have its
 // defaults resolved (Options.WithDefaults), as a Runner's options do.
 //

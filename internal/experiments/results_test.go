@@ -57,7 +57,7 @@ func TestRunKeyCoversConfig(t *testing.T) {
 }
 
 // TestRunKeyScope: the result-bearing options move the key; execution
-// shape — Workers, Progress, Context, Remote — never does.
+// shape — Workers, Progress, Context — never does.
 func TestRunKeyScope(t *testing.T) {
 	cfg := config.MustNamed(4, 1, config.ModeV)
 	base := Options{Scale: 5_000, Seed: 1}.WithDefaults()
@@ -85,7 +85,6 @@ func TestRunKeyScope(t *testing.T) {
 	shape.Workers = base.Workers + 3
 	shape.Progress = func(ProgressEvent) {}
 	shape.Context = context.Background()
-	shape.Remote = &wireExecutor{}
 	shape.CheckpointEvery = 4096 // exact mode: spacing cannot change a result
 	if RunKey(shape, cfg, "compress") != key {
 		t.Error("execution shape changed the run key")

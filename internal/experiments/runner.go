@@ -89,15 +89,6 @@ type Options struct {
 	// other's generated workloads. Nil means workload.Get: built-ins plus
 	// whatever the process registered at startup (CLI -spec flags).
 	Workloads func(name string) (workload.Benchmark, error)
-	// Remote, when non-nil, executes every replay interval — whole runs
-	// and shards alike — on cluster workers (see RemoteShards) instead of
-	// the local pool. Recording stays local. Execution shape only: replay
-	// is deterministic, so results are byte-identical with and without
-	// it, at any worker count, and across worker failures (the executor
-	// requeues a dead node's tasks).
-	//
-	//sdv:shape
-	Remote RemoteShards
 }
 
 // DefaultOptions returns the standard experiment scale.
@@ -487,12 +478,10 @@ func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
 	return tr, true
 }
 
-// execute hands every interval of plan to the executor —
-// Options.Remote.RunShard when set, a local pool slot otherwise — and
-// merges the statistics in plan order, so scheduling never shows through.
-// sc, when active, receives a "shard-fanout" span with one "shard" child
-// per interval (a remote executor grafts its worker's spans under it)
-// and a "merge" span.
+// execute runs every interval of plan on a local pool slot and merges
+// the statistics in plan order, so scheduling never shows through. sc,
+// when active, receives a "shard-fanout" span with one "shard" child per
+// interval and a "merge" span.
 func (r *Runner) execute(cfg config.Config, bench string, tr *trace.Trace, plan []shardSpec, sc obs.SpanContext) (*stats.Sim, error) {
 	results := make([]*stats.Sim, len(plan))
 	errs := make([]error, len(plan))
@@ -505,16 +494,7 @@ func (r *Runner) execute(cfg config.Config, bench string, tr *trace.Trace, plan 
 			defer wg.Done()
 			tsc := fan.Start("shard")
 			defer tsc.End()
-			if r.opts.Remote != nil {
-				task := ShardTask{
-					Cfg: cfg, Bench: bench,
-					ReplayFrom: sp.replayFrom, BHR: sp.bhr, SeedBHR: sp.seedBHR,
-					Warmup: sp.warmup, Measure: sp.measure,
-				}
-				results[i], errs[i] = r.opts.Remote.RunShard(obs.ContextWith(r.ctx, tsc), task, tr)
-			} else {
-				results[i], errs[i] = r.runLocal(cfg, bench, tr, sp, len(plan) == 1)
-			}
+			results[i], errs[i] = r.runLocal(cfg, bench, tr, sp, len(plan) == 1)
 			if errs[i] == nil && len(plan) > 1 {
 				r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
 					Shard: int(finished.Add(1)), Shards: len(plan)})

@@ -88,7 +88,7 @@ func shardPlan(tr *trace.Trace, total uint64, shards int, warmup uint64) []shard
 var ErrIntervalOutOfRange = errors.New("experiments: replay interval exceeds recording")
 
 // checkInterval is the one check every interval passes before it is
-// simulated, locally or for a peer (ExecuteShardTask): replayFrom +
+// simulated (runShard): replayFrom +
 // warmup + measure must not overflow and must lie within the recording,
 // and a recording that does not end in a halt must extend at least
 // pipeline.SourceWindow(cfg) records past that end. Without it a bad

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -211,4 +213,76 @@ func TestRecordingFailureFailsRuns(t *testing.T) {
 	if st.String() != liveRun(t, cfg, b.Build(opts.Scale, opts.Seed), opts.Scale).String() {
 		t.Error("replayed run differs from a direct live-emulation run")
 	}
+}
+
+// TestRunShardRejectsOutOfRange pins the interval check: an interval a
+// recording cannot feed fails before simulating, with a one-line error
+// wrapping ErrIntervalOutOfRange that names the configuration, the
+// benchmark and both lengths — not as a pipeline deadlock 200000 cycles
+// later. An interval inside the recording still runs.
+func TestRunShardRejectsOutOfRange(t *testing.T) {
+	const records = 5_000
+	cfg := config.MustNamed(4, 1, config.ModeV)
+	tr := recordTrace(t, 20_000, records)
+	if !tr.Truncated() || tr.Len() != records {
+		t.Fatalf("test premise broken: want a truncated %d-record trace, got %d records (truncated=%v)",
+			records, tr.Len(), tr.Truncated())
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		sp   shardSpec
+	}{
+		{"measure past the end", shardSpec{measure: 6_000}},
+		{"replay from past the end", shardSpec{replayFrom: 1 << 40, measure: 100}},
+		{"warmup past the end", shardSpec{warmup: 1 << 62, measure: 100}},
+		{"overflowing interval", shardSpec{warmup: 1 << 63, measure: 1 << 63}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := runShard(ctx, cfg, "compress", tr, tc.sp, nil)
+			if !errors.Is(err, ErrIntervalOutOfRange) {
+				t.Fatalf("want ErrIntervalOutOfRange, got %v", err)
+			}
+			msg := err.Error()
+			if strings.Contains(msg, "\n") {
+				t.Errorf("error spans lines: %q", msg)
+			}
+			for _, want := range []string{cfg.Name, "compress", strconv.Itoa(records)} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error %q does not name %q", msg, want)
+				}
+			}
+		})
+	}
+	st, _, err := runShard(ctx, cfg, "compress", tr, shardSpec{measure: 1_000}, nil)
+	if err != nil {
+		t.Fatalf("in-range interval: %v", err)
+	}
+	if st.Committed < 1_000 {
+		t.Errorf("in-range interval committed %d instructions, want >= 1000", st.Committed)
+	}
+}
+
+// recordTrace records compress built at scale, finishing the recording
+// at target records.
+func recordTrace(t *testing.T, scale, target int) *trace.Trace {
+	t.Helper()
+	prog, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.Build(scale, 1)
+	mach, err := emu.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := trace.NewRecorder(mach, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Finish(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

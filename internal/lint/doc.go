@@ -17,8 +17,9 @@
 //     (serialization, HTTP/stdout writes, appends that are never
 //     sorted, channel sends) in determinism-critical packages.
 //   - shapetaint: fields annotated //sdv:shape (execution-shape knobs
-//     like Workers, Progress, Remote) must never be read inside functions
-//     annotated //sdv:cachekey (Canonical/Key/ContentID computations).
+//     like Workers, Progress, Context) must never be read inside
+//     functions annotated //sdv:cachekey (RunKey, trace-store scopes,
+//     workload-spec Canonical/Digest computations).
 //   - hotalloc: allocation-introducing constructs (closures, map/slice
 //     literals, make/new, fmt.*, interface boxing, string building)
 //     inside functions annotated //sdv:hotpath.

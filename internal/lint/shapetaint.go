@@ -5,7 +5,7 @@ import (
 )
 
 // ShapeTaint enforces the invariant PRs 5-8 state in prose: execution
-// shape — worker counts, progress hooks, cluster placement — never enters a
+// shape — worker counts, progress hooks, cancellation — never enters a
 // cache key or canonical form, because results are byte-identical across
 // all of them and keying on them would fragment (or worse, poison) the
 // content-addressed caches. Fields annotated //sdv:shape must not be

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -32,8 +30,6 @@ type Span struct {
 	Name   string // phase name, a static string
 	Cfg    string // configuration label, "" when not a per-run span
 	Bench  string // benchmark label, "" when not a per-run span
-	Detail string // free-form detail (worker id, artifact address)
-	Remote bool   // executed on another node; duration was grafted
 	Start  time.Duration
 	End    time.Duration
 }
@@ -122,43 +118,6 @@ func (t *Trace) End(id SpanID) {
 	t.mu.Unlock()
 }
 
-// Graft records a completed span of duration d ending now — the shape
-// of work that ran elsewhere (a remote shard execution, reported back
-// as a duration because the worker's clock is not ours). remote marks
-// it in the timeline.
-func (t *Trace) Graft(parent SpanID, name, detail string, d time.Duration, remote bool) SpanID {
-	if t == nil {
-		return NoSpan
-	}
-	end := t.clock.Now().Sub(t.base)
-	start := end - d
-	if start < 0 {
-		start = 0
-	}
-	t.mu.Lock()
-	if len(t.spans) >= maxSpans {
-		t.dropped++
-		t.mu.Unlock()
-		return NoSpan
-	}
-	id := SpanID(len(t.spans))
-	t.spans = append(t.spans, Span{Parent: parent, Name: name, Detail: detail, Remote: remote, Start: start, End: end})
-	t.mu.Unlock()
-	return id
-}
-
-// SetDetail attaches free-form detail to an open or closed span.
-func (t *Trace) SetDetail(id SpanID, detail string) {
-	if t == nil || id < 0 {
-		return
-	}
-	t.mu.Lock()
-	if int(id) < len(t.spans) {
-		t.spans[id].Detail = detail
-	}
-	t.mu.Unlock()
-}
-
 // Duration returns a span's elapsed time: End-Start when closed, time
 // since Start when still open.
 func (t *Trace) Duration(id SpanID) time.Duration {
@@ -236,14 +195,6 @@ func (c SpanContext) End() {
 	}
 }
 
-// Graft records a completed child span of duration d (see Trace.Graft).
-func (c SpanContext) Graft(name, detail string, d time.Duration, remote bool) SpanContext {
-	if !c.Active() {
-		return SpanContext{}
-	}
-	return SpanContext{T: c.T, Span: c.T.Graft(c.Span, name, detail, d, remote)}
-}
-
 type ctxKey struct{}
 
 // ContextWith returns ctx carrying sc.
@@ -259,65 +210,4 @@ func FromContext(ctx context.Context) SpanContext {
 	}
 	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
 	return sc
-}
-
-// TraceHeader carries a span context across the cluster boundary on
-// POST /v1/shards: "traceID/spanIndex". The worker cannot append to the
-// coordinator's trace; it echoes its execution cost back through
-// SpanDurationHeader and the coordinator grafts the remote spans.
-const TraceHeader = "X-Sdv-Trace"
-
-// SpanDurationHeader is the worker's response header reporting how the
-// shard's time was spent: "exec_us=N;pull_us=M" (microseconds; pull_us
-// is the artifact pull, zero on a trace-cache hit).
-const SpanDurationHeader = "X-Sdv-Span"
-
-// Header renders the wire form of the span context, or "" when
-// inactive.
-func (c SpanContext) Header() string {
-	if !c.Active() {
-		return ""
-	}
-	return c.T.ID() + "/" + strconv.Itoa(int(c.Span))
-}
-
-// ParseTraceHeader decodes a TraceHeader value.
-func ParseTraceHeader(v string) (traceID string, span SpanID, ok bool) {
-	i := strings.LastIndexByte(v, '/')
-	if i <= 0 {
-		return "", NoSpan, false
-	}
-	n, err := strconv.Atoi(v[i+1:])
-	if err != nil || n < 0 {
-		return "", NoSpan, false
-	}
-	return v[:i], SpanID(n), true
-}
-
-// EncodeDurations renders a SpanDurationHeader value.
-func EncodeDurations(exec, pull time.Duration) string {
-	return "exec_us=" + strconv.FormatInt(exec.Microseconds(), 10) +
-		";pull_us=" + strconv.FormatInt(pull.Microseconds(), 10)
-}
-
-// ParseDurations decodes a SpanDurationHeader value.
-func ParseDurations(v string) (exec, pull time.Duration, ok bool) {
-	for _, part := range strings.Split(v, ";") {
-		k, val, found := strings.Cut(part, "=")
-		if !found {
-			continue
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil || n < 0 {
-			return 0, 0, false
-		}
-		switch k {
-		case "exec_us":
-			exec = time.Duration(n) * time.Microsecond
-			ok = true
-		case "pull_us":
-			pull = time.Duration(n) * time.Microsecond
-		}
-	}
-	return exec, pull, ok
 }

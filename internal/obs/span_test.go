@@ -55,25 +55,6 @@ func TestTraceOpenSpanDuration(t *testing.T) {
 	}
 }
 
-func TestTraceGraft(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	tr := NewTrace("t", clk, "job")
-	clk.Advance(20 * time.Millisecond)
-	id := tr.Graft(RootSpan, "shard-exec", "w1", 15*time.Millisecond, true)
-	sp := tr.Snapshot()[id]
-	if sp.Start != 5*time.Millisecond || sp.End != 20*time.Millisecond {
-		t.Fatalf("graft span = %+v", sp)
-	}
-	if !sp.Remote || sp.Detail != "w1" {
-		t.Fatalf("graft span = %+v", sp)
-	}
-	// A grafted duration longer than the trace's age clamps to offset 0.
-	long := tr.Graft(RootSpan, "x", "", time.Hour, false)
-	if sp := tr.Snapshot()[long]; sp.Start != 0 {
-		t.Fatalf("clamped graft start = %v, want 0", sp.Start)
-	}
-}
-
 func TestTraceDropsAtBound(t *testing.T) {
 	tr := NewTrace("t", NewManualClock(time.Unix(0, 0)), "job")
 	for i := 0; i < maxSpans+10; i++ {
@@ -97,13 +78,9 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatalf("nil StartRun = %d", id)
 	}
 	tr.End(RootSpan)
-	tr.SetDetail(0, "d")
 	tr.Finish()
 	if tr.ID() != "" || tr.Snapshot() != nil || tr.Dropped() != 0 || tr.Duration(0) != 0 {
 		t.Fatal("nil trace accessors not zero")
-	}
-	if id := tr.Graft(RootSpan, "x", "", 0, false); id != NoSpan {
-		t.Fatalf("nil Graft = %d", id)
 	}
 }
 
@@ -138,44 +115,6 @@ func TestSpanContextAndContext(t *testing.T) {
 	sp := tr.Snapshot()[child.Span]
 	if sp.Cfg != "cfg" || sp.End-sp.Start != time.Millisecond {
 		t.Fatalf("child span = %+v", sp)
-	}
-}
-
-func TestTraceHeaderRoundTrip(t *testing.T) {
-	tr := NewTrace("job-000001", NewManualClock(time.Unix(0, 0)), "job")
-	sc := SpanContext{T: tr, Span: 3}
-	h := sc.Header()
-	if h != "job-000001/3" {
-		t.Fatalf("Header = %q", h)
-	}
-	id, span, ok := ParseTraceHeader(h)
-	if !ok || id != "job-000001" || span != 3 {
-		t.Fatalf("ParseTraceHeader = %q %d %v", id, span, ok)
-	}
-	for _, bad := range []string{"", "noslash", "/3", "x/-1", "x/abc"} {
-		if _, _, ok := ParseTraceHeader(bad); ok {
-			t.Errorf("ParseTraceHeader(%q) ok", bad)
-		}
-	}
-	if (SpanContext{}).Header() != "" {
-		t.Fatal("inactive Header not empty")
-	}
-}
-
-func TestDurationHeaderRoundTrip(t *testing.T) {
-	h := EncodeDurations(1500*time.Microsecond, 250*time.Microsecond)
-	if h != "exec_us=1500;pull_us=250" {
-		t.Fatalf("EncodeDurations = %q", h)
-	}
-	exec, pull, ok := ParseDurations(h)
-	if !ok || exec != 1500*time.Microsecond || pull != 250*time.Microsecond {
-		t.Fatalf("ParseDurations = %v %v %v", exec, pull, ok)
-	}
-	if _, _, ok := ParseDurations("pull_us=3"); ok {
-		t.Fatal("missing exec_us accepted")
-	}
-	if _, _, ok := ParseDurations("exec_us=-1;pull_us=0"); ok {
-		t.Fatal("negative duration accepted")
 	}
 }
 

@@ -15,8 +15,6 @@ type TreeNode struct {
 	Name       string      `json:"name"`
 	Cfg        string      `json:"cfg,omitempty"`
 	Bench      string      `json:"bench,omitempty"`
-	Detail     string      `json:"detail,omitempty"`
-	Remote     bool        `json:"remote,omitempty"`
 	StartUs    int64       `json:"startUs"`
 	DurationUs int64       `json:"durationUs"`
 	Children   []*TreeNode `json:"children,omitempty"`
@@ -62,8 +60,6 @@ func BuildTree(spans []Span) *TreeNode {
 			Name:       sp.Name,
 			Cfg:        sp.Cfg,
 			Bench:      sp.Bench,
-			Detail:     sp.Detail,
-			Remote:     sp.Remote,
 			StartUs:    sp.Start.Microseconds(),
 			DurationUs: (end - sp.Start).Microseconds(),
 		}

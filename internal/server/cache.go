@@ -57,9 +57,8 @@ func (s Source) Hit() bool { return s != SourceComputed }
 // persistence (one self-verifying file per key; the disk tier survives
 // restarts and is not bounded by the memory limits). The scheduler keeps
 // one statistics entry per simulation run in it (GetOrComputeRun, keyed
-// by experiments.RunKey), so every job on the daemon shares every run;
-// GetOrCompute stores opaque byte values under the same machinery. Safe
-// for concurrent use.
+// by experiments.RunKey), so every job on the daemon shares every run.
+// Safe for concurrent use.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
@@ -76,9 +75,9 @@ type Cache struct {
 	hits, misses, diskHits, coalesced, evictions *obs.Counter
 }
 
-// value is one cached result: its encoding — the disk form, and what the
-// byte bound counts — and, for a run entry, the decoded statistics that
-// every memory hit shares without decoding. Neither is ever mutated.
+// value is one cached run: its encoding — the disk form, and what the
+// byte bound counts — and the decoded statistics that every memory hit
+// shares without decoding. Neither is ever mutated.
 type value struct {
 	enc []byte
 	sim *stats.Sim
@@ -267,58 +266,32 @@ func writeDurable(path string, write func(io.Writer) error) error {
 // follower with a live context retries the computation itself.
 var errFlightAbandoned = errors.New("server: in-flight computation abandoned")
 
-// GetOrCompute returns the opaque value for key, from (in order) the
-// in-memory LRU, the disk tier, an identical in-flight computation, or by
-// running compute. Callers must not mutate a returned slice. The
-// singleflight and cancellation contract is get's.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, Source, error) {
-	v, src, err := c.get(ctx, key, func() (value, error) {
-		enc, err := compute()
-		return value{enc: enc}, err
-	}, func(enc []byte) (value, error) { return value{enc: enc}, nil })
-	return v.enc, src, err
-}
-
 // GetOrComputeRun returns one run's statistics under key (an
-// experiments.RunKey), like GetOrCompute. A memory hit returns the
-// shared, decoded statistics; the disk tier holds their stats.Sim JSON,
-// decoded once when a disk hit is promoted to memory. A computed result
-// is encoded once, for the byte bound and the disk tier.
-func (c *Cache) GetOrComputeRun(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, Source, error) {
-	v, src, err := c.get(ctx, key, func() (value, error) {
-		st, err := compute()
-		if err != nil {
-			return value{}, err
-		}
-		enc, err := json.Marshal(st)
-		return value{enc: enc, sim: st}, err
-	}, func(enc []byte) (value, error) {
-		st := new(stats.Sim)
-		err := json.Unmarshal(enc, st)
-		return value{enc: enc, sim: st}, err
-	})
-	return v.sim, src, err
-}
-
-// get returns the value for key, from (in order) the in-memory LRU, the
-// disk tier (through decode; a file that does not decode is a miss and is
-// removed), an identical in-flight computation, or by running compute.
+// experiments.RunKey), from (in order) the in-memory LRU, the disk tier,
+// an identical in-flight computation, or by running compute. A memory
+// hit returns the shared, decoded statistics, which callers must not
+// mutate. The disk tier holds their stats.Sim JSON, decoded once when a
+// disk hit is promoted to memory; a file that does not decode is a miss
+// and is removed. A computed result is encoded once, for the byte bound
+// and the disk tier.
+//
 // Concurrent calls for the same key run compute once (singleflight);
 // followers share the leader's result. A leader whose compute fails
 // caches nothing. If the leader is cancelled, waiting followers whose own
 // context is still live retry the computation instead of inheriting the
 // cancellation.
-func (c *Cache) get(ctx context.Context, key string, compute func() (value, error), decode func([]byte) (value, error)) (value, Source, error) {
+func (c *Cache) GetOrComputeRun(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, Source, error) {
 	for {
 		if val, ok := c.lookup(key); ok {
 			c.hits.Add(1)
-			return val, SourceMemory, nil
+			return val.sim, SourceMemory, nil
 		}
 		if enc, ok := c.loadDisk(key); ok {
-			if val, err := decode(enc); err == nil {
+			st := new(stats.Sim)
+			if err := json.Unmarshal(enc, st); err == nil {
 				c.diskHits.Add(1)
-				c.put(key, val)
-				return val, SourceDisk, nil
+				c.put(key, value{enc: enc, sim: st})
+				return st, SourceDisk, nil
 			}
 			_ = os.Remove(c.diskPath(key)) // verified but undecodable: recompute and rewrite it
 		}
@@ -329,44 +302,46 @@ func (c *Cache) get(ctx context.Context, key string, compute func() (value, erro
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return value{}, SourceCoalesced, ctx.Err()
+				return nil, SourceCoalesced, ctx.Err()
 			}
 			if f.err == nil {
 				c.coalesced.Add(1)
-				return f.val, SourceCoalesced, nil
+				return f.val.sim, SourceCoalesced, nil
 			}
 			if errors.Is(f.err, errFlightAbandoned) && ctx.Err() == nil {
 				continue // the leader was cancelled, not the work: retry
 			}
-			return value{}, SourceCoalesced, f.err
+			return nil, SourceCoalesced, f.err
 		}
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
 		c.mu.Unlock()
 
 		c.misses.Add(1)
-		val, err := compute()
+		st, err := compute()
+		var enc []byte
+		if err == nil {
+			enc, err = json.Marshal(st)
+		}
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			f.err = fmt.Errorf("%w: %w", errFlightAbandoned, err)
 		} else {
-			f.val, f.err = val, err
+			f.val, f.err = value{enc: enc, sim: st}, err
 		}
 		if f.err == nil {
-			c.put(key, val)
+			c.put(key, f.val)
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(f.done)
-		if f.err == nil {
-			// Persist after waking the followers: they need the value,
-			// not its durability.
-			c.storeDisk(key, val.enc)
+		if err != nil {
+			return nil, SourceComputed, err
 		}
-		if f.err != nil && errors.Is(f.err, errFlightAbandoned) {
-			return value{}, SourceComputed, err
-		}
-		return val, SourceComputed, f.err
+		// Persist after waking the followers: they need the value, not
+		// its durability.
+		c.storeDisk(key, enc)
+		return st, SourceComputed, nil
 	}
 }
 

@@ -11,7 +11,22 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/experiments"
+	"specvec/internal/stats"
 )
+
+// simOf is a small distinguishable run result: committed instructions in
+// twice as many cycles.
+func simOf(committed uint64) *stats.Sim {
+	st := stats.New()
+	st.Committed = committed
+	st.Cycles = 2 * committed
+	return st
+}
+
+// sameSim reports whether got renders exactly like want (nil-safe).
+func sameSim(got, want *stats.Sim) bool {
+	return got != nil && got.String() == want.String()
+}
 
 func mustNorm(t *testing.T, s JobSpec) JobSpec {
 	t.Helper()
@@ -77,8 +92,8 @@ func TestCacheLRUByteBound(t *testing.T) {
 }
 
 // TestCacheSingleflight hammers one key from many goroutines and checks
-// the compute function ran exactly once, with every caller seeing the
-// same value. Run under -race in CI.
+// the compute function ran exactly once, with every caller sharing the
+// leader's statistics. Run under -race in CI.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(16, 1<<20, "")
 	var computes atomic.Int32
@@ -87,15 +102,16 @@ func TestCacheSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	const callers = 32
 	var wg sync.WaitGroup
-	vals := make([][]byte, callers)
+	want := simOf(42)
+	vals := make([]*stats.Sim, callers)
 	srcs := make([]Source, callers)
 	call := func(i int) {
 		defer wg.Done()
-		v, src, err := c.GetOrCompute(context.Background(), "shared", func() ([]byte, error) {
+		v, src, err := c.GetOrComputeRun(context.Background(), "shared", func() (*stats.Sim, error) {
 			computes.Add(1)
 			onceEnter.Do(func() { close(entered) })
 			<-release // hold the leader so followers pile into the flight
-			return []byte("result"), nil
+			return want, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -118,8 +134,8 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	computed, coalesced := 0, 0
 	for i := range vals {
-		if string(vals[i]) != "result" {
-			t.Fatalf("caller %d saw %q", i, vals[i])
+		if vals[i] != want {
+			t.Fatalf("caller %d saw %v, want the leader's statistics", i, vals[i])
 		}
 		switch srcs[i] {
 		case SourceComputed:
@@ -150,7 +166,7 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.GetOrCompute(leaderCtx, "k", func() ([]byte, error) {
+		_, _, err := c.GetOrComputeRun(leaderCtx, "k", func() (*stats.Sim, error) {
 			once.Do(func() { close(entered) })
 			<-leaderCtx.Done()
 			return nil, leaderCtx.Err()
@@ -164,11 +180,12 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			return []byte("retried"), nil
+		retried := simOf(7)
+		v, _, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+			return retried, nil
 		})
-		if err != nil || string(v) != "retried" {
-			t.Errorf("follower: got %q, %v; want retried", v, err)
+		if err != nil || v != retried {
+			t.Errorf("follower: got %v, %v; want its own retried statistics", v, err)
 		}
 	}()
 	cancelLeader()
@@ -226,28 +243,29 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheDiskPersistence: a value survives into a fresh Cache over the
+// TestCacheDiskPersistence: a run survives into a fresh Cache over the
 // same directory, and is promoted back into memory on first read.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
+	want := simOf(99)
 	a := NewCache(8, 1<<20, dir)
-	v, src, err := a.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-		return []byte("persisted"), nil
+	v, src, err := a.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+		return want, nil
 	})
-	if err != nil || src != SourceComputed || string(v) != "persisted" {
-		t.Fatalf("compute: %q %v %v", v, src, err)
+	if err != nil || src != SourceComputed || v != want {
+		t.Fatalf("compute: %v %v %v", v, src, err)
 	}
 
 	b := NewCache(8, 1<<20, dir)
-	v, src, err = b.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+	v, src, err = b.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
 		t.Fatal("disk hit must not recompute")
 		return nil, nil
 	})
-	if err != nil || src != SourceDisk || string(v) != "persisted" {
-		t.Fatalf("disk read: %q %v %v", v, src, err)
+	if err != nil || src != SourceDisk || !sameSim(v, want) {
+		t.Fatalf("disk read: %v %v %v", v, src, err)
 	}
-	if v, src, _ = b.GetOrCompute(context.Background(), "k", nil); src != SourceMemory || string(v) != "persisted" {
-		t.Fatalf("promotion: %q %v", v, src)
+	if v, src, _ = b.GetOrComputeRun(context.Background(), "k", nil); src != SourceMemory || !sameSim(v, want) {
+		t.Fatalf("promotion: %v %v", v, src)
 	}
 }
 
@@ -256,15 +274,16 @@ func TestCacheDiskPersistence(t *testing.T) {
 func TestCacheComputeErrorNotCached(t *testing.T) {
 	c := NewCache(8, 1<<20, "")
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+	if _, _, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	v, src, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-		return []byte("ok"), nil
+	ok := simOf(5)
+	v, src, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+		return ok, nil
 	})
-	if err != nil || src != SourceComputed || string(v) != "ok" {
-		t.Fatalf("retry after error: %q %v %v", v, src, err)
+	if err != nil || src != SourceComputed || v != ok {
+		t.Fatalf("retry after error: %v %v %v", v, src, err)
 	}
 }

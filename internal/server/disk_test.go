@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -11,6 +10,7 @@ import (
 
 	"specvec/internal/emu"
 	"specvec/internal/experiments"
+	"specvec/internal/stats"
 	"specvec/internal/trace"
 	"specvec/internal/workload"
 )
@@ -50,14 +50,14 @@ func requireGone(t *testing.T, name, path string) {
 }
 
 // TestCacheDiskCorruption: a torn or bit-flipped results file is never
-// served. It reads as a miss, is removed, and the recomputed value is
+// served. It reads as a miss, is removed, and the recomputed run is
 // persisted again for the next restart.
 func TestCacheDiskCorruption(t *testing.T) {
-	val := bytes.Repeat([]byte(`{"stats":"persisted"}`), 50)
+	val := simOf(1234)
 	for _, c := range diskCorruptions {
 		dir := t.TempDir()
-		compute := func() ([]byte, error) { return val, nil }
-		if _, _, err := NewCache(8, 1<<20, dir).GetOrCompute(context.Background(), "k", compute); err != nil {
+		compute := func() (*stats.Sim, error) { return val, nil }
+		if _, _, err := NewCache(8, 1<<20, dir).GetOrComputeRun(context.Background(), "k", compute); err != nil {
 			t.Fatal(err)
 		}
 		b := NewCache(8, 1<<20, dir)
@@ -68,16 +68,16 @@ func TestCacheDiskCorruption(t *testing.T) {
 		}
 		requireGone(t, c.name, path)
 
-		v, src, err := b.GetOrCompute(context.Background(), "k", compute)
-		if err != nil || src != SourceComputed || !bytes.Equal(v, val) {
-			t.Fatalf("%s: after corruption: %d bytes, %v, %v; want a recomputation", c.name, len(v), src, err)
+		v, src, err := b.GetOrComputeRun(context.Background(), "k", compute)
+		if err != nil || src != SourceComputed || v != val {
+			t.Fatalf("%s: after corruption: %v, %v, %v; want a recomputation", c.name, v, src, err)
 		}
-		v, src, err = NewCache(8, 1<<20, dir).GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+		v, src, err = NewCache(8, 1<<20, dir).GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
 			t.Fatalf("%s: rewritten entry not served from disk", c.name)
 			return nil, nil
 		})
-		if err != nil || src != SourceDisk || !bytes.Equal(v, val) {
-			t.Fatalf("%s: rewritten entry: %d bytes, %v, %v", c.name, len(v), src, err)
+		if err != nil || src != SourceDisk || !sameSim(v, val) {
+			t.Fatalf("%s: rewritten entry: %v, %v, %v", c.name, v, src, err)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/experiments"
-	"specvec/internal/obs"
 	"specvec/internal/workload"
 )
 
@@ -31,93 +30,7 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/configs", s.handleConfigs)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.cluster != nil {
-		mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
-		mux.HandleFunc("GET /v1/cluster/workers", s.handleClusterWorkers)
-		mux.HandleFunc("GET /v1/artifacts/{id}", s.handleArtifact)
-	}
-	if s.agent != nil {
-		mux.HandleFunc("POST /v1/shards", s.handleShard)
-	}
 	return mux
-}
-
-// handleClusterJoin registers (or heartbeats) a worker on the
-// coordinator.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding join request: %v", err)
-		return
-	}
-	id, err := s.cluster.join(req.URL, req.Cores)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": id})
-}
-
-// handleClusterWorkers lists the registered workers.
-func (s *Server) handleClusterWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cluster.workerViews())
-}
-
-// handleArtifact serves an encoded trace recording by content address.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	enc, ok := s.cluster.artifacts.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown artifact %.12s…", id)
-		return
-	}
-	s.cluster.artifacts.pulls.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(enc)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(enc)
-}
-
-// handleShard executes one replay interval on a worker and returns its
-// statistics. Failures map to the requeue contract: a 4xx means the
-// task itself is bad (it would fail on any node — the coordinator
-// surfaces it), a 5xx means this node failed it (the coordinator
-// requeues elsewhere).
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	var task experiments.ShardTask
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&task); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding shard task: %v", err)
-		return
-	}
-	if task.Trace == "" {
-		writeError(w, http.StatusBadRequest, "shard task has no trace address")
-		return
-	}
-	payload, exec, pull, err := s.agent.execute(r.Context(), task)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, experiments.ErrIntervalOutOfRange) {
-			code = http.StatusBadRequest // the recording is content-addressed: no node could run it
-		}
-		writeError(w, code, "shard %s/%s@%d: %v", task.Cfg.Name, task.Bench, task.ReplayFrom, err)
-		return
-	}
-	// The worker cannot append to the coordinator's trace; it echoes the
-	// trace header and reports its time split, and the coordinator grafts
-	// the remote spans into the job timeline.
-	if h := r.Header.Get(obs.TraceHeader); h != "" {
-		if _, _, ok := obs.ParseTraceHeader(h); ok {
-			w.Header().Set(obs.TraceHeader, h)
-		}
-	}
-	w.Header().Set(obs.SpanDurationHeader, obs.EncodeDurations(exec, pull))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
 }
 
 // handleJobTimeline serves a completed job's span tree. Timelines are

@@ -9,8 +9,8 @@ import (
 )
 
 // serverMetrics holds the daemon's latency histograms. The counters and
-// gauges live with the components that own them (scheduler, cache,
-// cluster, worker agent) as obs types; this struct adds the timing
+// gauges live with the components that own them (scheduler, result
+// cache, trace store) as obs types; this struct adds the timing
 // families the span layer feeds, and buildRegistry assembles everything
 // into one registry for /metrics.
 type serverMetrics struct {
@@ -20,9 +20,6 @@ type serverMetrics struct {
 	jobDuration *obs.HistogramVec
 	// queueWait is sdvd_queue_wait_seconds: submission to worker pickup.
 	queueWait *obs.Histogram
-	// shardRTT is sdvd_shard_rtt_seconds: coordinator-observed round
-	// trip of one remote shard dispatch (network + queueing + replay).
-	shardRTT *obs.Histogram
 	// cacheLookup is sdvd_cache_lookup_seconds: one run's result-cache
 	// check (memory, disk, or joining an in-flight computation) before
 	// its simulation starts — one observation per run a job looks up.
@@ -33,7 +30,6 @@ func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
 		jobDuration: obs.NewHistogramVec("sdvd_job_duration_seconds", []string{"kind", "phase"}, obs.DefaultLatencyBuckets),
 		queueWait:   obs.NewHistogram("sdvd_queue_wait_seconds", obs.DefaultLatencyBuckets),
-		shardRTT:    obs.NewHistogram("sdvd_shard_rtt_seconds", obs.DefaultLatencyBuckets),
 		cacheLookup: obs.NewHistogram("sdvd_cache_lookup_seconds", obs.DefaultLatencyBuckets),
 	}
 }
@@ -121,17 +117,6 @@ func (s *Server) buildRegistry() *obs.Registry {
 		reg.Register(s.traces.loads, s.traces.diskLoads, s.traces.stores, s.traces.evictions)
 	}
 	reg.Register(sc.sims, sc.recorded, sc.traceLoads)
-	if s.cluster != nil {
-		reg.Register(
-			obs.NewFunc("sdvd_cluster_workers", func() int64 { return int64(s.cluster.liveWorkers()) }),
-			s.cluster.dispatched, s.cluster.remoteRuns, s.cluster.localRuns, s.cluster.requeues,
-			s.cluster.artifacts.pulls,
-			obs.NewFunc("sdvd_cluster_artifacts", func() int64 { return int64(s.cluster.artifacts.len()) }),
-		)
-	}
-	if s.agent != nil {
-		reg.Register(s.agent.executed, s.agent.fetches, s.agent.retries)
-	}
 	reg.Register(
 		obs.NewFunc("sdvd_hotpath_uop_news_total", func() int64 { return int64(sc.hotStats().UopNews) }),
 		obs.NewFunc("sdvd_hotpath_uop_recycles_total", func() int64 { return int64(sc.hotStats().UopRecycles) }),
@@ -143,6 +128,6 @@ func (s *Server) buildRegistry() *obs.Registry {
 		s.runtime.mallocs, s.runtime.frees, s.runtime.gcs,
 	)
 	m := sc.metrics
-	reg.Register(m.jobDuration, m.queueWait, m.shardRTT, m.cacheLookup)
+	reg.Register(m.jobDuration, m.queueWait, m.cacheLookup)
 	return reg
 }

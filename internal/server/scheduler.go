@@ -31,10 +31,6 @@ type scheduler struct {
 	cache   *Cache
 	traces  *traceCache
 	workers int // per-job simulation workers
-	// remote, when non-nil, is the cluster placement layer every job's
-	// replay work dispatches through (set on a coordinator). Execution
-	// shape only: results and cache keys are unaffected.
-	remote  experiments.RemoteShards
 	history int // terminal jobs retained in the registry
 	logf    func(format string, args ...any)
 
@@ -332,7 +328,6 @@ func (s *scheduler) compute(ctx context.Context, job *Job, runs *jobRuns) ([]byt
 		return nil, err
 	}
 	opts.Workers = s.workers
-	opts.Remote = s.remote
 	opts.Context = ctx
 	opts.Progress = job.progressHook
 	opts.Results = runs

@@ -38,27 +38,6 @@ type Options struct {
 	SimWorkers int
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
-
-	// Coordinator enables cluster mode on this daemon: workers may join
-	// via POST /v1/cluster/join and the scheduler places replay work
-	// across them (local cores keep competing as one more node).
-	// Execution shape only — replay determinism keeps results
-	// byte-identical with and without a cluster.
-	Coordinator bool
-	// Worker enables the worker role: the daemon registers with the
-	// coordinator at JoinURL, heartbeats, and serves POST /v1/shards.
-	Worker bool
-	// JoinURL is the coordinator base URL a worker registers with
-	// (required when Worker is set).
-	JoinURL string
-	// AdvertiseURL overrides the URL a worker advertises to the
-	// coordinator (default: derived from the bound listener address).
-	AdvertiseURL string
-	// HeartbeatEvery is the worker re-registration period (default 1s).
-	HeartbeatEvery time.Duration
-	// WorkerExpiry is how stale a worker's heartbeat may be before the
-	// coordinator stops placing work on it (default 5s).
-	WorkerExpiry time.Duration
 }
 
 // Server is the sdvd daemon: the scheduler, the result cache and the
@@ -68,8 +47,6 @@ type Server struct {
 	cache   *Cache
 	traces  *traceCache
 	sched   *scheduler
-	cluster *Cluster     // non-nil on a coordinator
-	agent   *workerAgent // non-nil on a worker
 	mux     http.Handler
 	clock   obs.Clock
 	started time.Time
@@ -89,33 +66,10 @@ func New(opts Options) *Server {
 		runtime: newRuntimeGauges(),
 	}
 	s.sched = newScheduler(opts.Jobs, opts.QueueDepth, opts.SimWorkers, opts.JobHistory, s.cache, s.traces, opts.Logf)
-	if opts.Coordinator {
-		s.cluster = newCluster(opts.SimWorkers, 0, opts.WorkerExpiry, opts.Logf)
-		s.cluster.rtt = s.sched.metrics.shardRTT
-		s.sched.remote = s.cluster
-	}
-	if opts.Worker {
-		s.agent = newWorkerAgent(opts.JoinURL, opts.SimWorkers, opts.HeartbeatEvery, opts.Logf)
-	}
 	s.runtime.sample() // a scrape before the sampler's first tick still sees real values
 	s.reg = s.buildRegistry()
 	s.mux = s.handler()
 	return s
-}
-
-// Cluster exposes the coordinator placement layer (nil unless
-// Options.Coordinator), for embedding and tests.
-func (s *Server) Cluster() *Cluster { return s.cluster }
-
-// StartWorker begins the worker role out-of-band of Serve: register
-// with the coordinator as selfURL and heartbeat until ctx is cancelled.
-// Serve calls it automatically on a Worker daemon; tests and embedders
-// that serve the handler themselves (httptest) call it directly.
-func (s *Server) StartWorker(ctx context.Context, selfURL string) {
-	if s.agent == nil {
-		return
-	}
-	go s.agent.run(ctx, selfURL)
 }
 
 // Handler returns the daemon's HTTP handler (for httptest and embedding).
@@ -137,24 +91,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, ln)
 }
 
-// advertiseURL is the URL a worker registers under: the explicit
-// override, or one derived from the bound listener (an unspecified
-// host — 0.0.0.0, [::] — becomes 127.0.0.1, the single-machine
-// default; multi-host deployments set AdvertiseURL).
-func (s *Server) advertiseURL(addr net.Addr) string {
-	if s.opts.AdvertiseURL != "" {
-		return s.opts.AdvertiseURL
-	}
-	host, port, err := net.SplitHostPort(addr.String())
-	if err != nil {
-		return "http://" + addr.String()
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		host = "127.0.0.1"
-	}
-	return "http://" + net.JoinHostPort(host, port)
-}
-
 // Serve runs the API on ln with the lifecycle described at
 // ListenAndServe.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -163,11 +99,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	go func() { errc <- hs.Serve(ln) }()
 	if s.opts.Logf != nil {
 		s.opts.Logf("sdvd serving on http://%s", ln.Addr())
-	}
-	if s.agent != nil {
-		workerCtx, stopWorker := context.WithCancel(ctx)
-		defer stopWorker()
-		s.StartWorker(workerCtx, s.advertiseURL(ln.Addr()))
 	}
 	select {
 	case err := <-errc:

@@ -629,3 +629,39 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatal("tables do not survive a JSON round trip byte-identically")
 	}
 }
+
+// TestPprofHandler pins the opt-in profiling satellite: the handler
+// serves the pprof index and a profile endpoint, and the daemon's API
+// mux does NOT carry /debug/pprof (it is a separate listener by
+// design).
+func TestPprofHandler(t *testing.T) {
+	ts := httptest.NewServer(PprofHandler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(b), "goroutine") {
+		t.Errorf("pprof index: HTTP %d, body %.80q", resp.StatusCode, b)
+	}
+	resp, err = http.Get(ts.URL + "/debug/pprof/symbol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("pprof symbol: HTTP %d", resp.StatusCode)
+	}
+
+	_, api := testServer(t, Options{})
+	resp, err = http.Get(api.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("API mux serves /debug/pprof/ (HTTP %d); profiling must stay on its own listener", resp.StatusCode)
+	}
+}

@@ -53,12 +53,11 @@ func marshal(t *testing.T, s *Sim) string {
 	return string(b)
 }
 
-// TestMergeOrderIndependent is the distribution contract remote shard
-// dispatch rests on: merging per-shard Sims must be commutative and
-// associative, so the figures a sweep reports cannot depend on which
-// cluster node finished which shard first. The property is checked at
-// the serialized-bytes level — the same representation shard results
-// cross the wire in.
+// TestMergeOrderIndependent is the contract sharded runs rest on:
+// merging per-shard Sims must be commutative and associative, so the
+// figures a sweep reports cannot depend on which interval finished
+// first. The property is checked at the serialized-bytes level — the
+// same representation the result cache persists.
 func TestMergeOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -383,6 +384,23 @@ func Decode(r io.Reader) (*Trace, error) {
 	// the counts are known to be genuine.
 	t.compact()
 	return t, nil
+}
+
+// EncodeBytes renders the trace in the versioned on-disk format and
+// returns the raw bytes (see Encode for the layout).
+func (t *Trace) EncodeBytes() ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(t.SizeBytes() / 2)
+	if err := t.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeBytes decodes a trace from its encoded form, verifying the
+// embedded checksum like Decode.
+func DecodeBytes(b []byte) (*Trace, error) {
+	return Decode(bytes.NewReader(b))
 }
 
 // WriteFile encodes the trace to path.
