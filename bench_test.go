@@ -184,60 +184,6 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
 }
 
-// BenchmarkSweepSharded runs the sweep of BenchmarkSweep with every
-// simulation split into 4 checkpoint-fast-forwarded shards. On a single
-// core this measures the
-// sharding overhead (extra warmup replay per shard); on a multi-core
-// machine the shards of one simulation run concurrently, so wall clock
-// approaches the longest shard instead of the full single pass (see
-// BenchmarkShardCriticalPath in internal/experiments).
-func BenchmarkSweepSharded(b *testing.B) {
-	specs := fig11Specs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 1, Shards: 4})
-		if _, err := r.RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
-// BenchmarkShardedReplay is BenchmarkTraceReplay's workload (one 200k
-// swim simulation on 4w-1pV, replayed from a recording) split into 8
-// shards. The recording carries checkpoints every 8192 instructions; on
-// one core the shards run back to back, on >= 8 cores the wall clock is
-// the longest shard.
-func BenchmarkShardedReplay(b *testing.B) {
-	bench, _ := workload.Get("swim")
-	prog := bench.Build(200_000, 1)
-	cfg := config.MustNamed(4, 1, config.ModeV)
-	mach, err := emu.New(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := trace.NewRecorder(mach, prog, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rec.EnableCheckpoints(8192); err != nil {
-		b.Fatal(err)
-	}
-	tr, err := rec.Finish(200_000 + trace.RecordSlack)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var committed uint64
-	for i := 0; i < b.N; i++ {
-		st, err := experiments.ShardedReplay(cfg, tr, 200_000, 8, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		committed = st.Committed
-	}
-	b.ReportMetric(float64(committed)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
 // BenchmarkTraceReplay measures raw replay speed: the same simulation as
 // BenchmarkSimulatorThroughput, but fed from a recorded trace instead of
 // live functional emulation (no machine, no memory image, no

@@ -12,7 +12,7 @@
 // FP / Spec95 aggregate rows, plus the paper's reference values. With
 // -server the spec is submitted to a running sdvd daemon and the result
 // tables are rendered locally — stdout is byte-identical to a local run
-// of the same scale/seed/shards (timing goes to stderr), and repeated
+// of the same scale/seed (timing goes to stderr), and repeated
 // submissions are served from the daemon's result cache without
 // re-simulating.
 package main
@@ -41,8 +41,6 @@ func main() {
 		scale     = flag.Int("scale", 300_000, "approximate dynamic instructions per run")
 		seed      = flag.Int64("seed", 1, "workload data seed")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = sequential; output is identical either way)")
-		shards    = flag.Int("shards", 1, "split each simulation into K checkpoint-fast-forwarded intervals (1 = exact single pass, byte-identical output; K > 1 trades warmup tolerance for intra-benchmark parallelism)")
-		ckptEvry  = flag.Int("ckpt-every", 0, "checkpoint interval in instructions for recorded traces (0 = auto when -shards > 1)")
 		serverURL = flag.String("server", "", "submit to a running sdvd daemon at this base URL instead of simulating locally (output is byte-identical)")
 		specArg   = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): run the generated workloads through the headline sweep; without an explicit -exp only the sweep runs")
 		list      = flag.Bool("list", false, "list experiments and exit")
@@ -55,11 +53,8 @@ func main() {
 		}
 		return
 	}
-	if err := cliutil.ValidateRunFlags(*scale, *shards, *parallel); err != nil {
+	if err := cliutil.ValidateRunFlags(*scale, *parallel); err != nil {
 		cliutil.Fatal("sdvexp", err)
-	}
-	if *ckptEvry < 0 {
-		cliutil.Fatal("sdvexp", cliutil.FlagError("ckpt-every", *ckptEvry, ">= 0"))
 	}
 
 	// Load and register workload specs. The generated workloads are
@@ -94,16 +89,13 @@ func main() {
 	}
 
 	if *serverURL != "" {
-		if err := runRemote(*serverURL, toRun, specFiles, *scale, *seed, *shards, *ckptEvry); err != nil {
+		if err := runRemote(*serverURL, toRun, specFiles, *scale, *seed); err != nil {
 			cliutil.Fatal("sdvexp", err)
 		}
 		return
 	}
 
-	runner := experiments.NewRunner(experiments.Options{
-		Scale: *scale, Seed: *seed, Workers: *parallel,
-		Shards: *shards, CheckpointEvery: *ckptEvry,
-	})
+	runner := experiments.NewRunner(experiments.Options{Scale: *scale, Seed: *seed, Workers: *parallel})
 	for _, e := range toRun {
 		start := time.Now()
 		tables, err := e.Run(runner)
@@ -155,7 +147,7 @@ func timing(id string, start time.Time) {
 // invocation reuses — every figure independently; a sweep job carries
 // the spec file's canonical form, so its cache entry is addressed by
 // workload content, not file name.
-func runRemote(base string, toRun []experiments.Experiment, specFiles []*wspec.File, scale int, seed int64, shards, ckptEvery int) error {
+func runRemote(base string, toRun []experiments.Experiment, specFiles []*wspec.File, scale int, seed int64) error {
 	base = strings.TrimRight(base, "/")
 	submit := func(id string, spec server.JobSpec) error {
 		start := time.Now()
@@ -172,19 +164,13 @@ func runRemote(base string, toRun []experiments.Experiment, specFiles []*wspec.F
 		return nil
 	}
 	for _, e := range toRun {
-		spec := server.JobSpec{
-			Kind: server.KindExperiment, Exp: e.ID,
-			Scale: scale, Seed: seed, Shards: shards, CheckpointEvery: ckptEvery,
-		}
+		spec := server.JobSpec{Kind: server.KindExperiment, Exp: e.ID, Scale: scale, Seed: seed}
 		if err := submit(e.ID, spec); err != nil {
 			return err
 		}
 	}
 	for _, f := range specFiles {
-		spec := server.JobSpec{
-			Kind: server.KindSweep, Specs: f.Canonical(),
-			Scale: scale, Seed: seed, Shards: shards, CheckpointEvery: ckptEvery,
-		}
+		spec := server.JobSpec{Kind: server.KindSweep, Specs: f.Canonical(), Scale: scale, Seed: seed}
 		if err := submit("specsweep", spec); err != nil {
 			return err
 		}

@@ -9,9 +9,6 @@
 //	sdvsim -asm kernel.s -config 8w-2pIM
 //	sdvsim -workload swim -trace-record swim.sdvt # record the stream
 //	sdvsim -trace-replay swim.sdvt -config 8w-1pV # re-simulate from it
-//	sdvsim -workload swim -trace-record swim.sdvt -ckpt-every 50000
-//	sdvsim -trace-replay swim.sdvt -shards 8      # checkpointed fast-forward
-//	sdvsim -workload swim -shards 8 -ckpt-every 25000
 //	sdvsim -workloads            # list available workloads
 //
 // Configuration names follow the paper: <width>w-<ports>p<mode> with mode
@@ -53,8 +50,6 @@ func main() {
 		hotStats = flag.Bool("hotstats", false, "print hot-path pool/journal counters after a single run")
 		trcOut   = flag.String("trace-record", "", "record the dynamic instruction stream of a single run to this file")
 		trcIn    = flag.String("trace-replay", "", "simulate from a recorded trace file instead of a workload")
-		shards   = flag.Int("shards", 1, "split each simulation into K checkpoint-fast-forwarded intervals (1 = exact single pass)")
-		ckptEvry = flag.Int("ckpt-every", 0, "embed an architectural checkpoint every N instructions when recording (0 = auto when -shards > 1, else none)")
 		specArg  = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads; with no -workload, run all of them")
 	)
 	flag.Parse()
@@ -96,11 +91,8 @@ func main() {
 		return
 	}
 
-	if err := cliutil.ValidateRunFlags(*scale, *shards, *parallel); err != nil {
+	if err := cliutil.ValidateRunFlags(*scale, *parallel); err != nil {
 		fatal(err)
-	}
-	if *ckptEvry < 0 {
-		fatal(cliutil.FlagError("ckpt-every", *ckptEvry, ">= 0"))
 	}
 	if *max == 0 {
 		fatal(cliutil.FlagError("max", *max, "> 0"))
@@ -109,10 +101,6 @@ func main() {
 	cfg, err := parseConfig(*cfgName)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *trcOut != "" && *shards > 1 {
-		fatal(fmt.Errorf("-trace-record needs one sequential run; record first, then replay with -shards"))
 	}
 
 	if *trcIn != "" {
@@ -127,16 +115,10 @@ func main() {
 				fmt.Fprintf(os.Stderr, "sdvsim: -%s is ignored with -trace-replay; the trace fixes the workload and its data\n", name)
 			}
 		}
-		if *ckptEvry > 0 {
-			fmt.Fprintln(os.Stderr, "sdvsim: -ckpt-every is ignored with -trace-replay; checkpoints are embedded at recording time")
-		}
-		if err := replayRun(cfg, *trcIn, *max, *shards, *parallel, *hotStats); err != nil {
+		if err := replayRun(cfg, *trcIn, *max, *hotStats); err != nil {
 			fatal(err)
 		}
 		return
-	}
-	if *asmFile != "" && *shards > 1 {
-		fatal(fmt.Errorf("-shards needs a workload or -trace-replay (assembly runs have no recorded checkpoints)"))
 	}
 
 	var prog *isa.Program
@@ -155,16 +137,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if len(names) > 1 || *shards > 1 {
+		if len(names) > 1 {
 			if *trcOut != "" {
 				fatal(fmt.Errorf("-trace-record records a single run; got %d workloads", len(names)))
 			}
 			// The experiments Runner caps every run at -scale; -max only
 			// applies to single runs.
 			if flagSet("max") && *max != uint64(*scale) {
-				fmt.Fprintf(os.Stderr, "sdvsim: -max is ignored with multiple workloads or -shards; each run commits up to -scale (%d) instructions\n", *scale)
+				fmt.Fprintf(os.Stderr, "sdvsim: -max is ignored with multiple workloads; each run commits up to -scale (%d) instructions\n", *scale)
 			}
-			if err := runSuite(cfg, names, *scale, *seed, *parallel, *shards, *ckptEvry); err != nil {
+			if err := runSuite(cfg, names, *scale, *seed, *parallel); err != nil {
 				fatal(err)
 			}
 			return
@@ -178,13 +160,6 @@ func main() {
 		fatal(fmt.Errorf("need -workload or -asm (see -workloads)"))
 	}
 
-	if *ckptEvry > 0 && *trcOut == "" {
-		// Checkpoints live inside a recorded trace; without -trace-record
-		// (or the Runner path above, which records internally) there is
-		// nothing to embed them in.
-		fmt.Fprintln(os.Stderr, "sdvsim: -ckpt-every is ignored without -trace-record or -shards")
-	}
-
 	var rec *trace.Recorder
 	var sim *pipeline.Simulator
 	if *trcOut != "" {
@@ -195,11 +170,6 @@ func main() {
 		rec, err = trace.NewRecorder(mach, prog, pipeline.SourceWindow(cfg))
 		if err != nil {
 			fatal(err)
-		}
-		if *ckptEvry > 0 {
-			if err := rec.EnableCheckpoints(*ckptEvry); err != nil {
-				fatal(err)
-			}
 		}
 		sim, err = pipeline.NewFromSource(cfg, rec)
 		if err != nil {
@@ -247,30 +217,16 @@ func writeTrace(rec *trace.Recorder, path string, maxInsts uint64) error {
 }
 
 // replayRun simulates from a recorded trace: no workload, no functional
-// emulation, no memory image. With shards > 1 the run is split into
-// checkpoint-fast-forwarded intervals executed concurrently and merged.
-func replayRun(cfg config.Config, path string, maxInsts uint64, shards, workers int, hotStats bool) error {
+// emulation, no memory image. A truncated trace too short to feed -max
+// fails before simulating, through the same coverage check the
+// experiments Runner applies to every run.
+func replayRun(cfg config.Config, path string, maxInsts uint64, hotStats bool) error {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if tr.Truncated() && tr.Len() < int(maxInsts)+pipeline.SourceWindow(cfg) {
-		fmt.Fprintf(os.Stderr, "sdvsim: warning: truncated trace (%d records) may starve -max %d; rerun the recording with a higher -max\n",
-			tr.Len(), maxInsts)
-	}
-	if shards > 1 {
-		if hotStats {
-			fmt.Fprintln(os.Stderr, "sdvsim: -hotstats is ignored with -shards (counters are per-shard)")
-		}
-		if len(tr.Checkpoints()) == 0 {
-			fmt.Fprintln(os.Stderr, "sdvsim: warning: trace has no checkpoints; every shard replays from record 0 (record with -ckpt-every to fast-forward)")
-		}
-		st, err := experiments.ShardedReplay(cfg, tr, maxInsts, shards, 0, workers)
-		if err != nil {
-			return err
-		}
-		printRun(tr.Name(), cfg.Name, st, nil, false)
-		return nil
+	if err := experiments.CheckCoverage(cfg, tr, maxInsts); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
 	if err != nil {
@@ -328,13 +284,9 @@ func flagSet(name string) bool {
 }
 
 // runSuite fans one or more workloads out over the experiments Runner's
-// worker pool — sharding each simulation when shards > 1 — and prints
-// their statistics in the requested order.
-func runSuite(cfg config.Config, names []string, scale int, seed int64, parallel, shards, ckptEvery int) error {
-	r := experiments.NewRunner(experiments.Options{
-		Scale: scale, Seed: seed, Workers: parallel,
-		Shards: shards, CheckpointEvery: ckptEvery,
-	})
+// worker pool and prints their statistics in the requested order.
+func runSuite(cfg config.Config, names []string, scale int, seed int64, parallel int) error {
+	r := experiments.NewRunner(experiments.Options{Scale: scale, Seed: seed, Workers: parallel})
 	specs := make([]experiments.RunSpec, len(names))
 	for i, n := range names {
 		specs[i] = experiments.RunSpec{Cfg: cfg, Bench: n}

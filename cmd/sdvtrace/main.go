@@ -6,7 +6,6 @@
 //	sdvtrace trace.sdvt              # header and summary statistics
 //	sdvtrace -dump 20 trace.sdvt     # additionally print the first 20 records
 //	sdvtrace -dump 20 -start 1000 trace.sdvt
-//	sdvtrace -ckpts trace.sdvt       # list the embedded checkpoints
 //	sdvtrace -verify trace.sdvt      # decode fully, checksum included; exit status only
 //
 // Multiple files may be given; each is reported in turn.
@@ -34,7 +33,6 @@ func main() {
 	var (
 		dump   = flag.Int("dump", 0, "print the first N records (after -start)")
 		start  = flag.Int("start", 0, "first record to dump")
-		ckpts  = flag.Bool("ckpts", false, "list the embedded checkpoints")
 		verify = flag.Bool("verify", false, "decode and checksum only; print nothing on success")
 	)
 	flag.Parse()
@@ -45,12 +43,12 @@ func main() {
 		cliutil.Fatal("sdvtrace", cliutil.FlagError("start", *start, ">= 0"))
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sdvtrace [-dump N] [-start S] [-ckpts] [-verify] FILE...")
+		fmt.Fprintln(os.Stderr, "usage: sdvtrace [-dump N] [-start S] [-verify] FILE...")
 		os.Exit(2)
 	}
 	status := 0
 	for _, path := range flag.Args() {
-		if err := inspect(path, *dump, *start, *ckpts, *verify); err != nil {
+		if err := inspect(path, *dump, *start, *verify); err != nil {
 			fmt.Fprintln(os.Stderr, "sdvtrace:", err)
 			status = 1
 		}
@@ -58,7 +56,7 @@ func main() {
 	os.Exit(status)
 }
 
-func inspect(path string, dump, start int, listCkpts, verify bool) error {
+func inspect(path string, dump, start int, verify bool) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -85,25 +83,6 @@ func inspect(path string, dump, start int, listCkpts, verify bool) error {
 		fmt.Printf("  size        %d B on disk, %d B decoded (%.1fx smaller than %d B array-of-structs)\n",
 			fi.Size(), t.SizeBytes(), float64(aos)/float64(t.SizeBytes()), aos)
 	}
-	if cks := t.Checkpoints(); len(cks) > 0 {
-		pages := 0
-		for i := range cks {
-			pages += len(cks[i].Pages)
-		}
-		fmt.Printf("  checkpoints %d (first at %d, last at %d, %d dirty pages total)\n",
-			len(cks), cks[0].Seq, cks[len(cks)-1].Seq, pages)
-	}
-
-	if listCkpts {
-		if len(t.Checkpoints()) == 0 {
-			fmt.Println("  checkpoints none (record with sdvsim -ckpt-every to embed them)")
-		}
-		for _, c := range t.Checkpoints() {
-			fmt.Printf("  ckpt @%-10d pc=%-6d pages=%-4d bhr=%#016x\n",
-				c.Seq, c.PC, len(c.Pages), c.BHR)
-		}
-	}
-
 	if dump > 0 {
 		var d emu.DynInst
 		for i := start; i < start+dump && i < t.Len(); i++ {

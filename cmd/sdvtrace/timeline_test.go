@@ -13,7 +13,7 @@ import (
 
 // buildTimeline assembles a deterministic three-phase job timeline on a
 // manual clock: 1ms queue wait, 2ms lookup, 40ms compute holding one
-// run with one 35ms shard.
+// run with one 35ms replay.
 func buildTimeline() obs.Timeline {
 	clk := obs.NewManualClock(time.Unix(100, 0))
 	tr := obs.NewTrace("t01", clk, "job")
@@ -26,9 +26,9 @@ func buildTimeline() obs.Timeline {
 	comp := tr.Start(obs.RootSpan, "compute")
 	run := tr.StartRun(comp, "run", "sdv", "swim")
 	clk.Advance(5 * time.Millisecond)
-	shard := tr.Start(run, "shard")
+	replay := tr.Start(run, "replay")
 	clk.Advance(35 * time.Millisecond)
-	tr.End(shard)
+	tr.End(replay)
 	tr.End(run)
 	tr.End(comp)
 	tr.Finish()
@@ -53,12 +53,12 @@ func TestRenderTimeline(t *testing.T) {
 		}
 	}
 	// Depth is conveyed by indentation: the run nests two levels under
-	// the root, its shard three.
+	// the root, its replay three.
 	if !strings.Contains(out, "|      run sdv/swim") {
 		t.Errorf("run span not indented two levels:\n%s", out)
 	}
-	if !strings.Contains(out, "|        shard") {
-		t.Errorf("shard span not indented three levels:\n%s", out)
+	if !strings.Contains(out, "|        replay") {
+		t.Errorf("replay span not indented three levels:\n%s", out)
 	}
 }
 

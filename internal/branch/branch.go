@@ -50,13 +50,6 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// SeedHistory sets the global history register. Checkpointed
-// fast-forward (internal/trace) records the conditional-branch outcome
-// history at every checkpoint boundary and seeds it here, so a shard's
-// warmup starts from representative gshare indices instead of an
-// all-zero history.
-func (p *Predictor) SeedHistory(h uint64) { p.history = h }
-
 func (p *Predictor) index(pc uint64) uint64 {
 	return (pc ^ (p.history & p.histMask)) & uint64(len(p.table)-1)
 }

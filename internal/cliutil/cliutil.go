@@ -19,12 +19,9 @@ func FlagError(name string, value any, want string) error {
 
 // ValidateRunFlags checks the run-shape flags common to sdvsim and
 // sdvexp, returning the first violation.
-func ValidateRunFlags(scale, shards, parallel int) error {
+func ValidateRunFlags(scale, parallel int) error {
 	if scale <= 0 {
 		return FlagError("scale", scale, "> 0")
-	}
-	if shards < 1 {
-		return FlagError("shards", shards, ">= 1")
 	}
 	if parallel < 0 {
 		return FlagError("parallel", parallel, ">= 0 (0 = all cores)")

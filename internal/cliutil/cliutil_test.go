@@ -22,24 +22,22 @@ func TestFlagError(t *testing.T) {
 func TestValidateRunFlags(t *testing.T) {
 	cases := []struct {
 		name               string
-		scale, shards, par int
+		scale, par         int
 		wantErr            bool
 		flagNamedInMessage string
 	}{
-		{"all valid", 10_000, 1, 0, false, ""},
-		{"parallel explicit", 10_000, 8, 4, false, ""},
-		{"zero scale", 0, 1, 0, true, "-scale"},
-		{"negative scale", -5, 1, 0, true, "-scale"},
-		{"zero shards", 10_000, 0, 0, true, "-shards"},
-		{"negative shards", 10_000, -2, 0, true, "-shards"},
-		{"negative parallel", 10_000, 1, -1, true, "-parallel"},
+		{"all valid", 10_000, 0, false, ""},
+		{"parallel explicit", 10_000, 4, false, ""},
+		{"zero scale", 0, 0, true, "-scale"},
+		{"negative scale", -5, 0, true, "-scale"},
+		{"negative parallel", 10_000, -1, true, "-parallel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateRunFlags(tc.scale, tc.shards, tc.par)
+			err := ValidateRunFlags(tc.scale, tc.par)
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidateRunFlags(%d, %d, %d) = %v, wantErr %v",
-					tc.scale, tc.shards, tc.par, err, tc.wantErr)
+				t.Fatalf("ValidateRunFlags(%d, %d) = %v, wantErr %v",
+					tc.scale, tc.par, err, tc.wantErr)
 			}
 			if err != nil && !strings.Contains(err.Error(), tc.flagNamedInMessage) {
 				t.Errorf("error %q does not name %s", err, tc.flagNamedInMessage)
@@ -49,16 +47,12 @@ func TestValidateRunFlags(t *testing.T) {
 }
 
 // TestValidateRunFlagsFirstViolation pins the reporting order: scale,
-// then shards, then parallel — so a command line with several bad flags
-// gets a stable first diagnostic.
+// then parallel — so a command line with several bad flags gets a stable
+// first diagnostic.
 func TestValidateRunFlagsFirstViolation(t *testing.T) {
-	err := ValidateRunFlags(0, 0, -1)
+	err := ValidateRunFlags(0, -1)
 	if err == nil || !strings.Contains(err.Error(), "-scale") {
 		t.Errorf("want the -scale violation first, got %v", err)
-	}
-	err = ValidateRunFlags(10_000, 0, -1)
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("want the -shards violation next, got %v", err)
 	}
 }
 

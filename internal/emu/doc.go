@@ -15,10 +15,4 @@
 // rewind and re-fetch after a squash (§3.6 store-conflict recovery);
 // NextRef hands out records by pointer into that window, keeping the fetch
 // hot path copy- and allocation-free.
-//
-// Snapshot and Restore checkpoint a Machine's architectural state
-// (registers, PC, instruction count, dirty memory pages): a restored
-// machine reproduces the straight-line record stream bit-for-bit from
-// the boundary, which internal/trace embeds in recordings to
-// fast-forward replays.
 package emu

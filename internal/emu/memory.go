@@ -2,7 +2,6 @@ package emu
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"specvec/internal/isa"
 )
@@ -18,9 +17,6 @@ const (
 // as zero; pages are allocated on first write.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
-	// dirty marks pages written since TrackDirty(true); nil when tracking
-	// is off, which keeps the write path a single nil check.
-	dirty map[uint64]struct{}
 }
 
 // NewMemory returns an empty memory image.
@@ -35,53 +31,7 @@ func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
 		p = new([pageSize]byte)
 		m.pages[key] = p
 	}
-	if alloc && m.dirty != nil {
-		m.dirty[key] = struct{}{}
-	}
 	return p
-}
-
-// TrackDirty starts (on) or stops (off) recording which pages are
-// written, so SnapshotPages can capture only the delta against the image
-// at enable time instead of every mapped page.
-func (m *Memory) TrackDirty(on bool) {
-	if on {
-		if m.dirty == nil {
-			m.dirty = make(map[uint64]struct{})
-		}
-		return
-	}
-	m.dirty = nil
-}
-
-// SnapshotPages copies the pages written since dirty tracking was enabled
-// — every mapped page when it never was — ascending by address. The
-// copies are immutable snapshots: later writes do not alter them.
-func (m *Memory) SnapshotPages() []PageImage {
-	var keys []uint64
-	if m.dirty != nil {
-		keys = make([]uint64, 0, len(m.dirty))
-		for k := range m.dirty {
-			keys = append(keys, k)
-		}
-	} else {
-		keys = make([]uint64, 0, len(m.pages))
-		for k := range m.pages {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]PageImage, 0, len(keys))
-	for _, k := range keys {
-		p := m.pages[k]
-		if p == nil { // tracked but never allocated: cannot happen, but stay safe
-			continue
-		}
-		data := make([]byte, pageSize)
-		copy(data, p[:])
-		out = append(out, PageImage{Base: k << pageBits, Data: data})
-	}
-	return out
 }
 
 // ByteAt returns the byte at addr (zero if unmapped).

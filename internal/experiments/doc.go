@@ -11,15 +11,14 @@
 // memo layer shares work across the configurations of a sweep: each
 // benchmark's dynamic instruction stream is recorded once (internal/trace)
 // by a functional pass, and every configuration replays the recording.
-// A simulation has one execution path: record once, plan max(Shards, 1)
-// checkpoint-fast-forwarded intervals (shard.go), execute each on a
-// local pool slot, and merge their statistics in plan order — Shards <= 1
-// is one interval covering the whole run.
+// A simulation has one execution path: record once (or load the
+// recording), check that it covers the run, and replay it through one
+// trace.Replayer on one pool slot.
 // Both memo layers are content-addressed: RunKey (results.go) names a
 // run's statistics, and Options.Results and Options.Traces extend the
 // memos across Runners — the service layer shares every run and every
 // recording between jobs through them.
 // See EXPERIMENTS.md for paper-vs-measured results and the performance
-// methodology, and ARCHITECTURE.md for the figure → code map, the trace
-// subsystem and the sharding accuracy contract.
+// methodology, and ARCHITECTURE.md for the figure → code map and the
+// trace subsystem.
 package experiments

@@ -43,8 +43,7 @@ const resultSchema = 1
 // by the Runner's in-process memo and Options.Results. It covers
 // everything a result depends on: every field of cfg, the benchmark and
 // — for a generated workload — the digest of its definition as resolved
-// through o, Scale and Seed, Shards (with ShardWarmup and
-// CheckpointEvery when sharded), the result schema and the module
+// through o, Scale and Seed, the result schema and the module
 // version (a build from different code is a different result space).
 // Execution shape — Workers, Progress, Context — never enters
 // it: results are byte-identical across all of them. o must have its
@@ -59,9 +58,6 @@ func RunKey(o Options, cfg config.Config, bench string) string {
 	b := make([]byte, 0, 512)
 	b = fmt.Appendf(b, "specvec/%d\x00%s\x00%s\x00%s\x00s%d-d%d",
 		resultSchema, moduleVersion(), bench, digest, o.Scale, o.Seed)
-	if o.Shards > 1 {
-		b = fmt.Appendf(b, "-k%d-w%d-c%d", o.Shards, o.ShardWarmup, o.CheckpointEvery)
-	}
 	b = appendFields(append(b, 0), reflect.ValueOf(cfg))
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

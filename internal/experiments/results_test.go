@@ -63,11 +63,9 @@ func TestRunKeyScope(t *testing.T) {
 	base := Options{Scale: 5_000, Seed: 1}.WithDefaults()
 	key := RunKey(base, cfg, "compress")
 	for name, o := range map[string]Options{
-		"bench":  base, // checked below with a different benchmark
-		"scale":  {Scale: 6_000, Seed: 1},
-		"seed":   {Scale: 5_000, Seed: 2},
-		"shards": {Scale: 5_000, Seed: 1, Shards: 2},
-		"warmup": {Scale: 5_000, Seed: 1, Shards: 2, ShardWarmup: 777},
+		"bench": base, // checked below with a different benchmark
+		"scale": {Scale: 6_000, Seed: 1},
+		"seed":  {Scale: 5_000, Seed: 2},
 	} {
 		bench := "compress"
 		if name == "bench" {
@@ -77,15 +75,10 @@ func TestRunKeyScope(t *testing.T) {
 			t.Errorf("changing %s left the run key unchanged", name)
 		}
 	}
-	if RunKey(Options{Scale: 5_000, Seed: 1, Shards: 2}.WithDefaults(), cfg, "compress") ==
-		RunKey(Options{Scale: 5_000, Seed: 1, Shards: 2, CheckpointEvery: 999}.WithDefaults(), cfg, "compress") {
-		t.Error("a sharded run's key ignores its checkpoint spacing")
-	}
 	shape := base
 	shape.Workers = base.Workers + 3
 	shape.Progress = func(ProgressEvent) {}
 	shape.Context = context.Background()
-	shape.CheckpointEvery = 4096 // exact mode: spacing cannot change a result
 	if RunKey(shape, cfg, "compress") != key {
 		t.Error("execution shape changed the run key")
 	}

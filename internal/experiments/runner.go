@@ -34,26 +34,6 @@ type Options struct {
 	//
 	//sdv:shape
 	Workers int
-	// Shards splits every (configuration, benchmark) simulation into this
-	// many measured intervals, each fast-forwarded to a trace checkpoint
-	// and dispatched to the worker pool, with per-interval statistics
-	// merged in a fixed order. <= 1 is exact mode: one interval covering
-	// the whole run. Sharded (K > 1) figures agree with exact ones within
-	// the warmup tolerance (see ShardWarmup); a single large benchmark
-	// stops being a sequential wall because its intervals run
-	// concurrently.
-	Shards int
-	// CheckpointEvery is the interval, in committed instructions, between
-	// architectural checkpoints embedded in recorded traces. <= 0
-	// defaults to twice ShardWarmup when sharding is enabled — spacing is
-	// warmup-relative, not Scale-relative, so the duplicated warmup work
-	// per shard stays small — and records no checkpoints otherwise.
-	CheckpointEvery int
-	// ShardWarmup is the minimum number of instructions a shard replays
-	// before its measured interval begins, re-warming caches, the branch
-	// predictor and the SDV structures from the restored boundary. <= 0
-	// defaults to DefaultShardWarmup when sharding is enabled.
-	ShardWarmup int
 	// Context, when non-nil, cancels the runner: in-flight simulations
 	// abort within a few thousand cycles, queued work is not started, and
 	// Run/RunAll return the context's error. The service layer hands each
@@ -98,8 +78,8 @@ func DefaultOptions() Options {
 
 // WithDefaults returns o with every defaulted field resolved — the exact
 // options a Runner built from o will report via Opts(). The service layer
-// uses it to scope trace artifact stores by effective (scale, seed,
-// checkpoint spacing) before the Runner exists.
+// uses it to scope trace artifact stores by effective (scale, seed)
+// before the Runner exists.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 func (o Options) withDefaults() Options {
@@ -111,19 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards > 1 {
-		if o.ShardWarmup <= 0 {
-			o.ShardWarmup = DefaultShardWarmup
-		}
-		if o.CheckpointEvery <= 0 {
-			// A shard's warmup is ShardWarmup plus up to one checkpoint
-			// interval of slack (it fast-forwards to the latest boundary at
-			// least ShardWarmup before its interval), so checkpoints are
-			// spaced relative to the warmup — not the interval — to keep
-			// the duplicated work per shard small.
-			o.CheckpointEvery = max(1024, 2*o.ShardWarmup)
-		}
 	}
 	return o
 }
@@ -307,17 +274,15 @@ func (r *Runner) result(cfg config.Config, bench, key string) (st *stats.Sim, st
 }
 
 // simulate is one uncached simulation and the runner's only way to run
-// one: get the benchmark's recording, plan Shards intervals over it,
-// execute every interval, merge the statistics in plan order. run is the
-// run's span.
+// one: get the benchmark's recording, check that it covers the run, and
+// replay it on one pool slot. run is the run's span.
 func (r *Runner) simulate(cfg config.Config, bench string, run obs.SpanContext) (*stats.Sim, error) {
 	r.sims.Add(1)
 	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
 	tr, err := r.recording(bench, run)
 	var st *stats.Sim
 	if err == nil {
-		plan := shardPlan(tr, uint64(r.opts.Scale), r.opts.Shards, uint64(r.opts.ShardWarmup))
-		st, err = r.execute(cfg, bench, tr, plan, run)
+		st, err = r.replay(cfg, bench, tr, run)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
@@ -325,9 +290,59 @@ func (r *Runner) simulate(cfg config.Config, bench string, run obs.SpanContext) 
 	return st, nil
 }
 
+// ErrIntervalOutOfRange marks a replay the recording cannot feed: a
+// recording that stops short of the program's halt leaves the pipeline
+// fewer records past the commit limit than the configuration can fetch
+// ahead, or a stream pass asks for more records than were recorded.
+var ErrIntervalOutOfRange = errors.New("experiments: replay exceeds recording")
+
+// CheckCoverage is the one check a replay of tr under cfg passes before
+// it simulates up to commits instructions: a recording that does not end
+// in a halt must hold at least commits + pipeline.SourceWindow(cfg)
+// records. Without it a short recording surfaces only as a pipeline
+// deadlock. A halted recording feeds any limit: the run ends at the halt.
+func CheckCoverage(cfg config.Config, tr *trace.Trace, commits uint64) error {
+	have, window := uint64(tr.Len()), uint64(pipeline.SourceWindow(cfg))
+	if tr.Halted() || (have >= window && commits <= have-window) {
+		return nil
+	}
+	return fmt.Errorf("%w: %d commits under %s need %d more records past them, recording has %d",
+		ErrIntervalOutOfRange, commits, cfg.Name, window, have)
+}
+
+// replay checks that tr covers the run and simulates it through one
+// trace.Replayer on one pool slot, under a "replay" span of sc, reporting
+// RunProgress events as it commits.
+func (r *Runner) replay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
+	commits := uint64(r.opts.Scale)
+	if err := CheckCoverage(cfg, tr, commits); err != nil {
+		return nil, err
+	}
+	var st *stats.Sim
+	err := r.slot(func() error {
+		span := sc.Start("replay")
+		defer span.End()
+		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
+		if err != nil {
+			return err
+		}
+		sim.SetContext(r.ctx)
+		if r.opts.Progress != nil {
+			sim.SetProgress(r.progressStride(), func(committed uint64) {
+				r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
+					Committed: committed, Target: commits})
+			})
+		}
+		st, err = sim.Run(commits)
+		r.collectHot(sim.HotStats())
+		return err
+	})
+	return st, err
+}
+
 // slot runs fn on one worker-pool slot. It is the pool's only point of
-// acquisition, and its callers — a recording pass, a local interval, a
-// stream walk — never call anything from fn that takes another slot, so
+// acquisition, and its callers — a recording pass, a replay, a stream
+// walk — never call anything from fn that takes another slot, so
 // no goroutine waits for a slot while holding one (which at Workers: 1
 // would deadlock). A run waiting for its recording holds none.
 func (r *Runner) slot(fn func() error) error {
@@ -405,8 +420,7 @@ func (r *Runner) lead(bench string, tc *traceCall, sc obs.SpanContext) {
 }
 
 // record builds bench's program and records its dynamic stream with a
-// pure functional pass (no timing simulation) on one pool slot,
-// embedding checkpoints when the runner is configured for them.
+// pure functional pass (no timing simulation) on one pool slot.
 func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) {
 	var tr *trace.Trace
 	err := r.slot(func() error {
@@ -422,9 +436,6 @@ func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) 
 			return err
 		}
 		rec, err := trace.NewRecorder(mach, prog, 0)
-		if err == nil && r.opts.CheckpointEvery > 0 {
-			err = rec.EnableCheckpoints(r.opts.CheckpointEvery)
-		}
 		if err == nil {
 			rec.SetContext(r.ctx)
 			rec.Reserve(r.recordTarget())
@@ -461,9 +472,8 @@ func (r *Runner) publishTrace(tc *traceCall, bench string, tr *trace.Trace, err 
 }
 
 // loadStoredTrace asks Options.Traces for a usable recording of bench: it
-// must cover this runner's record target (or end in a halt) and, for
-// sharded runs, carry checkpoints to fast-forward to. An unusable stored
-// trace is ignored — the leader records afresh.
+// must cover this runner's record target (or end in a halt). An unusable
+// stored trace is ignored — the leader records afresh.
 func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
 	tr, ok := r.opts.Traces.Load(bench)
 	if !ok || tr == nil {
@@ -472,74 +482,7 @@ func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
 	if !tr.Halted() && tr.Len() < r.recordTarget() {
 		return nil, false
 	}
-	if r.opts.Shards > 1 && len(tr.Checkpoints()) == 0 {
-		return nil, false
-	}
 	return tr, true
-}
-
-// execute runs every interval of plan on a local pool slot and merges
-// the statistics in plan order, so scheduling never shows through. sc,
-// when active, receives a "shard-fanout" span with one "shard" child per
-// interval and a "merge" span.
-func (r *Runner) execute(cfg config.Config, bench string, tr *trace.Trace, plan []shardSpec, sc obs.SpanContext) (*stats.Sim, error) {
-	results := make([]*stats.Sim, len(plan))
-	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
-	var finished atomic.Int32
-	fan := sc.Start("shard-fanout")
-	for i, sp := range plan {
-		wg.Add(1)
-		go func(i int, sp shardSpec) {
-			defer wg.Done()
-			tsc := fan.Start("shard")
-			defer tsc.End()
-			results[i], errs[i] = r.runLocal(cfg, bench, tr, sp, len(plan) == 1)
-			if errs[i] == nil && len(plan) > 1 {
-				r.emit(ProgressEvent{Kind: ShardDone, Cfg: cfg.Name, Bench: bench,
-					Shard: int(finished.Add(1)), Shards: len(plan)})
-			}
-		}(i, sp)
-	}
-	wg.Wait()
-	fan.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merge := sc.Start("merge")
-	defer merge.End()
-	merged := results[0]
-	for _, st := range results[1:] {
-		merged.Merge(st)
-	}
-	return merged, nil
-}
-
-// runLocal executes one interval on a pool slot. A whole run (a
-// one-interval plan) reports RunProgress events as it commits; the
-// intervals of a sharded run report ShardDone instead (see execute).
-func (r *Runner) runLocal(cfg config.Config, bench string, tr *trace.Trace, sp shardSpec, whole bool) (*stats.Sim, error) {
-	var prepare func(*pipeline.Simulator)
-	if whole && r.opts.Progress != nil {
-		target := uint64(r.opts.Scale)
-		prepare = func(sim *pipeline.Simulator) {
-			sim.SetProgress(r.progressStride(), func(committed uint64) {
-				r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
-					Committed: committed, Target: target})
-			})
-		}
-	}
-	var st *stats.Sim
-	err := r.slot(func() error {
-		var hot profile.HotStats
-		var err error
-		st, hot, err = runShard(r.ctx, cfg, bench, tr, sp, prepare)
-		r.collectHot(hot)
-		return err
-	})
-	return st, err
 }
 
 // progressStride is the committed-instruction spacing of RunProgress

@@ -192,32 +192,6 @@ func TestRunnerProgressEvents(t *testing.T) {
 	}
 }
 
-// TestRunnerShardProgress checks that a sharded run reports one ShardDone
-// per interval.
-func TestRunnerShardProgress(t *testing.T) {
-	var mu sync.Mutex
-	shardDone := 0
-	r := NewRunner(Options{
-		Scale: 40_000, Seed: 1, Workers: 2, Shards: 4,
-		Progress: func(ev ProgressEvent) {
-			if ev.Kind == ShardDone {
-				mu.Lock()
-				shardDone++
-				mu.Unlock()
-			}
-		},
-	})
-	cfg := config.MustNamed(4, 1, config.ModeV)
-	if _, err := r.Run(cfg, "compress"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if shardDone != 4 {
-		t.Errorf("ShardDone fired %d times, want 4", shardDone)
-	}
-}
-
 // TestTraceStoreReuse proves recordings cross Runner instances through a
 // TraceStore: runner A records and stores, runner B loads instead of
 // re-recording, and both produce identical statistics.

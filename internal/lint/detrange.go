@@ -7,9 +7,9 @@ import (
 
 // detCriticalPackages are the packages whose outputs must be
 // byte-identical across runs: statistics and their JSON form, trace
-// recordings (snapshots embed memory pages), workload-spec canonical
-// forms, experiment tables, the HTTP service's responses, and the
-// emulator state that trace checkpoints serialize.
+// recordings, workload-spec canonical forms, experiment tables, the HTTP
+// service's responses, and the emulator whose record stream traces
+// capture.
 var detCriticalPackages = []string{
 	"internal/stats",
 	"internal/trace",

@@ -8,7 +8,7 @@ import (
 
 // deterministicPackages must produce byte-identical behaviour given the
 // same inputs — they are the replay/simulation core whose determinism
-// every cache key, trace replay and sharded-merge guarantee rests on.
+// every cache key and trace replay guarantee rests on.
 // The concurrency layers (experiments scheduling, the server) are
 // excluded: they use wall-clock time and channels legitimately, and
 // their determinism is enforced at the output level (detrange plus the

@@ -6,7 +6,27 @@ import (
 	"testing"
 
 	"specvec/internal/config"
+	"specvec/internal/isa"
+	"specvec/internal/workload"
 )
+
+func intervalSim(t *testing.T, cfg config.Config, prog *isa.Program) *Simulator {
+	t.Helper()
+	sim, err := New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+func intervalProg(t *testing.T, bench string) *isa.Program {
+	t.Helper()
+	b, err := workload.Get(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Build(10_000, 1)
+}
 
 // TestRunCancelled pins the service-layer contract: a cancelled context
 // stops a run early with the context's error, well before the commit

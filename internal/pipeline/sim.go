@@ -301,7 +301,7 @@ func (s *Simulator) HotStats() profile.HotStats {
 	}
 }
 
-// SetContext attaches ctx to the simulator: Run/RunInterval return ctx's
+// SetContext attaches ctx to the simulator: Run returns ctx's
 // error shortly after it is cancelled, so an abandoned run stops burning
 // its worker instead of simulating to the commit limit. The context is
 // polled every few thousand cycles (cancellation latency is microseconds,
@@ -323,12 +323,6 @@ func (s *Simulator) SetProgress(every uint64, fn func(committed uint64)) {
 	s.progressEvery, s.progressFn, s.nextProgress = every, fn, every
 }
 
-// SeedBranchHistory sets the predictor's global outcome history.
-// Checkpointed fast-forward (internal/experiments sharded runs) seeds it
-// with the history recorded at the checkpoint boundary, so the warmup
-// window trains the predictor from representative gshare indices.
-func (s *Simulator) SeedBranchHistory(h uint64) { s.pred.SeedHistory(h) }
-
 // Run simulates until the program halts or maxInsts instructions commit,
 // then finalises statistics. It errors if the pipeline deadlocks.
 func (s *Simulator) Run(maxInsts uint64) (*stats.Sim, error) {
@@ -337,32 +331,6 @@ func (s *Simulator) Run(maxInsts uint64) (*stats.Sim, error) {
 	}
 	s.vrf.Finalize()
 	return s.sim, nil
-}
-
-// RunInterval simulates warmup+measure committed instructions and
-// returns the measured interval's statistics alone: everything
-// accumulated during the first warmup commits is subtracted back out.
-// It is the sharded-sweep primitive — a simulator fed from a
-// checkpoint-offset source re-warms caches, the predictor and the SDV
-// structures across the warmup window, then measures. RunInterval(0, n)
-// produces exactly Run(n)'s figures. The warmup boundary is observed at
-// commit-width granularity, so measurement may begin up to
-// CommitWidth-1 instructions past the nominal boundary; sharded and
-// single-pass results therefore agree within the warmup tolerance, not
-// byte-for-byte. Like Run, it finalises statistics (releasing live
-// vector registers), so run each simulator at most once.
-func (s *Simulator) RunInterval(warmup, measure uint64) (*stats.Sim, error) {
-	if err := s.runUntil(warmup); err != nil {
-		return s.sim, err
-	}
-	base := s.sim.Clone()
-	if err := s.runUntil(warmup + measure); err != nil {
-		return s.sim, err
-	}
-	s.vrf.Finalize()
-	out := s.sim.Clone()
-	out.Sub(base)
-	return out, nil
 }
 
 // runUntil steps cycles until the program halts or target instructions

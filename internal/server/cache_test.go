@@ -193,9 +193,8 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	<-done
 }
 
-// TestCacheKeySensitivity: a spec's runs are addressed by its scale,
-// seed, shards and — when sharded — checkpoint spacing, so changing any
-// of them moves every run; normalization makes explicit defaults and
+// TestCacheKeySensitivity: a spec's runs are addressed by its scale and
+// seed, so changing either moves every run; normalization makes explicit defaults and
 // omitted fields the same address, and an experiment and a sim job over
 // the same (configuration, benchmark) share the run.
 func TestCacheKeySensitivity(t *testing.T) {
@@ -208,12 +207,10 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 		return experiments.RunKey(opts, cfg, "swim")
 	}
-	base := key(JobSpec{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 1})
+	base := key(JobSpec{Exp: "fig11", Scale: 50_000, Seed: 1})
 	variants := []JobSpec{
-		{Exp: "fig11", Scale: 50_000, Seed: 2, Shards: 1},
-		{Exp: "fig11", Scale: 60_000, Seed: 1, Shards: 1},
-		{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 4},
-		{Exp: "fig11", Scale: 50_000, Seed: 1, Shards: 4, CheckpointEvery: 1000},
+		{Exp: "fig11", Scale: 50_000, Seed: 2},
+		{Exp: "fig11", Scale: 60_000, Seed: 1},
 	}
 	seen := map[string]string{base: "base"}
 	for _, v := range variants {
@@ -224,22 +221,13 @@ func TestCacheKeySensitivity(t *testing.T) {
 		seen[k] = mustNorm(t, v).Title()
 	}
 	for _, same := range []JobSpec{
-		{Exp: "fig11", Scale: 50_000},                        // omitted defaults
-		{Exp: "fig12", Scale: 50_000},                        // another figure
-		{Workload: "swim", Config: "4w-1pV", Scale: 50_000},  // a sim job
-		{Exp: "fig11", Scale: 50_000, CheckpointEvery: 1000}, // spacing is moot unsharded
+		{Exp: "fig11", Scale: 50_000},                       // omitted defaults
+		{Exp: "fig12", Scale: 50_000},                       // another figure
+		{Workload: "swim", Config: "4w-1pV", Scale: 50_000}, // a sim job
 	} {
 		if key(same) != base {
 			t.Errorf("spec %+v does not share the base run", same)
 		}
-	}
-	// The sharded-mode auto checkpoint spacing normalizes to its value.
-	autoCkpt := experiments.Options{Shards: 4}.WithDefaults().CheckpointEvery
-	if autoCkpt <= 0 {
-		t.Fatalf("test premise broken: auto ckpt spacing %d", autoCkpt)
-	}
-	if key(JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4}) != key(JobSpec{Exp: "fig11", Scale: 50_000, Shards: 4, CheckpointEvery: autoCkpt}) {
-		t.Error("omitted auto ckptEvery produced a different key than its explicit value")
 	}
 }
 

@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
+	"strings"
 	"testing"
 
 	"specvec/internal/emu"
@@ -122,4 +125,45 @@ func TestTraceStoreDiskCorruption(t *testing.T) {
 			t.Fatalf("%s: re-stored trace not served from disk (ok=%v)", c.name, ok)
 		}
 	}
+}
+
+// TestTraceStoreDropsCheckpointFlag: a trace artifact whose header sets
+// the retired checkpoint flag (fflags bit 1), checksum intact, is
+// rejected by the codec with one line, reads as a miss and is removed.
+func TestTraceStoreDropsCheckpointFlag(t *testing.T) {
+	bench, err := workload.Get("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bench.Build(2_000, 1)
+	mach, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := trace.NewRecorder(mach, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Finish(3_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := experiments.Options{Scale: 2_000, Seed: 1}.WithDefaults()
+	dir := t.TempDir()
+	newTraceCache(4, dir).forOptions(opts).Store("compress", tr)
+	tc := newTraceCache(4, dir)
+	path := tc.diskPath("compress-" + traceScope(opts))
+	corruptFile(t, path, func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[6:], binary.LittleEndian.Uint16(b[6:])|1<<1)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
+	})
+	if _, err := trace.ReadFile(path); err == nil || strings.Contains(err.Error(), "\n") ||
+		!strings.Contains(err.Error(), "unsupported format flags") {
+		t.Fatalf("checkpoint-flagged artifact: want a one-line unsupported-flags error, got %v", err)
+	}
+	if _, ok := tc.forOptions(opts).Load("compress"); ok {
+		t.Error("checkpoint-flagged trace artifact served")
+	}
+	requireGone(t, "checkpoint-flag", path)
 }

@@ -24,7 +24,7 @@
 // diffs `sdvexp -server` against local `sdvexp`). Results are cached per
 // simulation run under experiments.RunKey — a SHA-256 over every
 // configuration field, the benchmark and its definition digest, scale,
-// seed, sharding, the result schema and the module version — so nothing
+// seed, the result schema and the module version — so nothing
 // built from different code, inputs or definitions is ever served as
 // equal, and execution shape never splits a run.
 //
@@ -38,7 +38,7 @@
 // disk persistence (Options.CacheDir) that survives restarts. Identical
 // in-flight runs are deduplicated across jobs (singleflight). Recorded
 // benchmark traces are kept in a separate artifact store scoped by
-// (scale, seed, checkpoint spacing) and definition digest, so a job that
+// (scale, seed) and definition digest, so a job that
 // does need a simulation replays instead of re-recording.
 //
 // # Cancellation

@@ -28,21 +28,18 @@ func (s JobState) Terminal() bool {
 
 // Event is one entry of a job's progress stream, delivered over SSE.
 // State events bracket the lifecycle; progress events relay the runner's
-// ProgressEvents (per-run start/finish, committed-instruction motion and
-// per-interval shard completion).
+// ProgressEvents (per-run start/finish and committed-instruction motion).
 type Event struct {
 	Seq   int       `json:"seq"`
 	Time  time.Time `json:"time"`
 	Kind  string    `json:"kind"` // "state" or "progress"
 	State JobState  `json:"state,omitempty"`
 	// Progress payload (runner events).
-	Phase     string `json:"phase,omitempty"` // run-started, run-progress, shard-done, run-done
+	Phase     string `json:"phase,omitempty"` // run-started, run-progress, run-done
 	Cfg       string `json:"cfg,omitempty"`
 	Bench     string `json:"bench,omitempty"`
 	Committed uint64 `json:"committed,omitempty"`
 	Target    uint64 `json:"target,omitempty"`
-	Shard     int    `json:"shard,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Cached    bool   `json:"cached,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
@@ -156,8 +153,6 @@ func (j *Job) progressHook(ev experiments.ProgressEvent) {
 		Bench:     ev.Bench,
 		Committed: ev.Committed,
 		Target:    ev.Target,
-		Shard:     ev.Shard,
-		Shards:    ev.Shards,
 		Cached:    ev.Cached,
 	}
 	if ev.Err != nil {
@@ -207,9 +202,15 @@ func (j *Job) setRunning() {
 	j.publishState(StateRunning)
 }
 
-// finish resolves the job. err == nil means done with result; a context
-// cancellation resolves to cancelled, any other error to failed.
+// finish resolves the job and wakes everyone waiting on it.
 func (j *Job) finish(result []byte, src Source, err error, cancelledErr bool) {
+	j.wake(j.resolve(result, src, err, cancelledErr))
+}
+
+// resolve moves the job to its terminal state and returns it, waking no
+// one: err == nil means done with result; a context cancellation
+// resolves to cancelled, any other error to failed.
+func (j *Job) resolve(result []byte, src Source, err error, cancelledErr bool) JobState {
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -226,6 +227,12 @@ func (j *Job) finish(result []byte, src Source, err error, cancelledErr bool) {
 	}
 	state := j.state
 	j.mu.Unlock()
+	return state
+}
+
+// wake publishes the terminal state event and closes done, releasing
+// synchronous submitters and event streams.
+func (j *Job) wake(state JobState) {
 	j.publishState(state)
 	close(j.done)
 }

@@ -15,7 +15,7 @@ import (
 // results, so fig12 after fig11 on one daemon — the same 216-run sweep
 // read two ways — simulates and records nothing, and its bytes equal a
 // fresh daemon's. A sim job inside that sweep is a lookup too. Jobs that
-// differ only in seed, scale, shards or workload definition share no run.
+// differ only in seed, scale or workload definition share no run.
 func TestJobsShareRuns(t *testing.T) {
 	const scale = 6_000
 	s, ts := testServer(t, Options{})
@@ -55,7 +55,6 @@ func TestJobsShareRuns(t *testing.T) {
 	for _, spec := range []JobSpec{
 		{Workload: "compress", Config: "4w-1pV", Scale: scale, Seed: 2},
 		{Workload: "compress", Config: "4w-1pV", Scale: scale + 1},
-		{Workload: "compress", Config: "4w-1pV", Scale: scale, Shards: 2},
 		{Kind: KindSim, Workload: "gen.share", Config: "4w-1pV", Scale: scale, Specs: genA},
 		{Kind: KindSim, Workload: "gen.share", Config: "4w-1pV", Scale: scale, Specs: genB},
 	} {

@@ -44,6 +44,9 @@ type scheduler struct {
 	jobs   map[string]*Job
 	order  []string // submission order, for listing
 	seq    int64
+	// terminal counts the registry's terminal jobs that went through
+	// prune, so pruning touches only the jobs it evicts.
+	terminal int
 
 	// clock times jobs (queue wait, phase spans); tests inject a manual
 	// one. The obs counters below carry their final /metrics names and
@@ -263,8 +266,12 @@ func (s *scheduler) run(job *Job) {
 		state = StateFailed
 	}
 	s.finishTimeline(job, state)
-	job.finish(val, src, err, cancelledErr)
+	// Prune between turning terminal and waking the waiters: a client
+	// that lists the jobs as soon as its ?wait=1 returns must already
+	// find the retention bound holding.
+	resolved := job.resolve(val, src, err, cancelledErr)
 	s.prune()
+	job.wake(resolved)
 }
 
 // finishTimeline closes the job's trace, feeds the duration histograms
@@ -285,33 +292,29 @@ func (s *scheduler) finishTimeline(job *Job, state JobState) {
 	job.trace = nil
 }
 
-// prune evicts the oldest terminal jobs past the retention bound, so a
-// long-running daemon's registry — jobs carry their result bytes and
-// event history — stays bounded by history + queue depth + workers
-// (queued and running jobs are never evicted). Evicted job ids answer
-// 404; resubmitting the spec renders the result again from cached runs.
+// prune counts one more job as terminal — run calls it once per job,
+// after the job's state turns terminal — and evicts the oldest terminal
+// jobs past the retention bound, so a long-running daemon's registry —
+// jobs carry their result bytes and event history — stays bounded by
+// history + queue depth + workers (queued and running jobs are never
+// evicted). It runs before the job wakes its waiters, so it walks the
+// registry only as far as the first terminal job in submission order,
+// usually its head. Evicted job ids answer 404; resubmitting the spec
+// renders the result again from cached runs.
 func (s *scheduler) prune() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	terminal := 0
-	for _, id := range s.order {
-		if s.jobs[id].State().Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= s.history {
-		return
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		if terminal > s.history && s.jobs[id].State().Terminal() {
-			delete(s.jobs, id)
-			terminal--
+	s.terminal++
+	for i := 0; s.terminal > s.history && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].State().Terminal() {
+			i++
 			continue
 		}
-		keep = append(keep, id)
+		delete(s.jobs, id)
+		s.order = append(s.order[:i], s.order[i+1:]...)
+		s.terminal--
 	}
-	s.order = keep
 }
 
 // compute runs the spec on a fresh Runner, whose runs come from and go

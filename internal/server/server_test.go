@@ -9,6 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -196,9 +199,9 @@ func TestJobEventsSSE(t *testing.T) {
 }
 
 // readEvents streams /v1/jobs/{id}/events until the terminal state
-// event, returning every event in arrival order. firstShardDone, if
-// non-nil, is closed when the first shard-done event arrives.
-func readEvents(t *testing.T, base, id string, firstShardDone chan<- struct{}) []Event {
+// event, returning every event in arrival order. firstProgress, if
+// non-nil, is closed when the first run-progress event arrives.
+func readEvents(t *testing.T, base, id string, firstProgress chan<- struct{}) []Event {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
@@ -219,9 +222,9 @@ func readEvents(t *testing.T, base, id string, firstShardDone chan<- struct{}) [
 			return evs
 		}
 		evs = append(evs, ev)
-		if firstShardDone != nil && !signalled && ev.Phase == "shard-done" {
+		if firstProgress != nil && !signalled && ev.Phase == "run-progress" {
 			signalled = true
-			close(firstShardDone)
+			close(firstProgress)
 		}
 		if ev.Kind == "state" && ev.State.Terminal() {
 			break
@@ -230,18 +233,19 @@ func readEvents(t *testing.T, base, id string, firstShardDone chan<- struct{}) [
 	if err := sc.Err(); err != nil {
 		t.Error(err)
 	}
-	if firstShardDone != nil && !signalled {
-		close(firstShardDone)
+	if firstProgress != nil && !signalled {
+		close(firstProgress)
 	}
 	return evs
 }
 
 // checkEventStream asserts the per-subscriber SSE invariants: sequence
 // numbers strictly increasing and gap-free across the history→live
-// handoff, run-started preceding every shard-done and run-done of the
-// same (cfg,bench) run, and the stream ending in exactly one terminal
-// state event.
-func checkEventStream(t *testing.T, who string, evs []Event, wantShards int) {
+// handoff, run-started preceding every run-progress and run-done of the
+// same (cfg,bench) run, each run's committed count strictly increasing
+// across its run-progress events, and the stream ending in exactly one
+// terminal state event.
+func checkEventStream(t *testing.T, who string, evs []Event) {
 	t.Helper()
 	if len(evs) == 0 {
 		t.Errorf("%s: empty event stream", who)
@@ -251,7 +255,7 @@ func checkEventStream(t *testing.T, who string, evs []Event, wantShards int) {
 		t.Errorf("%s: history replay starts at seq %d, want 0", who, evs[0].Seq)
 	}
 	started := map[string]bool{}
-	shardsDone := map[string]int{}
+	committed := map[string]uint64{}
 	for i, ev := range evs {
 		if i > 0 && ev.Seq != evs[i-1].Seq+1 {
 			t.Errorf("%s: seq %d follows %d (gap or duplicate at the history→live handoff)", who, ev.Seq, evs[i-1].Seq)
@@ -263,11 +267,14 @@ func checkEventStream(t *testing.T, who string, evs []Event, wantShards int) {
 				t.Errorf("%s: duplicate run-started for %s", who, run)
 			}
 			started[run] = true
-		case "shard-done":
+		case "run-progress":
 			if !started[run] {
-				t.Errorf("%s: shard-done %d/%d for %s before its run-started", who, ev.Shard, ev.Shards, run)
+				t.Errorf("%s: run-progress at %d for %s before its run-started", who, ev.Committed, run)
 			}
-			shardsDone[run]++
+			if ev.Committed <= committed[run] {
+				t.Errorf("%s: %s progressed to %d after %d", who, run, ev.Committed, committed[run])
+			}
+			committed[run] = ev.Committed
 		case "run-done":
 			if !ev.Cached && !started[run] {
 				t.Errorf("%s: run-done for %s before its run-started", who, run)
@@ -277,45 +284,40 @@ func checkEventStream(t *testing.T, who string, evs []Event, wantShards int) {
 			t.Errorf("%s: terminal state event at %d/%d", who, i, len(evs)-1)
 		}
 	}
-	for run, n := range shardsDone {
-		if n != wantShards {
-			t.Errorf("%s: %s completed %d shards, want %d", who, run, n, wantShards)
-		}
-	}
-	if len(shardsDone) != len(started) {
-		t.Errorf("%s: %d runs started but %d reported shards", who, len(started), len(shardsDone))
+	if len(committed) != len(started) {
+		t.Errorf("%s: %d runs started but %d reported progress", who, len(started), len(committed))
 	}
 }
 
 // TestSSEOrderingConcurrentPublishers pins event ordering and history
-// replay under concurrent publishers: a sharded fig1 run fans 12 runs × 2
-// shards across the worker pool, so run-started/shard-done/run-done
-// events are published from many goroutines at once. An immediate
-// subscriber watches live; a late subscriber connects only after the
-// first shard-done has already been published and must still see every
-// event from seq 0 — RunStarted before ShardDone for every shard — via
-// history replay. Run under -race, this also hammers publish/subscribe.
+// replay under concurrent publishers: fig1 fans 12 runs across the
+// worker pool, so run-started/run-progress/run-done events are published
+// from many goroutines at once. An immediate subscriber watches live; a
+// late subscriber connects only after the first run-progress has already
+// been published and must still see every event from seq 0 — RunStarted
+// before every RunProgress — via history replay. Run under -race, this
+// also hammers publish/subscribe.
 func TestSSEOrderingConcurrentPublishers(t *testing.T) {
 	_, ts := testServer(t, Options{SimWorkers: 4})
-	view, code := postJob(t, ts.URL, JobSpec{Exp: "fig1", Scale: 20_000, Shards: 2}, false)
+	view, code := postJob(t, ts.URL, JobSpec{Exp: "fig1", Scale: 20_000}, false)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
-	firstShardDone := make(chan struct{})
+	firstProgress := make(chan struct{})
 	earlyDone := make(chan []Event, 1)
 	go func() {
-		earlyDone <- readEvents(t, ts.URL, view.ID, firstShardDone)
+		earlyDone <- readEvents(t, ts.URL, view.ID, firstProgress)
 	}()
 
-	// The late subscriber joins mid-job, after shard completions are
+	// The late subscriber joins mid-job, after progress events are
 	// already flowing from concurrent pool goroutines.
-	<-firstShardDone
+	<-firstProgress
 	late := readEvents(t, ts.URL, view.ID, nil)
 	early := <-earlyDone
 
-	checkEventStream(t, "early", early, 2)
-	checkEventStream(t, "late", late, 2)
+	checkEventStream(t, "early", early)
+	checkEventStream(t, "late", late)
 
 	// Both subscribers saw the same total history.
 	if len(early) != len(late) {
@@ -390,28 +392,64 @@ func TestQueueBound(t *testing.T) {
 }
 
 // TestSpecValidationHTTP maps invalid specs to 400 with a one-line error.
+// The retired sharding fields are unknown fields now: a body carrying
+// one is rejected by the decoder, not silently ignored. Those bodies come
+// from FuzzJobSpec's retired-field seeds, which stay as rejection seeds.
 func TestSpecValidationHTTP(t *testing.T) {
 	_, ts := testServer(t, Options{})
-	for _, body := range []string{
+	retired := []string{`{"exp":"fig1","shards":2}`, `{"exp":"fig1","shards":-2}`}
+	for _, seed := range []string{"exp-sharded", "exp-sharded-ckpt", "bad-negative-ckpt"} {
+		retired = append(retired, fuzzSeed(t, "FuzzJobSpec", seed))
+	}
+	for _, body := range append([]string{
 		`{"exp":"nosuch"}`,
 		`{"exp":"all"}`,
 		`{"exp":"fig1","scale":-1}`,
-		`{"exp":"fig1","shards":-2}`,
 		`{"workload":"nosuch"}`,
 		`{"workload":"swim","config":"9w-9pX"}`,
 		`{"exp":"fig1","workload":"swim"}`,
 		`{}`,
 		`{"unknown":"field"}`,
-	} {
+	}, retired...) {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var apiErr apiError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s got HTTP %d, want 400", body, resp.StatusCode)
 		}
+		if err != nil || apiErr.Error == "" || strings.Contains(apiErr.Error, "\n") {
+			t.Errorf("spec %s: want a one-line error, got %q (%v)", body, apiErr.Error, err)
+		}
 	}
+	for _, body := range retired {
+		if _, err := decodeJobSpec(nil, io.NopCloser(strings.NewReader(body))); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("spec %s: want an unknown-field error, got %v", body, err)
+		}
+	}
+}
+
+// fuzzSeed returns the body of one of fuzz target's checked-in corpus
+// seeds (testdata/fuzz/<target>/<name>, a single []byte value).
+func fuzzSeed(t *testing.T, target, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	if !ok || len(lines) != 2 {
+		t.Fatalf("seed %s/%s is not one []byte value", target, name)
+	}
+	body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed %s/%s: %v", target, name, err)
+	}
+	return body
 }
 
 // TestMetricsAndHealth checks the observability endpoints carry the

@@ -12,7 +12,7 @@ import (
 
 // JobSpec names one unit of servable work: either a full experiment (the
 // sdvexp figures/tables) or a single (workload, configuration)
-// simulation. The zero values of Scale/Seed/Shards resolve to the same
+// simulation. The zero values of Scale/Seed resolve to the same
 // defaults the batch CLIs use, so a spec submitted with and without
 // explicit defaults reuses the same cached runs.
 type JobSpec struct {
@@ -26,14 +26,11 @@ type JobSpec struct {
 	// benchmark name and paper-style configuration name.
 	Workload string `json:"workload,omitempty"`
 	Config   string `json:"config,omitempty"`
-	// Scale, Seed, Shards and CheckpointEvery mirror the sdvexp flags of
-	// the same names and scope every per-run cache key (see runOptions):
-	// changing any of them is a different result. CheckpointEvery only
-	// matters when Shards > 1.
-	Scale           int   `json:"scale,omitempty"`
-	Seed            int64 `json:"seed,omitempty"`
-	Shards          int   `json:"shards,omitempty"`
-	CheckpointEvery int   `json:"ckptEvery,omitempty"`
+	// Scale and Seed mirror the sdvexp flags of the same names and scope
+	// every per-run cache key (see runOptions): changing either is a
+	// different result.
+	Scale int   `json:"scale,omitempty"`
+	Seed  int64 `json:"seed,omitempty"`
 	// Specs carries a workload-spec document (internal/wspec, YAML or
 	// JSON; Normalize stores the canonical form). Required for the sweep
 	// kind; for the sim kind it may define the generated workload being
@@ -120,21 +117,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	if s.Seed == 0 {
 		s.Seed = experiments.DefaultOptions().Seed
 	}
-	if s.Shards == 0 {
-		s.Shards = 1
-	}
-	if s.Shards < 1 {
-		return s, fmt.Errorf("invalid shards %d: want >= 1", s.Shards)
-	}
-	if s.CheckpointEvery < 0 {
-		return s, fmt.Errorf("invalid ckptEvery %d: want >= 0", s.CheckpointEvery)
-	}
-	// Resolve the sharded-mode auto checkpoint spacing exactly the way the
-	// Runner will (experiments.Options.WithDefaults), so an omitted and an
-	// explicitly-default ckptEvery are the same spec.
-	s.CheckpointEvery = experiments.Options{
-		Shards: s.Shards, CheckpointEvery: s.CheckpointEvery,
-	}.WithDefaults().CheckpointEvery
 	return s, nil
 }
 
@@ -172,19 +154,14 @@ func (s *JobSpec) resolveSimWorkload(specFile *wspec.File) error {
 }
 
 // runOptions returns the experiments.Options the spec fixes for its
-// Runner — the scope of every per-run key it produces: scale, seed,
-// shards and checkpoint spacing with defaults resolved and, for a spec
+// Runner — the scope of every per-run key it produces: scale and seed
+// with defaults resolved and, for a spec
 // carrying a workload-spec payload, a resolver that serves the payload's
 // generated workloads (each carrying its definition digest) before the
 // registry. It also returns the parsed payload (nil without one).
 // Execution shape is the scheduler's to add.
 func (s JobSpec) runOptions() (experiments.Options, *wspec.File, error) {
-	opts := experiments.Options{
-		Scale:           s.Scale,
-		Seed:            s.Seed,
-		Shards:          s.Shards,
-		CheckpointEvery: s.CheckpointEvery,
-	}.WithDefaults()
+	opts := experiments.Options{Scale: s.Scale, Seed: s.Seed}.WithDefaults()
 	if s.Specs == "" {
 		return opts, nil, nil
 	}
@@ -209,14 +186,14 @@ func (s JobSpec) runOptions() (experiments.Options, *wspec.File, error) {
 func (s JobSpec) Title() string {
 	switch s.Kind {
 	case KindSim:
-		return fmt.Sprintf("sim %s on %s (scale %d, seed %d, shards %d)",
-			s.Workload, s.Config, s.Scale, s.Seed, s.Shards)
+		return fmt.Sprintf("sim %s on %s (scale %d, seed %d)",
+			s.Workload, s.Config, s.Scale, s.Seed)
 	case KindSweep:
-		return fmt.Sprintf("sweep over %d spec workloads (scale %d, seed %d, shards %d)",
-			s.specWorkloadCount(), s.Scale, s.Seed, s.Shards)
+		return fmt.Sprintf("sweep over %d spec workloads (scale %d, seed %d)",
+			s.specWorkloadCount(), s.Scale, s.Seed)
 	}
-	return fmt.Sprintf("experiment %s (scale %d, seed %d, shards %d)",
-		s.Exp, s.Scale, s.Seed, s.Shards)
+	return fmt.Sprintf("experiment %s (scale %d, seed %d)",
+		s.Exp, s.Scale, s.Seed)
 }
 
 func (s JobSpec) specWorkloadCount() int {

@@ -19,7 +19,7 @@ import (
 // bounded by entry count (recordings are the big artifacts — SizeBytes of
 // a full-scale trace runs to megabytes) with optional disk persistence of
 // the encoded form. Entries are keyed by benchmark plus the effective
-// (scale, seed, checkpoint spacing) scope and, for a generated workload,
+// (scale, seed) scope and, for a generated workload,
 // its definition digest, so a runner never sees a recording made under
 // different options or of a different program (the
 // experiments.TraceStore contract). One traceCache serves every scope;
@@ -89,11 +89,11 @@ func (tc *traceCache) diskPath(key string) string {
 	return filepath.Join(tc.dir, "traces", key+".sdvt")
 }
 
-// scope renders the option triple a recording is only valid under.
+// scope renders the option pair a recording is only valid under.
 //
 //sdv:cachekey
 func traceScope(o experiments.Options) string {
-	return fmt.Sprintf("s%d-d%d-c%d", o.Scale, o.Seed, o.CheckpointEvery)
+	return fmt.Sprintf("s%d-d%d", o.Scale, o.Seed)
 }
 
 // scopedTraces is the experiments.TraceStore view of a traceCache for one
@@ -106,7 +106,7 @@ type scopedTraces struct {
 
 // forOptions returns the store view a Runner built with o may use. o must
 // already have its defaults resolved (Options.WithDefaults) so the scope
-// reflects the effective checkpoint spacing, and must carry the Runner's
+// reflects the effective scale and seed, and must carry the Runner's
 // workload resolver, through which key finds generated definitions.
 func (tc *traceCache) forOptions(o experiments.Options) experiments.TraceStore {
 	return scopedTraces{tc: tc, scope: traceScope(o), resolve: o.Resolve}

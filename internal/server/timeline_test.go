@@ -147,7 +147,7 @@ func TestJobTimelineCacheHit(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("timeline: HTTP %d: %s", code, body)
 	}
-	for _, name := range []string{"record", "trace-load", "shard"} {
+	for _, name := range []string{"record", "trace-load", "replay"} {
 		if n := findSpans(tl.Root, name); len(n) != 0 {
 			t.Errorf("warm timeline has %d %s spans", len(n), name)
 		}

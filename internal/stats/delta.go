@@ -5,12 +5,12 @@ import (
 	"reflect"
 )
 
-// This file gives Sim interval arithmetic for checkpointed sharded runs
-// (internal/experiments): a shard measures (final − at-warmup-end) and a
-// sharded sweep sums the per-interval deltas. The operations walk Sim's
-// fields reflectively so a counter added later is combined automatically
-// — an unsupported field kind panics instead of being silently dropped,
-// and TestSimFieldCoverage exercises every field to keep that loud.
+// This file gives Sim whole-value arithmetic: Clone deep-copies a result
+// and Merge sums results (the bench ladder totals its runs with it). Both
+// walk Sim's fields reflectively so a counter added later is covered
+// automatically — an unsupported field kind panics instead of being
+// silently dropped, and TestSimFieldCoverage exercises every field to
+// keep that loud.
 
 // Clone returns a deep copy of s, histograms included.
 func (s *Sim) Clone() *Sim {
@@ -25,38 +25,22 @@ func (s *Sim) Clone() *Sim {
 	return &out
 }
 
-// Merge adds every counter and histogram of other into s. Sharded runs
-// use it to combine per-interval results; ratio metrics (IPC, rates,
-// fractions) are then computed from the merged sums, never averaged.
-func (s *Sim) Merge(other *Sim) { s.combine(other, false) }
-
-// Sub subtracts base from s field by field. Counters grow monotonically
-// during a run, so subtracting the snapshot taken at the end of a warmup
-// window isolates the measured interval.
-func (s *Sim) Sub(base *Sim) { s.combine(base, true) }
-
-func (s *Sim) combine(o *Sim, sub bool) {
+// Merge adds every counter and histogram of other into s. Ratio metrics
+// (IPC, rates, fractions) are then computed from the merged sums, never
+// averaged.
+func (s *Sim) Merge(other *Sim) {
 	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
+	ov := reflect.ValueOf(other).Elem()
 	for i := 0; i < sv.NumField(); i++ {
 		f, g := sv.Field(i), ov.Field(i)
 		switch f.Kind() {
 		case reflect.Uint64:
-			if sub {
-				f.SetUint(f.Uint() - g.Uint())
-			} else {
-				f.SetUint(f.Uint() + g.Uint())
-			}
+			f.SetUint(f.Uint() + g.Uint())
 		case reflect.Pointer:
-			h := histogramField(sv.Type().Field(i).Name, f)
-			hg := histogramField(sv.Type().Field(i).Name, g)
-			if sub {
-				h.Sub(hg)
-			} else {
-				h.Merge(hg)
-			}
+			name := sv.Type().Field(i).Name
+			histogramField(name, f).Merge(histogramField(name, g))
 		default:
-			panic(fmt.Sprintf("stats: Sim field %s has kind %s; teach Clone/Merge/Sub about it",
+			panic(fmt.Sprintf("stats: Sim field %s has kind %s; teach Clone/Merge about it",
 				sv.Type().Field(i).Name, f.Kind()))
 		}
 	}

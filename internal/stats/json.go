@@ -10,7 +10,7 @@ import (
 // This file gives Sim a stable JSON round-trip so simulation results are
 // servable (internal/server, sdvexp -server): field names and order follow
 // the struct declaration, uint64 counters encode as JSON numbers and
-// histograms as {"Buckets":[...],"Overflow":n}. Like Clone/Merge/Sub
+// histograms as {"Buckets":[...],"Overflow":n}. Like Clone/Merge
 // (delta.go) the walk is reflective, so a counter added later is encoded
 // automatically and an unsupported field kind panics instead of being
 // silently dropped. Decoding is strict about unknown fields — a client and

@@ -79,16 +79,6 @@ func (h *Histogram) Clone() *Histogram {
 	return &Histogram{Buckets: append([]uint64(nil), h.Buckets...), Overflow: h.Overflow}
 }
 
-// Sub subtracts other's counts from h. Both histograms must have the
-// same bucket count and other must be an earlier snapshot of h (counts
-// only grow during a run), so the difference isolates an interval.
-func (h *Histogram) Sub(other *Histogram) {
-	for i, b := range other.Buckets {
-		h.Buckets[i] -= b
-	}
-	h.Overflow -= other.Overflow
-}
-
 // Sim aggregates all counters for one simulation run.
 type Sim struct {
 	// Core progress.

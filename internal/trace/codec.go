@@ -11,7 +11,6 @@ import (
 	"math"
 	"os"
 
-	"specvec/internal/emu"
 	"specvec/internal/isa"
 )
 
@@ -19,7 +18,7 @@ import (
 //
 //	magic   [4]byte "SDVT"
 //	version uint16
-//	fflags  uint16            bit 0: truncated, bit 1: checkpoint section
+//	fflags  uint16            bit 0: truncated (no other bit is defined)
 //	name    uvarint len + bytes
 //	counts  uvarint ×3        static instructions, records, tuples
 //	text    per instruction: op, rd, rs1, rs2 (bytes) + zigzag-varint imm
@@ -27,17 +26,14 @@ import (
 //	flags   one byte per record
 //	tupleIdx zigzag-varint delta from the previous record's index
 //	tuples  uvarint per value (tupleWords values per tuple)
-//	ckpts   (only with fflags bit 1) uvarint count, then per checkpoint:
-//	        seq, pc, bhr uvarints; one uvarint per logical register; page
-//	        count uvarint; per page a base-address uvarint + emu.PageSize
-//	        raw bytes
 //	crc32   uint32 (IEEE) over every preceding byte, header included
 //
 // PCs and tuple indexes are delta-encoded because both are locally
 // repetitive (loops revisit nearby PCs and recent operand tuples), which
-// keeps most deltas in one or two varint bytes. Version 1 files (no
-// checkpoint section) remain decodable; version 2 only appends the
-// optional section.
+// keeps most deltas in one or two varint bytes. Version 1 and version 2
+// files share this layout: version 2 defined fflags bit 1 for an
+// architectural-checkpoint section, which is no longer supported, so a
+// file that sets it is rejected.
 
 var magic = [4]byte{'S', 'D', 'V', 'T'}
 
@@ -46,8 +42,7 @@ var magic = [4]byte{'S', 'D', 'V', 'T'}
 const Version = 2
 
 const (
-	fmtTruncated   uint16 = 1 << 0
-	fmtCheckpoints uint16 = 1 << 1
+	fmtTruncated uint16 = 1 << 0
 
 	// maxCount bounds decoded element counts so a corrupt header cannot
 	// drive allocation before the checksum is verified.
@@ -96,9 +91,6 @@ func (t *Trace) Encode(w io.Writer) error {
 	if t.truncated {
 		ff |= fmtTruncated
 	}
-	if len(t.ckpts) > 0 {
-		ff |= fmtCheckpoints
-	}
 	binary.LittleEndian.PutUint16(hdr[2:], ff)
 	if _, err := c.Write(hdr[:]); err != nil {
 		return err
@@ -142,35 +134,6 @@ func (t *Trace) Encode(w io.Writer) error {
 	for _, v := range t.tuples {
 		if err := c.uvarint(v); err != nil {
 			return err
-		}
-	}
-	if len(t.ckpts) > 0 {
-		if err := c.uvarint(uint64(len(t.ckpts))); err != nil {
-			return err
-		}
-		for i := range t.ckpts {
-			ck := &t.ckpts[i]
-			for _, v := range []uint64{ck.Seq, ck.PC, ck.BHR} {
-				if err := c.uvarint(v); err != nil {
-					return err
-				}
-			}
-			for _, reg := range ck.Regs {
-				if err := c.uvarint(reg); err != nil {
-					return err
-				}
-			}
-			if err := c.uvarint(uint64(len(ck.Pages))); err != nil {
-				return err
-			}
-			for _, pg := range ck.Pages {
-				if err := c.uvarint(pg.Base); err != nil {
-					return err
-				}
-				if _, err := c.Write(pg.Data); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	var sum [4]byte
@@ -242,6 +205,9 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: unsupported format version %d (have 1..%d)", v, Version)
 	}
 	ff := binary.LittleEndian.Uint16(hdr[6:])
+	if ff&^fmtTruncated != 0 {
+		return nil, fmt.Errorf("trace: unsupported format flags %#x (only %#x, truncated, is defined)", ff, fmtTruncated)
+	}
 
 	nameLen, err := c.count("name")
 	if err != nil {
@@ -330,45 +296,6 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		t.tuples = append(t.tuples, v)
 	}
-	if ff&fmtCheckpoints != 0 {
-		nCkpts, err := c.count("checkpoint")
-		if err != nil {
-			return nil, err
-		}
-		t.ckpts = make([]Checkpoint, 0, clampCap(nCkpts))
-		for i := 0; i < nCkpts; i++ {
-			var ck Checkpoint
-			for _, dst := range []*uint64{&ck.Seq, &ck.PC, &ck.BHR} {
-				if *dst, err = c.uvarint(); err != nil {
-					return nil, fmt.Errorf("trace: reading checkpoint %d: %w", i, err)
-				}
-			}
-			for r := range ck.Regs {
-				if ck.Regs[r], err = c.uvarint(); err != nil {
-					return nil, fmt.Errorf("trace: reading checkpoint %d registers: %w", i, err)
-				}
-			}
-			nPages, err := c.count("checkpoint page")
-			if err != nil {
-				return nil, err
-			}
-			// Pages are read one at a time (4 KiB each), so a corrupt page
-			// count cannot drive a large allocation: the stream runs out
-			// long before the loop does.
-			for j := 0; j < nPages; j++ {
-				pg := emu.PageImage{Data: make([]byte, emu.PageSize)}
-				if pg.Base, err = c.uvarint(); err != nil {
-					return nil, fmt.Errorf("trace: reading checkpoint %d page %d: %w", i, j, err)
-				}
-				if err := c.full(pg.Data); err != nil {
-					return nil, fmt.Errorf("trace: reading checkpoint %d page %d: %w", i, j, err)
-				}
-				ck.Pages = append(ck.Pages, pg)
-			}
-			t.ckpts = append(t.ckpts, ck)
-		}
-	}
-
 	want := c.crc.Sum32()
 	var sum [4]byte
 	if _, err := io.ReadFull(c.r, sum[:]); err != nil {

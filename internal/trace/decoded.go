@@ -18,7 +18,7 @@ import (
 // is a pure position move.
 //
 // Blocks decode lazily, on first touch by any cursor, so a short replay
-// (a sharded warmup interval, a cancelled run) never pays for the whole
+// (a cancelled run) never pays for the whole
 // trace. The decoded form is about 5x the size of the column form
 // (DynInst is ~100 bytes per record against ~20 compressed), which is
 // why experiments.Runner replays through a windowed Replayer instead:
@@ -86,18 +86,7 @@ func (d *Decoded) block(i int) []emu.DynInst {
 // Cursor returns a new cursor positioned at record zero. Cursors are
 // independent — each belongs to one simulator goroutine — while the
 // decoded blocks they walk are shared.
-func (d *Decoded) Cursor() *Cursor { return d.CursorAt(0) }
-
-// CursorAt is Cursor positioned at record start: the first NextRef
-// returns that record (with its original sequence number). Rewind cannot
-// go below start, mirroring NewReplayerAt — checkpointed fast-forward
-// starts each shard at a boundary the pipeline never fetched behind.
-func (d *Decoded) CursorAt(start uint64) *Cursor {
-	if start > uint64(d.t.Len()) {
-		start = uint64(d.t.Len())
-	}
-	return &Cursor{d: d, base: start, pos: start}
-}
+func (d *Decoded) Cursor() *Cursor { return &Cursor{d: d} }
 
 // Cursor walks a Decoded trace as a pipeline.Source. It satisfies the
 // same contract as Replayer — records in sequence order, ok=false past
@@ -107,9 +96,8 @@ func (d *Decoded) CursorAt(start uint64) *Cursor {
 // steady state does no copying and no allocation, and a squash's Rewind
 // is a position move that can never fall out of a window.
 type Cursor struct {
-	d    *Decoded
-	base uint64 // first record this cursor serves; Rewind floor
-	pos  uint64 // next Seq to hand out
+	d   *Decoded
+	pos uint64 // next Seq to hand out
 
 	blk   []emu.DynInst // current block (fast path)
 	blkLo uint64        // sequence number of blk[0]
@@ -151,22 +139,19 @@ func (c *Cursor) Pos() uint64 { return c.pos }
 
 // Rewind repositions the stream so that NextRef returns the record with
 // sequence number seq again. Unlike a windowed source there is no oldest
-// reachable record — any seq in [base, pos] is valid.
+// reachable record — any seq in [0, pos] is valid.
 func (c *Cursor) Rewind(seq uint64) {
 	if seq > c.pos {
 		panic(fmt.Sprintf("trace: rewind forward from %d to %d", c.pos, seq))
-	}
-	if seq < c.base {
-		panic(fmt.Sprintf("trace: rewind to %d before replay base %d", seq, c.base))
 	}
 	c.pos = seq
 }
 
 // Peek returns a previously served record without repositioning,
 // mirroring Replayer.Peek (a decoded block never expires, so any record
-// in [base, pos) is available).
+// in [0, pos) is available).
 func (c *Cursor) Peek(seq uint64) (emu.DynInst, bool) {
-	if seq >= c.pos || seq < c.base {
+	if seq >= c.pos {
 		return emu.DynInst{}, false
 	}
 	if seq >= c.blkLo && seq < c.blkHi {

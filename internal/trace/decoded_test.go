@@ -31,53 +31,8 @@ func TestCursorMatchesReplayer(t *testing.T) {
 	walk(t, "swim/cursor-vs-replayer", NewReplayer(tr, 512), NewDecoded(tr).Cursor(), 20_000)
 }
 
-// TestCursorAtMatchesReplayerAt starts both sources mid-trace (the
-// checkpointed fast-forward shape) and walks them together, including a
-// start beyond the trace end, which must clamp to an immediately-dry
-// source on both.
-func TestCursorAtMatchesReplayerAt(t *testing.T) {
-	tr := record(t, buildBench(t, "compress", 4000), 1<<22)
-	d := NewDecoded(tr)
-	for _, start := range []uint64{0, 1, 4095, 4096, 5000, uint64(tr.Len()), uint64(tr.Len()) + 99} {
-		rep := NewReplayerAt(tr, 512, start)
-		cur := d.CursorAt(start)
-		if rep.Pos() != cur.Pos() {
-			t.Fatalf("start %d: pos %d vs %d", start, rep.Pos(), cur.Pos())
-		}
-		walkFrom(t, "compress/cursor-at", rep, cur, min(start, uint64(tr.Len())), 10_000)
-	}
-}
-
-// walkFrom is walk with rewinds floored at base, for sources positioned
-// mid-trace (rewinding below the replay base is a contract violation on
-// both sides, not a comparison).
-func walkFrom(t *testing.T, name string, want, got source, base uint64, steps int) {
-	t.Helper()
-	for i := 0; i < steps; i++ {
-		if i%61 == 60 && want.Pos() > base {
-			back := uint64(i%97) + 1
-			if back > want.Pos()-base {
-				back = want.Pos() - base
-			}
-			want.Rewind(want.Pos() - back)
-			got.Rewind(got.Pos() - back)
-		}
-		w, wok := want.Next()
-		g, gok := got.Next()
-		if wok != gok {
-			t.Fatalf("%s: step %d: ok %v vs %v", name, i, wok, gok)
-		}
-		if !wok {
-			return
-		}
-		if w != g {
-			t.Fatalf("%s: step %d: record mismatch\nwant: %+v\ngot:  %+v", name, i, w, g)
-		}
-	}
-}
-
 // TestCursorRewindContract pins the panic contract shared with Replayer:
-// forward rewinds and rewinds below the base are programming errors.
+// a forward rewind is a programming error.
 func TestCursorRewindContract(t *testing.T) {
 	tr := record(t, buildBench(t, "compress", 2000), 1<<22)
 	d := NewDecoded(tr)
@@ -92,18 +47,17 @@ func TestCursorRewindContract(t *testing.T) {
 		fn()
 	}
 
-	c := d.CursorAt(100)
+	c := d.Cursor()
 	for i := 0; i < 50; i++ {
 		c.NextRef()
 	}
-	c.Rewind(100) // to base: fine
+	c.Rewind(0) // to the first record: fine
 	for i := 0; i < 50; i++ {
 		c.NextRef()
 	}
 	mustPanic("rewind forward", func() { c.Rewind(c.Pos() + 1) })
-	mustPanic("rewind below base", func() { c.Rewind(99) })
 
-	// Unlike a windowed source, any rewind within [base, pos] is valid —
+	// Unlike a windowed source, any rewind within [0, pos] is valid —
 	// even one reaching back past a block boundary far behind the window
 	// a Replayer would keep.
 	far := d.Cursor()
@@ -117,20 +71,20 @@ func TestCursorRewindContract(t *testing.T) {
 }
 
 // TestCursorPeek mirrors Replayer.Peek: served records are peekable,
-// unserved and below-base ones are not.
+// unserved ones are not.
 func TestCursorPeek(t *testing.T) {
 	tr := record(t, buildBench(t, "compress", 2000), 1<<22)
-	c := NewDecoded(tr).CursorAt(10)
-	if _, ok := c.Peek(10); ok {
+	c := NewDecoded(tr).Cursor()
+	if _, ok := c.Peek(0); ok {
 		t.Error("peek before first NextRef succeeded")
+	}
+	for i := 0; i < 10; i++ {
+		c.NextRef()
 	}
 	want, _ := c.Next()
 	got, ok := c.Peek(10)
 	if !ok || got != want {
 		t.Fatalf("peek(10) = %+v ok=%v, want %+v true", got, ok, want)
-	}
-	if _, ok := c.Peek(9); ok {
-		t.Error("peek below base succeeded")
 	}
 	if _, ok := c.Peek(c.Pos()); ok {
 		t.Error("peek at unserved position succeeded")

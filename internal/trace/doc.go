@@ -39,13 +39,4 @@
 // materialization from the embedded program text, mirroring
 // emu.Machine.Step. On disk, PC and tuple-index columns are
 // zigzag-varint delta encoded (loops keep both locally repetitive).
-//
-// A trace may additionally carry Checkpoints
-// (Recorder.EnableCheckpoints): compact architectural snapshots —
-// registers, dirty memory pages, PC, branch-outcome history — taken
-// every N records. NewReplayerAt starts a replay at a checkpoint
-// boundary with original sequence numbers, which is what lets
-// internal/experiments shard one benchmark's simulation across the
-// worker pool (see ARCHITECTURE.md "Checkpoints & sharded sweeps" for
-// the speculative-vs-architectural caveat on restored state).
 package trace

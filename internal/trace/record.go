@@ -33,9 +33,6 @@ type Recorder struct {
 	pos    uint64        // next Seq to hand out
 	err    error         // first recording fault (PC overflow)
 
-	every uint64 // checkpoint interval in records (0 = no checkpoints)
-	bhr   uint64 // rolling conditional-branch outcome history
-
 	ctx context.Context // polled by Finish; nil never cancels
 }
 
@@ -65,52 +62,15 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 	}, nil
 }
 
-// EnableCheckpoints makes the recorder embed an architectural checkpoint
-// in the trace every n records, turning on dirty-page tracking so the
-// snapshots stay proportional to the written footprint. It must be
-// called before the first record is produced: a checkpoint captures the
-// machine exactly at a record boundary, and tracking enabled mid-stream
-// would miss earlier writes.
-//
-// Each checkpoint is self-contained — it carries every page dirtied
-// since load, so restoring needs no earlier checkpoints — which makes
-// total checkpoint weight O(checkpoints × dirty pages): for very long,
-// write-heavy recordings choose n accordingly (the experiments runner
-// spaces checkpoints by warmup need, not by trace length). Per-ckpt
-// deltas would trade that for chained restores if it ever dominates.
-func (r *Recorder) EnableCheckpoints(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("trace: non-positive checkpoint interval %d", n)
-	}
-	if r.t.Len() != 0 {
-		return fmt.Errorf("trace: checkpoints enabled after %d records", r.t.Len())
-	}
-	r.every = uint64(n)
-	r.m.TrackDirtyPages()
-	return nil
-}
-
 // produce steps the machine once, appending the record to the trace and
 // the replay window. It reports whether the machine produced a halt.
 func (r *Recorder) produce() bool {
-	// The machine steps in lockstep with the trace, so at entry its state
-	// is "after Len() instructions" — exactly the snapshot a checkpoint
-	// at this boundary must carry.
-	if n := uint64(r.t.Len()); r.every > 0 && n > 0 && n%r.every == 0 {
-		r.t.ckpts = append(r.t.ckpts, Checkpoint{Snapshot: r.m.Snapshot(), BHR: r.bhr})
-	}
 	d := r.m.Step()
 	if d.PC > math.MaxUint32 && r.err == nil {
 		// A register-indirect jump far outside the text cannot be encoded
 		// in the compact PC column; the recording run still proceeds (the
 		// window serves it), but the trace is unusable.
 		r.err = fmt.Errorf("trace: PC %#x exceeds the recordable range", d.PC)
-	}
-	if d.Inst.IsBranch() {
-		r.bhr <<= 1
-		if d.Taken {
-			r.bhr |= 1
-		}
 	}
 	r.t.append(&d, r.intern)
 	r.window[d.Seq%uint64(len(r.window))] = d

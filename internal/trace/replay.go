@@ -15,7 +15,6 @@ import (
 type Replayer struct {
 	t      *Trace
 	window []emu.DynInst // ring buffer indexed by Seq % len
-	base   uint64        // first record this replayer serves (NewReplayerAt)
 	filled uint64        // records materialized into the window so far
 	pos    uint64        // next Seq to hand out
 }
@@ -28,21 +27,6 @@ func NewReplayer(t *Trace, n int) *Replayer {
 		n = emu.DefaultWindow
 	}
 	return &Replayer{t: t, window: make([]emu.DynInst, n)}
-}
-
-// NewReplayerAt is NewReplayer positioned at record start: the first
-// NextRef returns that record (with its original sequence number) and
-// records before it are never materialized. Checkpointed fast-forward
-// starts each shard's replay at a checkpoint boundary instead of
-// replaying from instruction zero; Rewind cannot go below start, which
-// is safe for a pipeline that never fetched anything older.
-func NewReplayerAt(t *Trace, n int, start uint64) *Replayer {
-	r := NewReplayer(t, n)
-	if start > uint64(t.Len()) {
-		start = uint64(t.Len())
-	}
-	r.base, r.pos, r.filled = start, start, start
-	return r
 }
 
 // Trace returns the trace being replayed.
@@ -87,9 +71,6 @@ func (r *Replayer) Rewind(seq uint64) {
 	if seq > r.pos {
 		panic(fmt.Sprintf("trace: rewind forward from %d to %d", r.pos, seq))
 	}
-	if seq < r.base {
-		panic(fmt.Sprintf("trace: rewind to %d before replay base %d", seq, r.base))
-	}
 	if r.filled > uint64(len(r.window)) && seq < r.filled-uint64(len(r.window)) {
 		panic(fmt.Sprintf("trace: rewind to %d outside window (oldest %d)",
 			seq, r.filled-uint64(len(r.window))))
@@ -99,7 +80,7 @@ func (r *Replayer) Rewind(seq uint64) {
 
 // Peek returns a previously materialized record without repositioning.
 func (r *Replayer) Peek(seq uint64) (emu.DynInst, bool) {
-	if seq >= r.filled || seq < r.base {
+	if seq >= r.filled {
 		return emu.DynInst{}, false
 	}
 	if r.filled > uint64(len(r.window)) && seq < r.filled-uint64(len(r.window)) {

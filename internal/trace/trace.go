@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"specvec/internal/emu"
 	"specvec/internal/isa"
@@ -35,8 +34,6 @@ type Trace struct {
 	tupleIdx []uint32 // operand-tuple index per record
 	tuples   []uint64 // interned tuples, flat (tupleWords values each)
 
-	ckpts []Checkpoint // optional checkpoints, ascending by Seq
-
 	truncated bool   // recording hit its cap before the program halted
 	version   uint16 // on-disk format this trace was decoded from (or Version)
 }
@@ -45,36 +42,6 @@ type Trace struct {
 // from; for traces recorded in memory it is the current Version (what
 // Encode will write).
 func (t *Trace) FormatVersion() uint16 { return t.version }
-
-// Checkpoint is an architectural snapshot embedded in the trace at a
-// record boundary: the machine state after Seq committed instructions
-// (emu.Snapshot: registers, dirty pages, PC) plus the conditional-branch
-// outcome history up to the boundary, which seeds the replaying
-// pipeline's predictor. A checkpoint restores architectural state only —
-// a run fast-forwarded to one resumes with empty pipelines and no
-// wrong-path history, so timing near the boundary differs from a
-// straight-line run until a warmup window has passed (the same caveat
-// restored speculative state carries in ARCHITECTURE.md's
-// "Speculative vs. architectural state").
-type Checkpoint struct {
-	emu.Snapshot
-	BHR uint64 // last 64 conditional-branch outcomes, youngest in bit 0
-}
-
-// Checkpoints returns the embedded checkpoints, ascending by Seq. The
-// slice is shared with the trace; callers must not mutate it.
-func (t *Trace) Checkpoints() []Checkpoint { return t.ckpts }
-
-// CheckpointBefore returns the latest checkpoint whose Seq is <= seq,
-// or ok=false when no checkpoint precedes it (replay then starts at
-// record zero).
-func (t *Trace) CheckpointBefore(seq uint64) (*Checkpoint, bool) {
-	i := sort.Search(len(t.ckpts), func(i int) bool { return t.ckpts[i].Seq > seq })
-	if i == 0 {
-		return nil, false
-	}
-	return &t.ckpts[i-1], true
-}
 
 // Name returns the name of the traced program.
 func (t *Trace) Name() string { return t.name }
@@ -106,12 +73,7 @@ func (t *Trace) Halted() bool {
 // counting their capacity rather than their length (the inspect tool
 // reports it next to the equivalent array-of-structs size).
 func (t *Trace) SizeBytes() int {
-	n := cap(t.pcs)*4 + cap(t.flags) + cap(t.tupleIdx)*4 + cap(t.tuples)*8 + cap(t.insts)*16
-	for i := range t.ckpts {
-		n += (3 + len(t.ckpts[i].Regs)) * 8
-		n += len(t.ckpts[i].Pages) * (8 + emu.PageSize)
-	}
-	return n
+	return cap(t.pcs)*4 + cap(t.flags) + cap(t.tupleIdx)*4 + cap(t.tuples)*8 + cap(t.insts)*16
 }
 
 // inst returns the static instruction at pc, mirroring isa.Program.Inst:
@@ -203,27 +165,5 @@ func (t *Trace) validate() error {
 	// PCs need no bounds check: any PC outside the text materializes as a
 	// halt, exactly as the emulator executes it (a register-indirect jump
 	// may legitimately land past the text end).
-	var prev uint64
-	for i := range t.ckpts {
-		c := &t.ckpts[i]
-		if i > 0 && c.Seq <= prev {
-			return fmt.Errorf("trace: checkpoint %d at seq %d not after %d", i, c.Seq, prev)
-		}
-		if c.Seq == 0 || c.Seq > uint64(len(t.pcs)) {
-			return fmt.Errorf("trace: checkpoint %d at seq %d outside (0, %d]", i, c.Seq, len(t.pcs))
-		}
-		prev = c.Seq
-		var prevBase uint64
-		for j, pg := range c.Pages {
-			if len(pg.Data) != emu.PageSize || pg.Base%emu.PageSize != 0 {
-				return fmt.Errorf("trace: checkpoint %d page %d malformed (base %#x, %d bytes)",
-					i, j, pg.Base, len(pg.Data))
-			}
-			if j > 0 && pg.Base <= prevBase {
-				return fmt.Errorf("trace: checkpoint %d pages out of order at %d", i, j)
-			}
-			prevBase = pg.Base
-		}
-	}
 	return nil
 }
