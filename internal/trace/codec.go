@@ -23,7 +23,7 @@ import (
 //	counts  uvarint ×3        static instructions, records, tuples
 //	text    per instruction: op, rd, rs1, rs2 (bytes) + zigzag-varint imm
 //	pcs     zigzag-varint delta from the previous record's PC
-//	flags   one byte per record
+//	flags   one byte per record: bit 0 taken, bit 1 halt (last record only)
 //	tupleIdx zigzag-varint delta from the previous record's index
 //	tuples  uvarint per value (tupleWords values per tuple)
 //	crc32   uint32 (IEEE) over every preceding byte, header included
@@ -79,6 +79,20 @@ func (c *cwriter) varint(v int64) error {
 	return err
 }
 
+// deltas writes the first n values of col as zigzag-varint deltas from
+// the previous value (the first from zero).
+func (c *cwriter) deltas(col column, n int) error {
+	prev := int64(0)
+	for i := range n {
+		v := int64(col.at(i))
+		if err := c.varint(v - prev); err != nil {
+			return err
+		}
+		prev = v
+	}
+	return nil
+}
+
 // Encode streams the trace to w in the versioned on-disk format.
 func (t *Trace) Encode(w io.Writer) error {
 	c := &cwriter{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
@@ -101,7 +115,7 @@ func (t *Trace) Encode(w io.Writer) error {
 	if _, err := c.Write([]byte(t.name)); err != nil {
 		return err
 	}
-	for _, n := range []int{len(t.insts), len(t.pcs), t.TupleCount()} {
+	for _, n := range []int{len(t.insts), t.n, t.TupleCount()} {
 		if err := c.uvarint(uint64(n)); err != nil {
 			return err
 		}
@@ -114,22 +128,27 @@ func (t *Trace) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	prev := int64(0)
-	for _, pc := range t.pcs {
-		if err := c.varint(int64(pc) - prev); err != nil {
-			return err
-		}
-		prev = int64(pc)
-	}
-	if _, err := c.Write(t.flags); err != nil {
+	if err := c.deltas(t.pcs, t.n); err != nil {
 		return err
 	}
-	prev = 0
-	for _, idx := range t.tupleIdx {
-		if err := c.varint(int64(idx) - prev); err != nil {
+	var chunk [4096]byte
+	for lo := 0; lo < t.n; lo += len(chunk) {
+		n := min(t.n-lo, len(chunk))
+		for j := range n {
+			chunk[j] = 0
+			if t.takenAt(lo + j) {
+				chunk[j] = flagTaken
+			}
+		}
+		if lo+n == t.n && t.halted {
+			chunk[n-1] |= flagHalt
+		}
+		if _, err := c.Write(chunk[:n]); err != nil {
 			return err
 		}
-		prev = int64(idx)
+	}
+	if err := c.deltas(t.tupleIdx, t.n); err != nil {
+		return err
 	}
 	for _, v := range t.tuples {
 		if err := c.uvarint(v); err != nil {
@@ -175,8 +194,27 @@ func (c *creader) varint() (int64, error) {
 }
 
 // clampCap bounds an initial slice capacity; decode appends beyond it and
-// compacts once the checksum has verified the counts.
+// narrows the columns once the checksum has verified the counts.
 func clampCap(n int) int { return min(n, 1<<20) }
+
+// deltas reads n zigzag-varint deltas (the first from zero) into a
+// column of uint32 values; what names the column in errors.
+func (c *creader) deltas(n int, what string) ([]uint32, error) {
+	vals := make([]uint32, 0, clampCap(n))
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		d, err := c.varint()
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading %s column: %w", what, err)
+		}
+		prev += d
+		if prev < 0 || prev > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: record %d %s %d out of range", i, what, prev)
+		}
+		vals = append(vals, uint32(prev))
+	}
+	return vals, nil
+}
 
 func (c *creader) count(what string) (int, error) {
 	v, err := c.uvarint()
@@ -237,10 +275,6 @@ func Decode(r io.Reader) (*Trace, error) {
 		version:   v,
 		truncated: ff&fmtTruncated != 0,
 		insts:     make([]isa.Inst, 0, clampCap(nInsts)),
-		pcs:       make([]uint32, 0, clampCap(nRecs)),
-		flags:     make([]uint8, 0, clampCap(nRecs)),
-		tupleIdx:  make([]uint32, 0, clampCap(nRecs)),
-		tuples:    make([]uint64, 0, clampCap(nTuples*tupleWords)),
 	}
 	var quad [4]byte
 	for i := 0; i < nInsts; i++ {
@@ -256,45 +290,42 @@ func Decode(r io.Reader) (*Trace, error) {
 			Imm: imm,
 		})
 	}
-	prev := int64(0)
-	for i := 0; i < nRecs; i++ {
-		d, err := c.varint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading PCs: %w", err)
-		}
-		prev += d
-		if prev < 0 || prev > math.MaxUint32 {
-			return nil, fmt.Errorf("trace: record %d PC %d out of range", i, prev)
-		}
-		t.pcs = append(t.pcs, uint32(prev))
+	var cols columns
+	if cols.pcs, err = c.deltas(nRecs, "PC"); err != nil {
+		return nil, err
 	}
+	cols.taken = make([]uint64, 0, clampCap((nRecs+63)/64))
 	var chunk [4096]byte
-	for got := 0; got < nRecs; {
-		n := min(nRecs-got, len(chunk))
+	for lo := 0; lo < nRecs; lo += len(chunk) {
+		n := min(nRecs-lo, len(chunk))
 		if err := c.full(chunk[:n]); err != nil {
 			return nil, fmt.Errorf("trace: reading flags: %w", err)
 		}
-		t.flags = append(t.flags, chunk[:n]...)
-		got += n
-	}
-	prev = 0
-	for i := 0; i < nRecs; i++ {
-		d, err := c.varint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading tuple indexes: %w", err)
+		for j, f := range chunk[:n] {
+			// The in-memory form holds a taken bit per record and one halt,
+			// which only the last record can carry.
+			i := lo + j
+			if f&^(flagTaken|flagHalt) != 0 {
+				return nil, fmt.Errorf("trace: record %d has flags %#x (only %#x, taken, and %#x, halt, are defined)",
+					i, f, flagTaken, flagHalt)
+			}
+			if f&flagHalt != 0 && i != nRecs-1 {
+				return nil, fmt.Errorf("trace: record %d of %d halts before the last record", i, nRecs)
+			}
+			cols.taken = appendBit(cols.taken, i, f&flagTaken != 0)
+			cols.halted = f&flagHalt != 0
 		}
-		prev += d
-		if prev < 0 || prev > math.MaxUint32 {
-			return nil, fmt.Errorf("trace: record %d tuple index %d out of range", i, prev)
-		}
-		t.tupleIdx = append(t.tupleIdx, uint32(prev))
 	}
+	if cols.tupleIdx, err = c.deltas(nRecs, "tuple index"); err != nil {
+		return nil, err
+	}
+	cols.tuples = make([]uint64, 0, clampCap(nTuples*tupleWords))
 	for i := 0; i < nTuples*tupleWords; i++ {
 		v, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading tuples: %w", err)
 		}
-		t.tuples = append(t.tuples, v)
+		cols.tuples = append(cols.tuples, v)
 	}
 	want := c.crc.Sum32()
 	var sum [4]byte
@@ -304,12 +335,10 @@ func Decode(r io.Reader) (*Trace, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch (file %#x, computed %#x)", got, want)
 	}
-	if err := t.validate(); err != nil {
+	if err := cols.validate(); err != nil {
 		return nil, err
 	}
-	// Past the clamp the columns grew by append; drop that slack now that
-	// the counts are known to be genuine.
-	t.compact()
+	cols.build(t)
 	return t, nil
 }
 

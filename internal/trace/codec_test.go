@@ -19,6 +19,48 @@ func withFlags(good []byte, ff uint16) []byte {
 	return bad
 }
 
+// withRecordFlags returns tr's encoding with record i's flag byte set to
+// f and the trailing checksum recomputed, so the flag byte is the only
+// thing wrong with the file. The flag section sits just before the
+// tuple-index and tuple sections, whose lengths are recomputed here.
+func withRecordFlags(t testing.TB, tr *Trace, i int, f byte) []byte {
+	t.Helper()
+	enc, err := tr.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [binary.MaxVarintLen64]byte
+	tail := 4 // checksum
+	prev := int64(0)
+	for j := range tr.Len() {
+		v := int64(tr.tupleIdx.at(j))
+		tail += binary.PutVarint(buf[:], v-prev)
+		prev = v
+	}
+	for _, v := range tr.tuples {
+		tail += binary.PutUvarint(buf[:], v)
+	}
+	off := len(enc) - tail - tr.Len() + i
+	if want := recordFlags(tr, i); enc[off] != want {
+		t.Fatalf("flag byte of record %d at offset %d reads %#x, want %#x", i, off, enc[off], want)
+	}
+	enc[off] = f
+	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
+	return enc
+}
+
+// recordFlags returns the flag byte Encode writes for record i.
+func recordFlags(tr *Trace, i int) byte {
+	var f byte
+	if tr.takenAt(i) {
+		f |= flagTaken
+	}
+	if tr.halted && i == tr.Len()-1 {
+		f |= flagHalt
+	}
+	return f
+}
+
 // encodeBench records bench at scale and returns its encoding.
 func encodeBench(t testing.TB, bench string, scale int) []byte {
 	t.Helper()
@@ -49,10 +91,45 @@ func TestDecodeRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadFlags pins the record flag byte: the in-memory
+// form holds only a taken bit per record and a halt on the last record,
+// so a flag byte with an undefined bit, or a halt anywhere but the last
+// record, fails with one line even when the checksum is sound.
+func TestDecodeRejectsBadFlags(t *testing.T) {
+	tr := record(t, controlProgram(t), 1<<20)
+	n := tr.Len()
+	if !tr.Halted() || n < 3 {
+		t.Fatalf("control program recorded %d records (halted %v)", n, tr.Halted())
+	}
+	if _, err := DecodeBytes(withRecordFlags(t, tr, 1, flagTaken)); err != nil {
+		t.Fatalf("taken flag rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		i    int
+		f    byte
+		want string
+	}{
+		{"undefined bit", 1, 1 << 2, "has flags 0x4"},
+		{"undefined bit with taken", n - 1, flagHalt | 1<<7, "has flags 0x82"},
+		{"mid-stream halt", 1, flagHalt, "halts before the last record"},
+		{"first-record halt", 0, flagHalt | flagTaken, "halts before the last record"},
+	} {
+		_, err := DecodeBytes(withRecordFlags(t, tr, c.i, c.f))
+		if err == nil {
+			t.Fatalf("%s: record %d flags %#x accepted", c.name, c.i, c.f)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: want one line containing %q, got %q", c.name, c.want, msg)
+		}
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes — seeded with a valid encoding and
-// one carrying the retired checkpoint flag — to Decode: it must never
-// panic, and anything it accepts must survive an encode/decode
-// round-trip unchanged.
+// one carrying the retired checkpoint flag, plus the record-flag
+// rejections checked in under testdata/fuzz/FuzzDecode — to Decode: it
+// must never panic, and anything it accepts must survive an
+// encode/decode round-trip unchanged.
 func FuzzDecode(f *testing.F) {
 	good := encodeBench(f, "compress", 600)
 	f.Add(good)

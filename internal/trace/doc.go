@@ -32,11 +32,16 @@
 // (cmd/sdvbench) measures it; experiments.Runner does not use it, since
 // a walked Decoded holds 96 B per record against a Replayer's window.
 //
-// The in-memory form is structure-of-arrays: a PC column, a flag column
-// (branch outcome, halt) and an interned-tuple index per record, plus one
-// pool of distinct five-value operand tuples. Everything else in a
-// DynInst (Seq, the static instruction, NextPC) is re-derived on
-// materialization from the embedded program text, mirroring
-// emu.Machine.Step. On disk, PC and tuple-index columns are
-// zigzag-varint delta encoded (loops keep both locally repetitive).
+// The in-memory form is structure-of-arrays: a PC column and an
+// interned-tuple index column, each stored at the narrowest width (1 to
+// 4 bytes) that holds its largest value, a taken bitset (one bit per
+// record), one halt flag (only the last record can halt), and one pool of
+// distinct five-value operand tuples, interned through an open-addressed
+// table in first-occurrence order. The recorder and the decoder build
+// full-width columns and narrow them once, so a finished Trace has one
+// layout. Everything else in a DynInst (Seq, the static instruction,
+// NextPC) is re-derived on materialization from the embedded program
+// text, mirroring emu.Machine.Step. On disk, PC and tuple-index columns
+// are zigzag-varint delta encoded (loops keep both locally repetitive)
+// and each record keeps a flag byte.
 package trace

@@ -19,15 +19,16 @@ const RecordSlack = 1 << 13
 
 // Recorder wraps a live emu.Machine: it serves the timing pipeline exactly
 // like emu.Stream (bounded replay window, rewind on squash) while
-// appending every newly produced record to a Trace. After the recording
-// simulation finishes, Finish runs the machine to completion so the trace
-// covers the full dynamic stream — a wider configuration replaying it
-// later may fetch further ahead of the commit limit than the recording
-// one did.
+// appending every newly produced record to full-width columns that Finish
+// narrows into a Trace. After the recording simulation finishes, Finish
+// runs the machine to completion so the trace covers the full dynamic
+// stream — a wider configuration replaying it later may fetch further
+// ahead of the commit limit than the recording one did.
 type Recorder struct {
 	m      *emu.Machine
-	t      *Trace
-	intern map[[tupleWords]uint64]uint32
+	t      *Trace   // name, text and version; Finish builds the rest
+	cols   columns  // the records so far, at full width
+	intern interner // tuple -> index into cols.tuples
 
 	window []emu.DynInst // ring buffer indexed by Seq % len
 	pos    uint64        // next Seq to hand out
@@ -39,7 +40,7 @@ type Recorder struct {
 // SetContext attaches ctx to the recorder: Finish polls it every few
 // thousand records and returns its error early, so an abandoned service
 // job does not emulate a long program to its record target. A cancelled
-// Finish leaves the trace unusable (the error says why); the recording
+// Finish returns the context's error and no trace; the recording
 // simulation itself is cancelled through the pipeline's own context.
 func (r *Recorder) SetContext(ctx context.Context) { r.ctx = ctx }
 
@@ -57,44 +58,38 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 	return &Recorder{
 		m:      m,
 		t:      &Trace{name: prog.Name, insts: prog.Insts, version: Version},
-		intern: make(map[[tupleWords]uint64]uint32),
 		window: make([]emu.DynInst, n),
 	}, nil
 }
 
-// produce steps the machine once, appending the record to the trace and
-// the replay window. It reports whether the machine produced a halt.
-func (r *Recorder) produce() bool {
-	d := r.m.Step()
+// produce steps the machine once into d and appends the record to the
+// trace columns. It reports whether the machine produced a halt.
+func (r *Recorder) produce(d *emu.DynInst) bool {
+	*d = r.m.Step()
 	if d.PC > math.MaxUint32 && r.err == nil {
 		// A register-indirect jump far outside the text cannot be encoded
 		// in the compact PC column; the recording run still proceeds (the
 		// window serves it), but the trace is unusable.
 		r.err = fmt.Errorf("trace: PC %#x exceeds the recordable range", d.PC)
 	}
-	r.t.append(&d, r.intern)
-	r.window[d.Seq%uint64(len(r.window))] = d
+	k := [tupleWords]uint64{d.EffAddr, d.StoreVal, d.Result, d.Src1Val, d.Src2Val}
+	r.cols.add(uint32(d.PC), d.Taken, r.intern.intern(&r.cols.tuples, &k))
+	r.cols.halted = d.Halt
 	return d.Halt
 }
 
 // NextRef returns a pointer to the record at the current position,
-// producing it from the machine if it has not been generated yet. The
-// pointer stays valid until the window wraps past its sequence number. ok
-// is false once the stream is positioned past the halt record.
+// producing it from the machine into the replay window if it has not been
+// generated yet. The pointer stays valid until the window wraps past its
+// sequence number. ok is false once the stream is positioned past the
+// halt record.
 func (r *Recorder) NextRef() (*emu.DynInst, bool) {
-	filled := uint64(r.t.Len())
-	if r.t.Halted() && r.pos >= filled {
-		return nil, false
-	}
-	for r.pos >= filled {
-		if r.produce() {
-			filled = uint64(r.t.Len())
-			break
+	for r.pos >= uint64(len(r.cols.pcs)) {
+		if r.cols.halted {
+			return nil, false
 		}
-		filled = uint64(r.t.Len())
-	}
-	if r.pos >= filled { // halted before reaching pos
-		return nil, false
+		seq := uint64(len(r.cols.pcs))
+		r.produce(&r.window[seq%uint64(len(r.window))])
 	}
 	d := &r.window[r.pos%uint64(len(r.window))]
 	r.pos++
@@ -121,12 +116,13 @@ func (r *Recorder) Pos() uint64 { return r.pos }
 // recorded form"), so an up-front guess mostly reserves memory the
 // recording never uses.
 func (r *Recorder) Reserve(n int) {
-	if n <= len(r.t.pcs) {
+	c := &r.cols
+	if n <= len(c.pcs) {
 		return
 	}
-	r.t.pcs = append(make([]uint32, 0, n), r.t.pcs...)
-	r.t.flags = append(make([]uint8, 0, n), r.t.flags...)
-	r.t.tupleIdx = append(make([]uint32, 0, n), r.t.tupleIdx...)
+	c.pcs = append(make([]uint32, 0, n), c.pcs...)
+	c.tupleIdx = append(make([]uint32, 0, n), c.tupleIdx...)
+	c.taken = append(make([]uint64, 0, (n+63)/64), c.taken...)
 }
 
 // Rewind repositions the stream so that NextRef returns the record with
@@ -136,7 +132,7 @@ func (r *Recorder) Rewind(seq uint64) {
 	if seq > r.pos {
 		panic(fmt.Sprintf("trace: rewind forward from %d to %d", r.pos, seq))
 	}
-	filled := uint64(r.t.Len())
+	filled := uint64(len(r.cols.pcs))
 	if filled > uint64(len(r.window)) && seq < filled-uint64(len(r.window)) {
 		panic(fmt.Sprintf("trace: rewind to %d outside window (oldest %d)",
 			seq, filled-uint64(len(r.window))))
@@ -153,30 +149,35 @@ func (r *Recorder) Rewind(seq uint64) {
 // is no need to emulate a long-running program to its halt. A trace that
 // stops before halt is marked truncated; Replayer documents how far such
 // a trace can feed a simulation. The error is non-nil only when the
-// recording is unusable outright (an unrecordable PC was produced).
+// recording is unusable outright (an unrecordable PC was produced) or its
+// context was cancelled.
 //
-// Finish ends the recording: the finished trace holds exactly its data
-// (every column trimmed to its length) and the recorder drops its
-// interning table, so it must not be used afterwards.
+// Finish ends the recording: it narrows the columns into the finished
+// trace, which holds exactly its data (every column at its narrowest
+// width, with no capacity slack), and drops the recorder's columns and
+// interning table, so the recorder must not be used afterwards. On error
+// it returns no trace.
 func (r *Recorder) Finish(target int) (*Trace, error) {
 	const ctxPoll = 4096 // records between context cancellation checks
 	poll := ctxPoll
-	for !r.t.Halted() && r.t.Len() < target {
-		r.produce()
+	var d emu.DynInst // no one reads the window past the recording run
+	for !r.cols.halted && len(r.cols.pcs) < target {
+		r.produce(&d)
 		if poll--; poll <= 0 {
 			poll = ctxPoll
 			if r.ctx != nil {
 				if err := r.ctx.Err(); err != nil {
-					return r.t, err
+					return nil, err
 				}
 			}
 		}
 	}
-	r.t.truncated = !r.t.Halted()
-	r.t.compact()
-	r.intern = nil
 	if r.err != nil {
-		return r.t, r.err
+		return nil, r.err
 	}
-	return r.t, nil
+	t := r.t
+	t.truncated = !r.cols.halted
+	r.cols.build(t)
+	r.cols, r.intern = columns{}, interner{}
+	return t, nil
 }
