@@ -303,10 +303,8 @@ func runSuite(cfg config.Config, names []string, scale int, seed int64, parallel
 
 // parseConfig resolves a paper-style configuration name.
 func parseConfig(name string) (config.Config, error) {
-	for _, c := range config.Matrix() {
-		if c.Name == name {
-			return c, nil
-		}
+	if c, ok := config.ByName(name); ok {
+		return c, nil
 	}
 	return config.Config{}, fmt.Errorf("unknown config %q (want e.g. %s)",
 		name, strings.Join([]string{"4w-1pV", "8w-4pnoIM"}, ", "))

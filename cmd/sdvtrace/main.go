@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"unsafe"
 
 	"specvec/internal/cliutil"
 	"specvec/internal/emu"
@@ -73,13 +74,13 @@ func inspect(path string, dump, start int, verify bool) error {
 	if t.Truncated() {
 		state = "truncated"
 	}
-	fmt.Printf("%s: trace of %q (format v%d, checksum OK)\n", path, t.Name(), t.FormatVersion())
+	fmt.Printf("%s: trace of %q (format v%d, checksum OK)\n", path, t.Name(), trace.Version)
 	fmt.Printf("  records     %d dynamic instructions, %s\n", t.Len(), state)
 	fmt.Printf("  text        %d static instructions\n", t.StaticLen())
 	if n := t.Len(); n > 0 {
 		fmt.Printf("  tuples      %d distinct operand tuples (%.1f%% of records)\n",
 			t.TupleCount(), 100*float64(t.TupleCount())/float64(n))
-		aos := n * 104 // unsafe.Sizeof(emu.DynInst{}) on 64-bit
+		aos := n * int(unsafe.Sizeof(emu.DynInst{}))
 		fmt.Printf("  size        %d B on disk, %d B decoded (%.1fx smaller than %d B array-of-structs)\n",
 			fi.Size(), t.SizeBytes(), float64(aos)/float64(t.SizeBytes()), aos)
 	}

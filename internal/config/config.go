@@ -236,6 +236,21 @@ func Matrix() []Config {
 	return out
 }
 
+// matrix is Matrix built once, for ByName: a Config is a pure value, so
+// handing out copies of it is safe.
+var matrix = Matrix()
+
+// ByName returns the Matrix configuration called name (e.g. "4w-1pV"),
+// without building the matrix again.
+func ByName(name string) (Config, bool) {
+	for _, c := range matrix {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // Validate performs basic sanity checks.
 func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.CommitWidth <= 0 || c.IssueWidth <= 0 {

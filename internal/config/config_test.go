@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -113,5 +114,24 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 	c.Mem.DCache.LineBytes = 33
 	if err := c.Validate(); err == nil {
 		t.Error("bad cache geometry accepted")
+	}
+}
+
+// TestByName resolves every Matrix name to its configuration without
+// allocating, and rejects names outside the matrix.
+func TestByName(t *testing.T) {
+	for _, want := range Matrix() {
+		got, ok := ByName(want.Name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", want.Name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "4w-1p-noIM", "4w-3pV", "16w-1pV"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) resolved", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("8w-4pV") }); n != 0 {
+		t.Errorf("ByName allocates %.1f times per call, want 0", n)
 	}
 }

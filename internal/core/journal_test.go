@@ -49,12 +49,51 @@ func TestJournalPruneCompaction(t *testing.T) {
 	if j.Len() != 5000 {
 		t.Errorf("live = %d, want 5000", j.Len())
 	}
-	// Push/rewind still behave after compaction.
+	// Push/rewind still behave after a large prune.
 	hit := false
 	j.Push(20000, func() { hit = true })
 	j.RewindTo(20000)
 	if !hit {
-		t.Error("undo after compaction not executed")
+		t.Error("undo after a large prune not executed")
+	}
+}
+
+// TestJournalRingWrap grows the rings while their live entries wrap past
+// the end of the buffer, and requires rewinds to undo exactly the
+// unpruned entries, newest first, with each buffer grown only when full.
+func TestJournalRingWrap(t *testing.T) {
+	j := NewJournal()
+	var log []uint64
+	seq := uint64(0)
+	push := func(k int) {
+		for range k {
+			s := seq
+			j.Push(s, func() { log = append(log, s) })
+			seq++
+		}
+	}
+	push(6)    // a buffer of 8 holds 0..5
+	j.Prune(5) // the head moves to 5
+	push(7)    // 5..12 wrap past the end and fill the buffer
+	push(3)    // 5..15 overflow it: grow to 16
+	j.Prune(7) // 7..15
+	j.RewindTo(9)
+	want := []uint64{15, 14, 13, 12, 11, 10, 9}
+	if len(log) != len(want) {
+		t.Fatalf("undo log %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("undo log %v, want %v", log, want)
+		}
+	}
+	if j.Len() != 2 {
+		t.Errorf("live entries = %d, want 2", j.Len())
+	}
+	for _, r := range j.RingSizes()[:2] { // the central log and the closures
+		if r.Peak != 11 || r.Cap != 16 {
+			t.Errorf("%s: capacity %d, peak %d; want 16, 11", r.Name, r.Cap, r.Peak)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/bits"
 	"testing"
 
 	"specvec/internal/config"
@@ -195,5 +196,41 @@ func TestSteadyStateAllocsPerCycle(t *testing.T) {
 	})
 	if perCycle := avg / cyclesPerRound; perCycle > 0.01 {
 		t.Errorf("steady-state allocations: %.4f per cycle (want ~0)", perCycle)
+	}
+}
+
+// TestJournalRingsSizedToPeak: after a 200k-instruction V run, every ring
+// of the undo journal holds a buffer of the next power of two at or
+// above the most entries it ever held live — the rings grow only when
+// full, and pruning never lets a buffer creep.
+func TestJournalRingsSizedToPeak(t *testing.T) {
+	bench, err := workload.Get("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(config.MustNamed(4, 1, config.ModeV), bench.Build(400_000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Run(200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed < 200_000 {
+		t.Fatalf("committed %d instructions, want 200k", st.Committed)
+	}
+	used := 0
+	for _, r := range s.jnl.RingSizes() {
+		want := 0
+		if r.Peak > 0 {
+			want = 1 << bits.Len(uint(r.Peak-1))
+			used++
+		}
+		if r.Cap != want {
+			t.Errorf("journal ring %s: capacity %d for a peak of %d live entries, want %d", r.Name, r.Cap, r.Peak, want)
+		}
+	}
+	if used < 4 {
+		t.Errorf("only %d journal rings held entries; the run exercised too little of the journal", used)
 	}
 }

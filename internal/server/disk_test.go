@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -87,7 +88,9 @@ func TestCacheDiskCorruption(t *testing.T) {
 
 // TestTraceStoreDiskCorruption: a torn or bit-flipped trace artifact is
 // rejected by the codec's checksum, reads as a miss and is removed; a
-// fresh store of the recording is then served from disk again.
+// fresh store of the recording is then served from disk again. An
+// artifact of an older format version goes the same way, through a
+// restarted daemon that records the benchmark again.
 func TestTraceStoreDiskCorruption(t *testing.T) {
 	bench, err := workload.Get("compress")
 	if err != nil {
@@ -124,6 +127,41 @@ func TestTraceStoreDiskCorruption(t *testing.T) {
 		if !ok || back.Len() != tr.Len() || back.TupleCount() != tr.TupleCount() {
 			t.Fatalf("%s: re-stored trace not served from disk (ok=%v)", c.name, ok)
 		}
+	}
+
+	// A recording in an older format (the header says version 2, the
+	// checksum is sound) is dropped like a corrupt one: a restarted
+	// daemon records the benchmark again, stores the current format in
+	// its place, and serves what a fresh daemon serves.
+	dir := t.TempDir()
+	first, ts := testServer(t, Options{CacheDir: dir})
+	view, _ := postJob(t, ts.URL, JobSpec{Workload: "compress", Config: "4w-1pV", Scale: 2_000}, true)
+	decodeResult(t, view)
+	path := first.traces.diskPath("compress-" + traceScope(opts))
+	corruptFile(t, path, func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[4:], 2)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
+	})
+	if _, err := trace.ReadFile(path); err == nil || strings.Contains(err.Error(), "\n") ||
+		!strings.Contains(err.Error(), "unsupported format version 2") {
+		t.Fatalf("version-2 artifact: want a one-line unsupported-version error, got %v", err)
+	}
+	restarted, ts := testServer(t, Options{CacheDir: dir})
+	spec := JobSpec{Workload: "compress", Config: "8w-1pV", Scale: 2_000}
+	got, _ := postJob(t, ts.URL, spec, true)
+	decodeResult(t, got)
+	if n := restarted.sched.recorded.Value(); n != 1 {
+		t.Errorf("version-2 artifact: the restarted daemon made %d recordings, want 1", n)
+	}
+	if _, err := trace.ReadFile(path); err != nil {
+		t.Errorf("version-2 artifact not replaced by the new recording: %v", err)
+	}
+	_, fresh := testServer(t, Options{})
+	want, _ := postJob(t, fresh.URL, spec, true)
+	decodeResult(t, want)
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Error("the result served over a re-recorded version-2 artifact differs from a fresh daemon's")
 	}
 }
 

@@ -216,10 +216,8 @@ type Result struct {
 
 // configByName resolves a paper-style configuration name.
 func configByName(name string) (config.Config, error) {
-	for _, c := range config.Matrix() {
-		if c.Name == name {
-			return c, nil
-		}
+	if c, ok := config.ByName(name); ok {
+		return c, nil
 	}
 	return config.Config{}, fmt.Errorf("unknown config %q (see GET /v1/configs)", name)
 }

@@ -14,7 +14,7 @@ import (
 	"specvec/internal/isa"
 )
 
-// On-disk format (version 2), little-endian, streamed:
+// On-disk format (version 3), little-endian, streamed:
 //
 //	magic   [4]byte "SDVT"
 //	version uint16
@@ -25,21 +25,19 @@ import (
 //	pcs     zigzag-varint delta from the previous record's PC
 //	flags   one byte per record: bit 0 taken, bit 1 halt (last record only)
 //	tupleIdx zigzag-varint delta from the previous record's index
-//	tuples  uvarint per value (tupleWords values per tuple)
+//	tuples  uvarint per value, two per tuple (the values project keeps)
 //	crc32   uint32 (IEEE) over every preceding byte, header included
 //
 // PCs and tuple indexes are delta-encoded because both are locally
 // repetitive (loops revisit nearby PCs and recent operand tuples), which
-// keeps most deltas in one or two varint bytes. Version 1 and version 2
-// files share this layout: version 2 defined fflags bit 1 for an
-// architectural-checkpoint section, which is no longer supported, so a
-// file that sets it is rejected.
+// keeps most deltas in one or two varint bytes. Versions 1 and 2 interned
+// five values per record (EffAddr, StoreVal, Result and both source
+// values); Decode rejects them, so such a trace is recorded again.
 
 var magic = [4]byte{'S', 'D', 'V', 'T'}
 
-// Version is the current on-disk format version. Decode accepts every
-// version from 1 up to it.
-const Version = 2
+// Version is the on-disk format version, the only one Decode accepts.
+const Version = 3
 
 const (
 	fmtTruncated uint16 = 1 << 0
@@ -239,8 +237,8 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad magic %q (not a trace file)", hdr[:4])
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:])
-	if v < 1 || v > Version {
-		return nil, fmt.Errorf("trace: unsupported format version %d (have 1..%d)", v, Version)
+	if v != Version {
+		return nil, fmt.Errorf("trace: unsupported format version %d (this build reads version %d; record the trace again)", v, Version)
 	}
 	ff := binary.LittleEndian.Uint16(hdr[6:])
 	if ff&^fmtTruncated != 0 {
@@ -272,7 +270,6 @@ func Decode(r io.Reader) (*Trace, error) {
 	// huge allocation before the data (and finally the checksum) is seen.
 	t := &Trace{
 		name:      string(name),
-		version:   v,
 		truncated: ff&fmtTruncated != 0,
 		insts:     make([]isa.Inst, 0, clampCap(nInsts)),
 	}

@@ -8,9 +8,10 @@ import (
 	"specvec/internal/emu"
 )
 
-// TestCursorMatchesStream walks a Cursor against a live stream with the
-// same randomized Next/Rewind schedule used for Recorder and Replayer,
-// demanding identical records at every step.
+// TestCursorMatchesStream walks a Cursor against the model-visible
+// projection of a live stream with the same randomized Next/Rewind
+// schedule used for Recorder and Replayer, demanding identical records
+// at every step.
 func TestCursorMatchesStream(t *testing.T) {
 	for _, bench := range []string{"compress", "swim"} {
 		prog := buildBench(t, bench, 4000)
@@ -18,7 +19,7 @@ func TestCursorMatchesStream(t *testing.T) {
 		if tr.Truncated() {
 			t.Fatalf("%s: recording truncated at %d records", bench, tr.Len())
 		}
-		strm := emu.NewStream(newMachine(t, prog), 512)
+		strm := visibleStream{emu.NewStream(newMachine(t, prog), 512)}
 		walk(t, bench+"/cursor", strm, NewDecoded(tr).Cursor(), 20_000)
 	}
 }

@@ -20,9 +20,10 @@
 //     target so the trace covers the dynamic stream; called on a fresh
 //     recorder it is a pure functional recording pass, which is how
 //     experiments.Runner records.
-//   - Replayer serves a recorded Trace with the same semantics, without a
-//     machine, a memory image, or per-instruction interpretation; its
-//     steady state allocates nothing. It is the one replay source of
+//   - Replayer serves a recorded Trace with the same semantics, as the
+//     model-visible projection of the live records, without a machine, a
+//     memory image, or per-instruction interpretation; its steady state
+//     allocates nothing. It is the one replay source of
 //     experiments.Runner.
 //   - Encode/Decode stream a Trace to and from a compact, versioned,
 //     checksummed file (format in codec.go).
@@ -36,12 +37,16 @@
 // interned-tuple index column, each stored at the narrowest width (1 to
 // 4 bytes) that holds its largest value, a taken bitset (one bit per
 // record), one halt flag (only the last record can halt), and one pool of
-// distinct five-value operand tuples, interned through an open-addressed
-// table in first-occurrence order. The recorder and the decoder build
-// full-width columns and narrow them once, so a finished Trace has one
-// layout. Everything else in a DynInst (Seq, the static instruction,
-// NextPC) is re-derived on materialization from the embedded program
-// text, mirroring emu.Machine.Step. On disk, PC and tuple-index columns
+// distinct two-word operand tuples, interned through an open-addressed
+// table in first-occurrence order. A tuple holds only what the timing
+// model reads (project): a memory op's effective address, the source
+// values an arithmetic op names, a jr's target register; Record restores
+// those and leaves every other operand value zero (StoreVal and Result
+// always). The recorder and the decoder build full-width columns and
+// narrow them once, so a finished Trace has one layout. Everything else
+// in a DynInst (Seq, the static instruction, NextPC) is re-derived on
+// materialization from the embedded program text, mirroring
+// emu.Machine.Step. On disk, PC and tuple-index columns
 // are zigzag-varint delta encoded (loops keep both locally repetitive)
 // and each record keeps a flag byte.
 package trace

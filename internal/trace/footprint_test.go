@@ -10,7 +10,7 @@ import (
 
 // requireExact fails unless every column of tr has cap == len and
 // SizeBytes is exactly the narrow layout: (wPC+wIdx) B per record, one
-// taken bit per record in whole words, 40 B per distinct tuple and 16 B
+// taken bit per record in whole words, 16 B per distinct tuple and 16 B
 // per static instruction.
 func requireExact(t *testing.T, name string, tr *Trace) {
 	t.Helper()
@@ -42,7 +42,8 @@ func requireExact(t *testing.T, name string, tr *Trace) {
 // its data: whether the program halts short of a reserved target, the
 // recording is truncated with grown-on-demand columns, or the columns
 // were reserved up front, Finish leaves no capacity slack and drops the
-// full-width columns and the interning table.
+// full-width columns and the interning table, and a recorder that serves
+// no record never allocates its replay window.
 func TestFinishExactFootprint(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -73,18 +74,21 @@ func TestFinishExactFootprint(t *testing.T) {
 		if rec.intern.slots != nil || rec.cols.pcs != nil || rec.cols.tuples != nil {
 			t.Errorf("%s: recorder kept its columns or interning table after Finish", c.name)
 		}
+		if rec.window != nil {
+			t.Errorf("%s: a recorder that only finished allocated its replay window", c.name)
+		}
 	}
 }
 
 // TestDecodeExactFootprint decodes a trace longer than the codec's
 // initial-capacity clamp, so its columns grow by append, and requires the
 // decoded trace to hold exactly its data. The trace is built in-package,
-// without emulation: a two-instruction loop whose operand values cycle
-// through a few hundred tuples.
+// without emulation: a two-instruction loop whose addi source value
+// cycles through a few hundred tuples.
 func TestDecodeExactFootprint(t *testing.T) {
 	const n = 1<<20 + 4099
 	tr := synthetic(n, func(i int) emu.DynInst {
-		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Result: uint64(i % 397), Src1Val: uint64(i % 396)}
+		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i % 397)}
 	})
 	tr.truncated = true
 
@@ -111,8 +115,9 @@ func TestDecodeExactFootprint(t *testing.T) {
 }
 
 // synthetic builds an n-record trace in-package, without emulation, over
-// a two-instruction loop text; rec(i) supplies record i's PC, branch
-// outcome and operand values.
+// a two-instruction loop text (addi at PC 0, j at PC 1); rec(i) supplies
+// record i's PC, branch outcome and operand values, of which the tuple
+// keeps what project keeps for the instruction at that PC.
 func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	tr := &Trace{
 		name: "synthetic",
@@ -120,13 +125,13 @@ func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 			{Op: isa.OpAddi, Rd: isa.IntReg(1), Rs1: isa.IntReg(1), Imm: 1},
 			{Op: isa.OpJ, Imm: 0},
 		},
-		version: Version,
 	}
 	var cols columns
 	var in interner
 	for i := range n {
 		d := rec(i)
-		k := [tupleWords]uint64{d.EffAddr, d.StoreVal, d.Result, d.Src1Val, d.Src2Val}
+		d.Inst = tr.inst(d.PC)
+		k := project(&d)
 		cols.add(uint32(d.PC), d.Taken, in.intern(&cols.tuples, &k))
 	}
 	cols.build(tr)
@@ -158,14 +163,15 @@ func TestColumnWidths(t *testing.T) {
 
 	// A recording with 2^8 or 2^16 tuples is the first to need a wider
 	// index column once it gains one more (the largest index is
-	// count-1). Each record carries a fresh tuple, so count == records.
+	// count-1). Each record is the addi with a fresh source value, so
+	// count == records.
 	// The 2^24 boundary is pinned on the column above: a pool of 2^24
 	// tuples would hold 671 MB.
 	for _, c := range []struct{ tuples, want int }{
 		{1<<8 - 1, 1}, {1 << 8, 1}, {1<<8 + 1, 2},
 		{1<<16 - 1, 2}, {1 << 16, 2}, {1<<16 + 1, 3},
 	} {
-		tr := synthetic(c.tuples, func(i int) emu.DynInst { return emu.DynInst{PC: uint64(i % 2), Result: uint64(i)} })
+		tr := synthetic(c.tuples, func(i int) emu.DynInst { return emu.DynInst{Src1Val: uint64(i)} })
 		if tr.TupleCount() != c.tuples || tr.tupleIdx.w != c.want || tr.pcs.w != 1 {
 			t.Errorf("%d tuples: index width %d, PC width %d, %d tuples; want index width %d, PC width 1",
 				c.tuples, tr.tupleIdx.w, tr.pcs.w, tr.TupleCount(), c.want)
@@ -173,8 +179,8 @@ func TestColumnWidths(t *testing.T) {
 		requireExact(t, "synthetic", tr)
 		var d emu.DynInst
 		tr.Record(c.tuples-1, &d)
-		if d.Result != uint64(c.tuples-1) {
-			t.Errorf("%d tuples: last record's tuple reads Result %d", c.tuples, d.Result)
+		if d.Src1Val != uint64(c.tuples-1) {
+			t.Errorf("%d tuples: last record's tuple reads Src1Val %d", c.tuples, d.Src1Val)
 		}
 	}
 }

@@ -26,11 +26,12 @@ const RecordSlack = 1 << 13
 // ahead of the commit limit than the recording one did.
 type Recorder struct {
 	m      *emu.Machine
-	t      *Trace   // name, text and version; Finish builds the rest
+	t      *Trace   // name and text; Finish builds the rest
 	cols   columns  // the records so far, at full width
 	intern interner // tuple -> index into cols.tuples
 
-	window []emu.DynInst // ring buffer indexed by Seq % len
+	window []emu.DynInst // ring buffer indexed by Seq % len, made by the first NextRef
+	n      int           // window length
 	pos    uint64        // next Seq to hand out
 	err    error         // first recording fault (PC overflow)
 
@@ -46,8 +47,10 @@ func (r *Recorder) SetContext(ctx context.Context) { r.ctx = ctx }
 
 // NewRecorder wraps m, which must be freshly constructed (no instructions
 // executed), with a replay window of n records (emu.DefaultWindow if
-// n <= 0). prog must be the program loaded into m; its text is embedded in
-// the trace so replay needs no program object.
+// n <= 0), allocated only once the recorder serves a record: a pure
+// recording pass (Finish alone) needs none. prog must be the program
+// loaded into m; its text is embedded in the trace so replay needs no
+// program object.
 func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 	if m.InstCount() != 0 {
 		return nil, fmt.Errorf("trace: recorder needs a fresh machine (%d instructions already executed)", m.InstCount())
@@ -56,9 +59,9 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 		n = emu.DefaultWindow
 	}
 	return &Recorder{
-		m:      m,
-		t:      &Trace{name: prog.Name, insts: prog.Insts, version: Version},
-		window: make([]emu.DynInst, n),
+		m: m,
+		t: &Trace{name: prog.Name, insts: prog.Insts},
+		n: n,
 	}, nil
 }
 
@@ -72,7 +75,7 @@ func (r *Recorder) produce(d *emu.DynInst) bool {
 		// window serves it), but the trace is unusable.
 		r.err = fmt.Errorf("trace: PC %#x exceeds the recordable range", d.PC)
 	}
-	k := [tupleWords]uint64{d.EffAddr, d.StoreVal, d.Result, d.Src1Val, d.Src2Val}
+	k := project(d)
 	r.cols.add(uint32(d.PC), d.Taken, r.intern.intern(&r.cols.tuples, &k))
 	r.cols.halted = d.Halt
 	return d.Halt
@@ -84,6 +87,9 @@ func (r *Recorder) produce(d *emu.DynInst) bool {
 // sequence number. ok is false once the stream is positioned past the
 // halt record.
 func (r *Recorder) NextRef() (*emu.DynInst, bool) {
+	if r.window == nil {
+		r.window = make([]emu.DynInst, r.n)
+	}
 	for r.pos >= uint64(len(r.cols.pcs)) {
 		if r.cols.halted {
 			return nil, false
@@ -133,9 +139,9 @@ func (r *Recorder) Rewind(seq uint64) {
 		panic(fmt.Sprintf("trace: rewind forward from %d to %d", r.pos, seq))
 	}
 	filled := uint64(len(r.cols.pcs))
-	if filled > uint64(len(r.window)) && seq < filled-uint64(len(r.window)) {
+	if filled > uint64(r.n) && seq < filled-uint64(r.n) {
 		panic(fmt.Sprintf("trace: rewind to %d outside window (oldest %d)",
-			seq, filled-uint64(len(r.window))))
+			seq, filled-uint64(r.n)))
 	}
 	r.pos = seq
 }

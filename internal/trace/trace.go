@@ -14,21 +14,64 @@ const (
 	flagHalt                    // program terminated at this record
 )
 
-// tupleWords is the number of operand values interned per record:
-// EffAddr, StoreVal, Result, Src1Val, Src2Val.
-const tupleWords = 5
+// tupleWords is the number of operand values interned per record.
+const tupleWords = 2
+
+// tuple is the part of a record's operand values that the timing model
+// reads (see project).
+type tuple [tupleWords]uint64
+
+// project returns the operand values of d that the timing model reads:
+//   - loads and stores: EffAddr (stride detection in the Table of Loads,
+//     the memory hierarchy and store-conflict checks);
+//   - arithmetic: the source values that Inst.SrcRegs names (the
+//     scalar-operand check that validates a vector instance);
+//   - jr: Src1Val (its successor PC);
+//
+// and zero in every word nothing reads. StoreVal and Result are never
+// kept. Record applies the inverse, unproject.
+func project(d *emu.DynInst) tuple {
+	in := d.Inst
+	switch {
+	case in.IsMem():
+		return tuple{d.EffAddr}
+	case in.IsArith():
+		switch _, n := in.SrcRegs(); n {
+		case 0:
+			return tuple{}
+		case 1:
+			return tuple{d.Src1Val}
+		}
+		return tuple{d.Src1Val, d.Src2Val}
+	case in.Op == isa.OpJr:
+		return tuple{d.Src1Val}
+	}
+	return tuple{}
+}
+
+// unproject sets d's operand values from k, the inverse of project for
+// d.Inst: the values project keeps come back, every other one is zero.
+func unproject(d *emu.DynInst, k tuple) {
+	d.StoreVal, d.Result = 0, 0
+	if d.Inst.IsMem() {
+		d.EffAddr, d.Src1Val, d.Src2Val = k[0], 0, 0
+	} else {
+		d.EffAddr, d.Src1Val, d.Src2Val = 0, k[0], k[1]
+	}
+}
 
 // Trace is the compact recorded form of a dynamic instruction stream. It
 // is structure-of-arrays: per-record columns hold only what cannot be
-// re-derived (PC, branch outcome), the five data values of a record are
-// interned as tuples (loops repeat operand patterns; distinct tuples are
-// stored once and referenced by index), and the static instruction is
-// looked up from the embedded program text. The PC and tuple-index
-// columns are each stored at the narrowest width (1 to 4 bytes) that
-// holds their largest value, the branch outcomes are one bit per record,
-// and a halt — which only the last record can be — is one bool. Seq is
-// the record index and NextPC is derived from the instruction, the branch
-// outcome and the source value, exactly mirroring emu.Machine.Step.
+// re-derived (PC, branch outcome), the operand values the timing model
+// reads are interned as two-word tuples (see project; loops repeat
+// operand patterns, so distinct tuples are stored once and referenced by
+// index), and the static instruction is looked up from the embedded
+// program text. The PC and tuple-index columns are each stored at the
+// narrowest width (1 to 4 bytes) that holds their largest value, the
+// branch outcomes are one bit per record, and a halt — which only the
+// last record can be — is one bool. Seq is the record index and NextPC
+// is derived from the instruction, the branch outcome and the source
+// value, exactly mirroring emu.Machine.Step.
 //
 // A Trace is immutable once built: Recorder.Finish and Decode fill
 // full-width columns and narrow them once (see build).
@@ -43,8 +86,7 @@ type Trace struct {
 	tuples   []uint64 // interned tuples, flat (tupleWords values each)
 	halted   bool     // the last record is a halt
 
-	truncated bool   // recording hit its cap before the program halted
-	version   uint16 // on-disk format this trace was decoded from (or Version)
+	truncated bool // recording hit its cap before the program halted
 }
 
 // column is a per-record uint32 column stored little-endian at w bytes
@@ -150,11 +192,6 @@ func exact[T any](s []T) []T {
 	return append(make([]T, 0, len(s)), s...)
 }
 
-// FormatVersion returns the on-disk format version the trace was decoded
-// from; for traces recorded in memory it is the current Version (what
-// Encode will write).
-func (t *Trace) FormatVersion() uint16 { return t.version }
-
 // Name returns the name of the traced program.
 func (t *Trace) Name() string { return t.name }
 
@@ -197,23 +234,21 @@ func (t *Trace) inst(pc uint64) isa.Inst {
 // takenAt reports record i's branch outcome.
 func (t *Trace) takenAt(i int) bool { return t.taken[i/64]&(1<<(i%64)) != 0 }
 
-// Record materializes record i into d. It panics if i is out of range.
+// Record materializes record i into d: the operand values the recording
+// kept (see project), every other operand value zero. It panics if i is
+// out of range.
 func (t *Trace) Record(i int, d *emu.DynInst) {
 	pc := uint64(t.pcs.at(i))
 	in := t.inst(pc)
-	tu := t.tuples[int(t.tupleIdx.at(i))*tupleWords:]
+	j := int(t.tupleIdx.at(i)) * tupleWords
 	*d = emu.DynInst{
-		Seq:      uint64(i),
-		PC:       pc,
-		Inst:     in,
-		Taken:    t.takenAt(i),
-		Halt:     t.halted && i == t.n-1,
-		EffAddr:  tu[0],
-		StoreVal: tu[1],
-		Result:   tu[2],
-		Src1Val:  tu[3],
-		Src2Val:  tu[4],
+		Seq:   uint64(i),
+		PC:    pc,
+		Inst:  in,
+		Taken: t.takenAt(i),
+		Halt:  t.halted && i == t.n-1,
 	}
+	unproject(d, tuple(t.tuples[j:j+tupleWords]))
 	d.NextPC = emu.SuccessorPC(in, pc, d.Src1Val, d.Taken)
 }
 
