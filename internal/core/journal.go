@@ -9,27 +9,29 @@ package core
 // common undo shapes (restore a TL/VRMT slot, undo a register allocation,
 // clear a flag, decrement a counter) are recorded as typed records instead
 // of heap-allocated closures: a central log keeps (seq, kind) in push
-// order, and each kind's payload lives in its own typed ring that is
-// pushed and popped in lock-step with the central log. Every log is a
-// ring deque that grows only when full, so once a run reaches its
-// high-water marks pushing, rewinding and pruning never allocate again.
-// Push (the closure form) remains available for cold paths and tests.
+// order, and each kind's payload lives in its own typed stack that is
+// pushed and popped in lock-step with the central log. Every log compacts
+// as soon as its pruned prefix outgrows its live entries, so its capacity
+// follows its live high-water mark and, after warm-up, pushing is
+// allocation-free. Push (the closure form) remains available for cold
+// paths and tests.
 type Journal struct {
-	recs ring[jrec] // the central log, oldest first
+	recs []jrec
+	head int // index of the oldest live central record
 
-	closures  ring[func()]
-	tlRecs    ring[tlRestore]
-	tlConfs   ring[tlConf]
-	tlDels    ring[tlDelete]
-	vrmtRecs  ring[vrmtRestore]
-	vrmtOffs  ring[vrmtOffset]
-	vrmtDels  ring[vrmtDelete]
-	vrmtReins ring[vrmtReinsert]
-	regAllocs ring[regAllocUndo]
-	elemUs    ring[elemU]
-	vsRecs    ring[vsRestore]
-	u8s       ring[u8Restore]
-	decs      ring[*uint64]
+	closures  jstack[func()]
+	tlRecs    jstack[tlRestore]
+	tlConfs   jstack[tlConf]
+	tlDels    jstack[tlDelete]
+	vrmtRecs  jstack[vrmtRestore]
+	vrmtOffs  jstack[vrmtOffset]
+	vrmtDels  jstack[vrmtDelete]
+	vrmtReins jstack[vrmtReinsert]
+	regAllocs jstack[regAllocUndo]
+	elemUs    jstack[elemU]
+	vsRecs    jstack[vsRestore]
+	u8s       jstack[u8Restore]
+	decs      jstack[*uint64]
 }
 
 type jkind uint8
@@ -104,53 +106,33 @@ type u8Restore struct {
 	old uint8
 }
 
-// ring is a deque over a power-of-two buffer: pushed and popped at the
-// tail (decode and rewind), dropped at the head (prune), and doubled only
-// when full.
-type ring[T any] struct {
-	buf  []T // len is zero or a power of two
-	head int // index of the oldest item in buf
-	n    int // live items
-	peak int // high-water mark of n
+// jstack is one typed payload stack: pushed at the tail, popped at the
+// tail on rewind, and consumed from the head on prune, in lock-step with
+// the central record log.
+type jstack[T any] struct {
+	items []T
+	head  int
 }
 
-func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-	r.peak = max(r.peak, r.n)
-}
+func (s *jstack[T]) push(v T) { s.items = append(s.items, v) }
 
-// grow doubles the full buffer (starting at one item), moving the live
-// items to its front in order.
-func (r *ring[T]) grow() {
-	buf := make([]T, max(1, 2*len(r.buf)))
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf, r.head = buf, 0
-}
-
-// newest returns the tail item; the ring must not be empty.
-func (r *ring[T]) newest() *T { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
-
-// oldest returns the head item; the ring must not be empty.
-func (r *ring[T]) oldest() *T { return &r.buf[r.head] }
-
-func (r *ring[T]) pop() T {
-	v := *r.newest()
-	r.n--
+func (s *jstack[T]) pop() T {
+	v := s.items[len(s.items)-1]
+	s.items = s.items[:len(s.items)-1]
 	return v
 }
 
-// dropOldest forgets the head item, zeroing it so closures release their
-// captures.
-func (r *ring[T]) dropOldest() {
+// dropOldest forgets the head item (zeroing it so closures release their
+// captures) and compacts once the dead prefix outgrows the live items.
+func (s *jstack[T]) dropOldest() {
 	var zero T
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
+	s.items[s.head] = zero
+	s.head++
+	if s.head > len(s.items)/2 {
+		n := copy(s.items, s.items[s.head:])
+		s.items = s.items[:n]
+		s.head = 0
+	}
 }
 
 // NewJournal returns an empty journal.
@@ -160,7 +142,7 @@ func NewJournal() *Journal { return &Journal{} }
 // commit-time effects are never rolled back, so callers mutating state at
 // commit pass nil (the typed push methods each nil-check before calling).
 func (j *Journal) record(seq uint64, kind jkind) {
-	j.recs.push(jrec{seq: seq, kind: kind})
+	j.recs = append(j.recs, jrec{seq: seq, kind: kind})
 }
 
 // Push records a closure undo action for the instruction with sequence
@@ -280,7 +262,9 @@ func (j *Journal) PushDec(seq uint64, p *uint64) {
 //
 //sdv:hotpath
 func (j *Journal) undoNewest() {
-	switch j.recs.pop().kind {
+	rec := j.recs[len(j.recs)-1]
+	j.recs = j.recs[:len(j.recs)-1]
+	switch rec.kind {
 	case jClosure:
 		j.closures.pop()()
 	case jTLRestore:
@@ -326,20 +310,20 @@ func (j *Journal) undoNewest() {
 
 // RewindTo undoes every entry with sequence >= seq, newest first.
 func (j *Journal) RewindTo(seq uint64) {
-	for j.recs.n > 0 && j.recs.newest().seq >= seq {
+	for len(j.recs) > j.head {
+		if j.recs[len(j.recs)-1].seq < seq {
+			return
+		}
 		j.undoNewest()
 	}
 }
 
 // Prune forgets entries with sequence < seq (already committed; a squash
-// can never reach behind the commit point).
+// can never reach behind the commit point). Memory is compacted once the
+// dead prefix outgrows the live entries.
 func (j *Journal) Prune(seq uint64) {
-	for j.recs.n > 0 {
-		rec := *j.recs.oldest()
-		if rec.seq >= seq {
-			return
-		}
-		switch rec.kind {
+	for j.head < len(j.recs) && j.recs[j.head].seq < seq {
+		switch j.recs[j.head].kind {
 		case jClosure:
 			j.closures.dropOldest()
 		case jTLRestore:
@@ -367,37 +351,45 @@ func (j *Journal) Prune(seq uint64) {
 		case jDecU64:
 			j.decs.dropOldest()
 		}
-		j.recs.dropOldest()
+		j.head++
+	}
+	if j.head > len(j.recs)/2 {
+		n := copy(j.recs, j.recs[j.head:])
+		j.recs = j.recs[:n]
+		j.head = 0
 	}
 }
 
 // Len returns the number of live entries (tests).
-func (j *Journal) Len() int { return j.recs.n }
+func (j *Journal) Len() int { return len(j.recs) - j.head }
 
-// RingSize is one journal ring's buffer capacity and the most entries it
-// has held at once.
-type RingSize struct {
+// StackSize is one journal log's live entries and buffer capacity.
+type StackSize struct {
 	Name      string
-	Cap, Peak int
+	Live, Cap int
 }
 
-// RingSizes reports every ring of the journal, the central log first
+func sizeOf[T any](name string, s *jstack[T]) StackSize {
+	return StackSize{name, len(s.items) - s.head, cap(s.items)}
+}
+
+// StackSizes reports every log of the journal, the central log first
 // (tests).
-func (j *Journal) RingSizes() []RingSize {
-	return []RingSize{
-		{"recs", len(j.recs.buf), j.recs.peak},
-		{"closures", len(j.closures.buf), j.closures.peak},
-		{"tlRecs", len(j.tlRecs.buf), j.tlRecs.peak},
-		{"tlConfs", len(j.tlConfs.buf), j.tlConfs.peak},
-		{"tlDels", len(j.tlDels.buf), j.tlDels.peak},
-		{"vrmtRecs", len(j.vrmtRecs.buf), j.vrmtRecs.peak},
-		{"vrmtOffs", len(j.vrmtOffs.buf), j.vrmtOffs.peak},
-		{"vrmtDels", len(j.vrmtDels.buf), j.vrmtDels.peak},
-		{"vrmtReins", len(j.vrmtReins.buf), j.vrmtReins.peak},
-		{"regAllocs", len(j.regAllocs.buf), j.regAllocs.peak},
-		{"elemUs", len(j.elemUs.buf), j.elemUs.peak},
-		{"vsRecs", len(j.vsRecs.buf), j.vsRecs.peak},
-		{"u8s", len(j.u8s.buf), j.u8s.peak},
-		{"decs", len(j.decs.buf), j.decs.peak},
+func (j *Journal) StackSizes() []StackSize {
+	return []StackSize{
+		{"recs", j.Len(), cap(j.recs)},
+		sizeOf("closures", &j.closures),
+		sizeOf("tlRecs", &j.tlRecs),
+		sizeOf("tlConfs", &j.tlConfs),
+		sizeOf("tlDels", &j.tlDels),
+		sizeOf("vrmtRecs", &j.vrmtRecs),
+		sizeOf("vrmtOffs", &j.vrmtOffs),
+		sizeOf("vrmtDels", &j.vrmtDels),
+		sizeOf("vrmtReins", &j.vrmtReins),
+		sizeOf("regAllocs", &j.regAllocs),
+		sizeOf("elemUs", &j.elemUs),
+		sizeOf("vsRecs", &j.vsRecs),
+		sizeOf("u8s", &j.u8s),
+		sizeOf("decs", &j.decs),
 	}
 }

@@ -49,50 +49,48 @@ func TestJournalPruneCompaction(t *testing.T) {
 	if j.Len() != 5000 {
 		t.Errorf("live = %d, want 5000", j.Len())
 	}
-	// Push/rewind still behave after a large prune.
+	// Push/rewind still behave after compaction.
 	hit := false
 	j.Push(20000, func() { hit = true })
 	j.RewindTo(20000)
 	if !hit {
-		t.Error("undo after a large prune not executed")
+		t.Error("undo after compaction not executed")
 	}
 }
 
-// TestJournalRingWrap grows the rings while their live entries wrap past
-// the end of the buffer, and requires rewinds to undo exactly the
-// unpruned entries, newest first, with each buffer grown only when full.
-func TestJournalRingWrap(t *testing.T) {
+// TestJournalCompactsToLive streams 10,000 instructions' entries (a
+// closure and a counter decrement each) through the journal with at most
+// eight instructions live, squashing the newest three every 97, and
+// requires every rewind to undo exactly those three, newest first, and
+// each log's capacity to stay within four times its live high-water mark
+// instead of growing with what it has pruned.
+func TestJournalCompactsToLive(t *testing.T) {
 	j := NewJournal()
-	var log []uint64
-	seq := uint64(0)
-	push := func(k int) {
-		for range k {
-			s := seq
-			j.Push(s, func() { log = append(log, s) })
-			seq++
+	var undone []uint64
+	var count uint64
+	squashes := 0
+	for seq := uint64(0); seq < 10_000; seq++ {
+		s := seq
+		j.Push(s, func() { undone = append(undone, s) })
+		count++
+		j.PushDec(s, &count)
+		if seq%97 == 96 {
+			undone = undone[:0]
+			j.RewindTo(seq - 2)
+			if len(undone) != 3 || undone[0] != seq || undone[1] != seq-1 || undone[2] != seq-2 {
+				t.Fatalf("rewind to %d undid %v, want [%d %d %d]", seq-2, undone, seq, seq-1, seq-2)
+			}
+			squashes++
 		}
+		j.Prune(max(seq, 7) - 7)
 	}
-	push(6)    // a buffer of 8 holds 0..5
-	j.Prune(5) // the head moves to 5
-	push(7)    // 5..12 wrap past the end and fill the buffer
-	push(3)    // 5..15 overflow it: grow to 16
-	j.Prune(7) // 7..15
-	j.RewindTo(9)
-	want := []uint64{15, 14, 13, 12, 11, 10, 9}
-	if len(log) != len(want) {
-		t.Fatalf("undo log %v, want %v", log, want)
+	if want := uint64(10_000 - 3*squashes); count != want {
+		t.Errorf("counter reads %d after %d squashes, want %d", count, squashes, want)
 	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("undo log %v, want %v", log, want)
-		}
-	}
-	if j.Len() != 2 {
-		t.Errorf("live entries = %d, want 2", j.Len())
-	}
-	for _, r := range j.RingSizes()[:2] { // the central log and the closures
-		if r.Peak != 11 || r.Cap != 16 {
-			t.Errorf("%s: capacity %d, peak %d; want 16, 11", r.Name, r.Cap, r.Peak)
+	peak := map[string]int{"recs": 16, "closures": 8, "decs": 8}
+	for _, st := range j.StackSizes() {
+		if st.Cap > 4*peak[st.Name] {
+			t.Errorf("%s: capacity %d for at most %d live entries", st.Name, st.Cap, peak[st.Name])
 		}
 	}
 }

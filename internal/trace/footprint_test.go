@@ -83,14 +83,19 @@ func TestFinishExactFootprint(t *testing.T) {
 // TestDecodeExactFootprint decodes a trace longer than the codec's
 // initial-capacity clamp, so its columns grow by append, and requires the
 // decoded trace to hold exactly its data. The trace is built in-package,
-// without emulation: a two-instruction loop whose addi source value
-// cycles through a few hundred tuples.
+// without emulation: a two-instruction loop whose add source values cycle
+// with coprime periods 397 and 396, so the add records hold 78,606
+// distinct tuples and the tuple-index column needs 3 bytes.
 func TestDecodeExactFootprint(t *testing.T) {
 	const n = 1<<20 + 4099
 	tr := synthetic(n, func(i int) emu.DynInst {
-		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i % 397)}
+		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i % 397), Src2Val: uint64(i % 396)}
 	})
 	tr.truncated = true
+	if tr.TupleCount() != 78_606 || tr.tupleIdx.w != 3 {
+		t.Fatalf("synthetic trace has %d tuples in a %d-byte index column; want 78606 in 3 bytes",
+			tr.TupleCount(), tr.tupleIdx.w)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
@@ -102,6 +107,9 @@ func TestDecodeExactFootprint(t *testing.T) {
 	}
 	if back.Len() != n || back.TupleCount() != tr.TupleCount() {
 		t.Fatalf("decoded %d records, %d tuples; want %d, %d", back.Len(), back.TupleCount(), n, tr.TupleCount())
+	}
+	if back.tupleIdx.w != 3 {
+		t.Errorf("decoded tuple-index column is %d bytes wide, want 3", back.tupleIdx.w)
 	}
 	requireExact(t, "decoded", back)
 	var a, b emu.DynInst
@@ -115,14 +123,14 @@ func TestDecodeExactFootprint(t *testing.T) {
 }
 
 // synthetic builds an n-record trace in-package, without emulation, over
-// a two-instruction loop text (addi at PC 0, j at PC 1); rec(i) supplies
+// a two-instruction loop text (add at PC 0, j at PC 1); rec(i) supplies
 // record i's PC, branch outcome and operand values, of which the tuple
 // keeps what project keeps for the instruction at that PC.
 func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	tr := &Trace{
 		name: "synthetic",
 		insts: []isa.Inst{
-			{Op: isa.OpAddi, Rd: isa.IntReg(1), Rs1: isa.IntReg(1), Imm: 1},
+			{Op: isa.OpAdd, Rd: isa.IntReg(1), Rs1: isa.IntReg(1), Rs2: isa.IntReg(2)},
 			{Op: isa.OpJ, Imm: 0},
 		},
 	}
@@ -163,7 +171,7 @@ func TestColumnWidths(t *testing.T) {
 
 	// A recording with 2^8 or 2^16 tuples is the first to need a wider
 	// index column once it gains one more (the largest index is
-	// count-1). Each record is the addi with a fresh source value, so
+	// count-1). Each record is the add with a fresh first source value, so
 	// count == records.
 	// The 2^24 boundary is pinned on the column above: a pool of 2^24
 	// tuples would hold 671 MB.
