@@ -196,7 +196,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := trace.NewRecorder(mach, prog, pipeline.SourceWindow(cfg))
+	rec, err := trace.NewRecorder(mach, prog, 200_000+trace.RecordSlack)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ResetTimer()
 	var committed uint64
 	for i := 0; i < b.N; i++ {
-		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
+		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr))
 		if err != nil {
 			b.Fatal(err)
 		}

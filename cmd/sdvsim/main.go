@@ -160,44 +160,39 @@ func main() {
 		fatal(fmt.Errorf("need -workload or -asm (see -workloads)"))
 	}
 
-	var rec *trace.Recorder
-	var sim *pipeline.Simulator
 	if *trcOut != "" {
-		mach, err := emu.New(prog)
-		if err != nil {
+		if err := recordTrace(prog, *trcOut, *max); err != nil {
 			fatal(err)
 		}
-		rec, err = trace.NewRecorder(mach, prog, pipeline.SourceWindow(cfg))
-		if err != nil {
+		if err := replayRun(cfg, *trcOut, *max, *hotStats); err != nil {
 			fatal(err)
 		}
-		sim, err = pipeline.NewFromSource(cfg, rec)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		sim, err = pipeline.New(cfg, prog)
-		if err != nil {
-			fatal(err)
-		}
+		return
+	}
+	sim, err := pipeline.New(cfg, prog)
+	if err != nil {
+		fatal(err)
 	}
 	st, err := sim.Run(*max)
 	if err != nil {
 		fatal(err)
 	}
 	printRun(prog.Name, cfg.Name, st, sim, *hotStats)
-	if rec != nil {
-		if err := writeTrace(rec, *trcOut, *max); err != nil {
-			fatal(err)
-		}
-	}
 }
 
-// writeTrace completes a recording and writes it out. The trace is
-// extended past the commit limit by more than any configuration's
-// in-flight capacity, so a replay under a wider processor observes
-// exactly the records a live run would have.
-func writeTrace(rec *trace.Recorder, path string, maxInsts uint64) error {
+// recordTrace records prog and writes the trace to path. The trace
+// extends past the commit limit by more than any configuration's
+// in-flight capacity, so a replay under any processor observes exactly
+// the records a live run would have.
+func recordTrace(prog *isa.Program, path string, maxInsts uint64) error {
+	mach, err := emu.New(prog)
+	if err != nil {
+		return err
+	}
+	rec, err := trace.NewRecorder(mach, prog, 0)
+	if err != nil {
+		return err
+	}
 	tr, err := rec.Finish(int(maxInsts) + trace.RecordSlack)
 	if err != nil {
 		return err
@@ -228,7 +223,7 @@ func replayRun(cfg config.Config, path string, maxInsts uint64, hotStats bool) e
 	if err := experiments.CheckCoverage(cfg, tr, maxInsts); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
+	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr))
 	if err != nil {
 		return err
 	}

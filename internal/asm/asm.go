@@ -35,7 +35,15 @@ type assembler struct {
 	// pendingData holds labels seen in .data that bind to the next
 	// data directive.
 	pendingData []string
+
+	dataBytes int // static data declared so far (pass 1)
 }
+
+// maxDataBytes bounds the static data one source may declare, .word,
+// .float and .space together: far above any hand-written kernel, and
+// small enough that an outside file cannot make the assembler (or the
+// emulator loading its program) allocate without limit.
+const maxDataBytes = 1 << 24
 
 // Assemble parses source and returns the program.
 func Assemble(name, source string) (*isa.Program, error) {
@@ -164,6 +172,9 @@ func (a *assembler) directive(name, rest string) error {
 			if err != nil {
 				return err
 			}
+			if err := a.reserve(len(vals) * isa.WordBytes); err != nil {
+				return err
+			}
 			words := make([]uint64, len(vals))
 			for i, v := range vals {
 				words[i] = uint64(v)
@@ -178,11 +189,17 @@ func (a *assembler) directive(name, rest string) error {
 				}
 				vals = append(vals, v)
 			}
+			if err := a.reserve(len(vals) * isa.WordBytes); err != nil {
+				return err
+			}
 			addr = a.b.DataFloats(label, vals)
 		case ".space":
 			n, err := strconv.Atoi(strings.TrimSpace(rest))
 			if err != nil || n < 0 {
 				return a.errf("bad .space size %q", rest)
+			}
+			if err := a.reserve(n); err != nil {
+				return err
 			}
 			addr = a.b.DataBytes(label, make([]byte, n))
 		}
@@ -193,6 +210,15 @@ func (a *assembler) directive(name, rest string) error {
 	default:
 		return a.errf("unknown directive %q", name)
 	}
+}
+
+// reserve counts n more bytes of static data against maxDataBytes.
+func (a *assembler) reserve(n int) error {
+	if n > maxDataBytes-a.dataBytes {
+		return a.errf("static data exceeds %d bytes", maxDataBytes)
+	}
+	a.dataBytes += n
+	return nil
 }
 
 func (a *assembler) parseInts(rest string) ([]int64, error) {

@@ -42,8 +42,7 @@ func TestAssembleAndRun(t *testing.T) {
 	}
 }
 
-func TestForwardDataReference(t *testing.T) {
-	src := `
+const fwdProgram = `
         .text
         li   r1, later
         ld   r2, 0(r1)
@@ -51,7 +50,9 @@ func TestForwardDataReference(t *testing.T) {
         .data
 later:  .word 77
 `
-	p, err := Assemble("fwd", src)
+
+func TestForwardDataReference(t *testing.T) {
+	p, err := Assemble("fwd", fwdProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +65,7 @@ later:  .word 77
 	}
 }
 
-func TestFloatsAndSpace(t *testing.T) {
-	src := `
+const floatsProgram = `
         .data
 vals:   .float 2.5, -0.5
 buf:    .space 16
@@ -78,7 +78,9 @@ buf:    .space 16
         stf  f3, 8(r2)
         halt
 `
-	p, err := Assemble("f", src)
+
+func TestFloatsAndSpace(t *testing.T) {
+	p, err := Assemble("f", floatsProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +94,7 @@ buf:    .space 16
 	}
 }
 
-func TestAllMnemonicsAssemble(t *testing.T) {
-	src := `
+const allMnemonicsProgram = `
         .data
 d:      .word 0
         .text
@@ -148,7 +149,9 @@ target: beq  r1, r2, target
         jr   r31, 4
         halt
 `
-	p, err := Assemble("all", src)
+
+func TestAllMnemonicsAssemble(t *testing.T) {
+	p, err := Assemble("all", allMnemonicsProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,24 +161,29 @@ target: beq  r1, r2, target
 	}
 }
 
+// errorCases are sources Assemble must reject, each with a fragment of
+// its one-line error.
+var errorCases = []struct {
+	name, src, want string
+}{
+	{"unknown-mnemonic", "frob r1, r2", "unknown mnemonic"},
+	{"bad-register", "add r1, r99, r2", "out of range"},
+	{"bad-mem", "ld r1, 8[r2]", "bad memory operand"},
+	{"missing-operand", "add r1, r2", "needs 3 operands"},
+	{"undefined-branch", "beq r1, r2, nowhere", "undefined label"},
+	{"inst-in-data", ".data\nadd r1, r2, r3", "in .data section"},
+	{"unknown-directive", ".bss", "unknown directive"},
+	{"bad-float", ".data\nx: .float 1.5, zap", "bad float"},
+	{"bad-space", ".data\nx: .space -1", "bad .space"},
+	{"huge-space", ".data\nx: .space 4611686018427387904\n.text\nhalt\n", "line 2: static data exceeds"},
+	{"data-limit", ".data\nx: .space 16777216\ny: .word 1\n", "line 3: static data exceeds"},
+	{"dup-label", "x: nop\nx: nop", "duplicate label"},
+	{"word-in-text", ".word 5", "outside .data"},
+	{"bad-li", "li r1, nosuchdata", "unknown immediate"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown-mnemonic", "frob r1, r2", "unknown mnemonic"},
-		{"bad-register", "add r1, r99, r2", "out of range"},
-		{"bad-mem", "ld r1, 8[r2]", "bad memory operand"},
-		{"missing-operand", "add r1, r2", "needs 3 operands"},
-		{"undefined-branch", "beq r1, r2, nowhere", "undefined label"},
-		{"inst-in-data", ".data\nadd r1, r2, r3", "in .data section"},
-		{"unknown-directive", ".bss", "unknown directive"},
-		{"bad-float", ".data\nx: .float 1.5, zap", "bad float"},
-		{"bad-space", ".data\nx: .space -1", "bad .space"},
-		{"dup-label", "x: nop\nx: nop", "duplicate label"},
-		{"word-in-text", ".word 5", "outside .data"},
-		{"bad-li", "li r1, nosuchdata", "unknown immediate"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Assemble("bad", c.src)
 			if err == nil {
@@ -199,8 +207,7 @@ func TestErrorLineNumbers(t *testing.T) {
 	}
 }
 
-func TestMultipleLabelsOneBlock(t *testing.T) {
-	src := `
+const aliasProgram = `
         .data
 a:
 b:      .word 42
@@ -209,7 +216,9 @@ b:      .word 42
         li r2, b
         halt
 `
-	p, err := Assemble("alias", src)
+
+func TestMultipleLabelsOneBlock(t *testing.T) {
+	p, err := Assemble("alias", aliasProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 //     and results, which the timing model needs for scheduling, stride
 //     detection and validation checks.
 //
-// Stream wraps a Machine with a bounded replay window so the pipeline can
-// rewind and re-fetch after a squash (§3.6 store-conflict recovery);
-// NextRef hands out records by pointer into that window, keeping the fetch
-// hot path copy- and allocation-free.
+// Machine.Next serves those records strictly forward, as the live source
+// of the timing pipeline. Re-fetching after a squash (§3.6 store-conflict
+// recovery) never reaches the machine: the pipeline keeps the replay
+// window itself.
 package emu

@@ -280,6 +280,17 @@ func SuccessorPC(in isa.Inst, pc, s1 uint64, taken bool) uint64 {
 	return pc + 1
 }
 
+// Next executes one instruction into d, as a forward-only record source
+// for the timing pipeline: it reports false, leaving d untouched, once the
+// halt record has been produced.
+func (m *Machine) Next(d *DynInst) bool {
+	if m.halt {
+		return false
+	}
+	*d = m.Step()
+	return true
+}
+
 // Run executes until halt or until limit instructions have run. It returns
 // the number executed and ErrLimit if the budget was exhausted first.
 func (m *Machine) Run(limit uint64) (uint64, error) {

@@ -320,89 +320,3 @@ func TestALUPropertyVsGo(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamSequential(t *testing.T) {
-	b := isa.NewBuilder("t")
-	for i := 0; i < 20; i++ {
-		b.Addi(r(1), r(1), 1)
-	}
-	b.Halt()
-	p, _ := b.Build()
-	m, _ := New(p)
-	s := NewStream(m, 64)
-	for i := uint64(0); i <= 20; i++ {
-		d, ok := s.Next()
-		if !ok {
-			t.Fatalf("stream ended early at %d", i)
-		}
-		if d.Seq != i {
-			t.Fatalf("seq = %d, want %d", d.Seq, i)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream continued past halt")
-	}
-}
-
-func TestStreamRewindReplay(t *testing.T) {
-	b := isa.NewBuilder("t")
-	for i := 0; i < 50; i++ {
-		b.Addi(r(1), r(1), 1)
-	}
-	b.Halt()
-	p, _ := b.Build()
-	m, _ := New(p)
-	s := NewStream(m, 64)
-	var first []DynInst
-	for i := 0; i < 30; i++ {
-		d, _ := s.Next()
-		first = append(first, d)
-	}
-	s.Rewind(10)
-	for i := 10; i < 30; i++ {
-		d, ok := s.Next()
-		if !ok {
-			t.Fatal("stream ended during replay")
-		}
-		if d != first[i] {
-			t.Fatalf("replayed record %d differs: %+v vs %+v", i, d, first[i])
-		}
-	}
-}
-
-func TestStreamRewindOutOfWindowPanics(t *testing.T) {
-	b := isa.NewBuilder("t")
-	for i := 0; i < 100; i++ {
-		b.Addi(r(1), r(1), 1)
-	}
-	b.Halt()
-	p, _ := b.Build()
-	m, _ := New(p)
-	s := NewStream(m, 16)
-	for i := 0; i < 60; i++ {
-		s.Next()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("rewind outside window did not panic")
-		}
-	}()
-	s.Rewind(2)
-}
-
-func TestStreamPeek(t *testing.T) {
-	b := isa.NewBuilder("t")
-	b.Li(r(1), 5)
-	b.Halt()
-	p, _ := b.Build()
-	m, _ := New(p)
-	s := NewStream(m, 16)
-	s.Next()
-	d, ok := s.Peek(0)
-	if !ok || d.Inst.Op != isa.OpLi {
-		t.Errorf("peek(0) = %+v, %v", d, ok)
-	}
-	if _, ok := s.Peek(5); ok {
-		t.Error("peek beyond produced records succeeded")
-	}
-}

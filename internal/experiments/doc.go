@@ -13,7 +13,10 @@
 // by a functional pass, and every configuration replays the recording.
 // A simulation has one execution path: record once (or load the
 // recording), check that it covers the run, and replay it through one
-// trace.Replayer on one pool slot.
+// trace.Replayer on one pool slot. The Replayer only steps forward; the
+// pipeline keeps the window a squash re-fetches from, so a recording
+// must extend pipeline.SourceWindow(cfg) past the commit limit
+// (CheckCoverage).
 // Both memo layers are content-addressed: RunKey (results.go) names a
 // run's statistics, and Options.Results and Options.Traces extend the
 // memos across Runners — the service layer shares every run and every

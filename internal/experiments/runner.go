@@ -322,7 +322,7 @@ func (r *Runner) replay(cfg config.Config, bench string, tr *trace.Trace, sc obs
 	err := r.slot(func() error {
 		span := sc.Start("replay")
 		defer span.End()
-		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr, pipeline.SourceWindow(cfg)))
+		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr))
 		if err != nil {
 			return err
 		}
@@ -435,10 +435,9 @@ func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) 
 		if err != nil {
 			return err
 		}
-		rec, err := trace.NewRecorder(mach, prog, 0)
+		rec, err := trace.NewRecorder(mach, prog, r.recordTarget())
 		if err == nil {
 			rec.SetContext(r.ctx)
-			rec.Reserve(r.recordTarget())
 			tr, err = rec.Finish(r.recordTarget())
 		}
 		if err != nil && !cancelled(err) {

@@ -6,12 +6,12 @@ import (
 )
 
 // errDropNames are the method/function names whose errors this repo has
-// actually swallowed or must never swallow: Finish (trace.Recorder — the
-// PR 4 bug class: a nil-error Finish with a nil trace poisoned sweeps),
-// Close/Flush/Sync on write paths, Encode on serializers, Publish on
-// artifact stores. Scoped far tighter than errcheck on purpose: these
-// names are the repo's resource-finalization vocabulary, so a bare call
-// is almost always a bug rather than style.
+// actually swallowed or must never swallow: Finish (trace.Recorder's one
+// recording call, where a nil-error Finish with a nil trace once poisoned
+// sweeps), Close/Flush/Sync on write paths, Encode on serializers,
+// Publish on artifact stores. Scoped far tighter than errcheck on
+// purpose: these names are the repo's resource-finalization vocabulary,
+// so a bare call is almost always a bug rather than style.
 var errDropNames = map[string]bool{
 	"Finish":  true,
 	"Close":   true,

@@ -12,7 +12,9 @@
 // "Fetch", says why this preserves the paper's behaviour). Vector state
 // survives both mispredictions (control independence, §3.5) and
 // store-conflict squashes (§3.6), which rewind decode-side SDV state
-// through the core.Journal and replay the stream.
+// through the core.Journal and re-fetch from the simulator's replay
+// window. That window is the only one: a Source (the live emu.Machine,
+// a trace.Replayer) only steps forward.
 //
 // # Hot-path discipline
 //
@@ -32,6 +34,9 @@
 //   - Decode-side speculative state (TL, VRMT, register allocations, V/S
 //     rename entries, churn levels, statistics) is journalled through
 //     typed undo records in preallocated stacks — no closures.
+//   - Fetch takes records from a fixed ring of SourceWindow(cfg) records,
+//     which the source writes in place; a squash moves the ring's
+//     position back.
 //   - Wide-bus merge windows live in a small ordered table with pooled
 //     scratch instead of a per-access map.
 //

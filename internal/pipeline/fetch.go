@@ -6,9 +6,9 @@ import "specvec/internal/isa"
 // modelling I-cache latency, the one-taken-branch-per-cycle limit, and the
 // fetch stall on mispredicted control instructions (trace-driven recovery:
 // the correct path resumes once the branch resolves, plus a redirect
-// penalty). Fetched uops come from the simulator's free-list pool; the
-// record held across an I-cache miss is kept by value so the stage never
-// allocates.
+// penalty). Fetched uops come from the simulator's free-list pool; a
+// record that cannot enter this cycle's fetch group is handed back to the
+// replay window and taken again next time.
 //
 //sdv:hotpath
 func (s *Simulator) fetch() {
@@ -34,15 +34,10 @@ func (s *Simulator) fetch() {
 	haveLine := false
 
 	for n := 0; n < s.cfg.FetchWidth; n++ {
-		d := &s.pendingInst
-		if !s.pendingValid {
-			rec, ok := s.strm.NextRef()
-			if !ok {
-				return
-			}
-			d = rec
+		d, ok := s.next()
+		if !ok {
+			return
 		}
-		s.pendingValid = false
 
 		byteAddr := isa.PCToByte(d.PC)
 		line := byteAddr / lineBytes
@@ -51,16 +46,14 @@ func (s *Simulator) fetch() {
 			if lat > 1 {
 				// I-cache miss: hold the record, resume when the line
 				// arrives (the fill has warmed the cache).
-				s.pendingInst = *d
-				s.pendingValid = true
+				s.fetchSeq--
 				s.fetchReadyAt = s.cycle + uint64(lat)
 				return
 			}
 			curLine, haveLine = line, true
 		} else if line != curLine {
 			// Fetch groups do not cross I-cache lines.
-			s.pendingInst = *d
-			s.pendingValid = true
+			s.fetchSeq--
 			return
 		}
 

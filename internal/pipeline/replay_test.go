@@ -6,16 +6,35 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
+	"specvec/internal/isa"
 	"specvec/internal/trace"
 	"specvec/internal/workload"
 )
 
-// TestReplayEquivalence runs every workload three ways under each
-// configuration — live (emu.Stream), recording (trace.Recorder) and
-// replaying the finished recording (trace.Replayer) — and requires the
-// three statistics to be deeply identical. The V configurations exercise
-// store-conflict squashes (stream rewinds), which is where a replayer
-// with wrong window semantics would diverge.
+// recordTrace records prog to target records, as the experiments Runner
+// does.
+func recordTrace(t *testing.T, prog *isa.Program, target int) *trace.Trace {
+	t.Helper()
+	mach, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := trace.NewRecorder(mach, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec.Finish(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestReplayEquivalence runs every workload live (pipeline.New) and
+// replaying its recording (trace.Replayer) under each configuration and
+// requires the statistics to be deeply identical. The V configurations
+// exercise store-conflict squashes (replay-window rewinds), which is
+// where a wrong window would make replay diverge.
 func TestReplayEquivalence(t *testing.T) {
 	const scale = 6000
 	cfgs := []config.Config{
@@ -30,31 +49,11 @@ func TestReplayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog := b.Build(scale, 1)
-
 		// One recording per benchmark, shared across configurations —
 		// the exact shape the experiments Runner uses.
-		mach, err := emu.New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := trace.NewRecorder(mach, prog, SourceWindow(cfgs[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		recSim, err := NewFromSource(cfgs[0], rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recStats, err := recSim.Run(scale)
-		if err != nil {
-			t.Fatalf("%s: recording run: %v", bench, err)
-		}
-		tr, err := rec.Finish(scale + trace.RecordSlack)
-		if err != nil {
-			t.Fatalf("%s: finish: %v", bench, err)
-		}
+		tr := recordTrace(t, prog, scale+trace.RecordSlack)
 
-		for i, cfg := range cfgs {
+		for _, cfg := range cfgs {
 			live, err := New(cfg, prog)
 			if err != nil {
 				t.Fatal(err)
@@ -65,12 +64,7 @@ func TestReplayEquivalence(t *testing.T) {
 			}
 			squashes += liveStats.Squashed
 
-			if i == 0 && !reflect.DeepEqual(liveStats, recStats) {
-				t.Errorf("%s/%s: recording run diverged from live:\nlive: %s\nrec:  %s",
-					bench, cfg.Name, liveStats.String(), recStats.String())
-			}
-
-			replay, err := NewFromSource(cfg, trace.NewReplayer(tr, SourceWindow(cfg)))
+			replay, err := NewFromSource(cfg, trace.NewReplayer(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,6 +84,102 @@ func TestReplayEquivalence(t *testing.T) {
 	if squashes == 0 {
 		t.Error("no squash exercised across the suite; equivalence test lost its teeth")
 	}
+}
+
+// TestReplayWindow pins the simulator's replay window, through which
+// fetch takes every record: records come out in order, a rewind
+// re-fetches identical records, a rewind outside the window (or forward)
+// panics, and the steady state allocates nothing.
+func TestReplayWindow(t *testing.T) {
+	b, err := workload.Get("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := recordTrace(t, b.Build(1<<20, 1), 20_000)
+	newSim := func(t *testing.T) *Simulator {
+		t.Helper()
+		s, err := NewFromSource(config.MustNamed(4, 1, config.ModeV), trace.NewReplayer(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	take := func(t *testing.T, s *Simulator) emu.DynInst {
+		t.Helper()
+		d, ok := s.next()
+		if !ok {
+			t.Fatalf("window ran dry at %d of %d records", s.fetchSeq, tr.Len())
+		}
+		return *d
+	}
+
+	t.Run("in-order", func(t *testing.T) {
+		s := newSim(t)
+		var want emu.DynInst
+		for i := 0; i < tr.Len(); i++ {
+			tr.Record(i, &want)
+			if got := take(t, s); got != want {
+				t.Fatalf("record %d:\nwant %+v\ngot  %+v", i, want, got)
+			}
+		}
+		if _, ok := s.next(); ok {
+			t.Error("window served a record past the end of the trace")
+		}
+	})
+
+	t.Run("refetch", func(t *testing.T) {
+		s := newSim(t)
+		n := uint64(len(s.ring))
+		first := make([]emu.DynInst, 3*n)
+		for i := range first {
+			first[i] = take(t, s)
+		}
+		// The oldest record still in the window, then a mid-window one.
+		for _, seq := range []uint64{2 * n, 2*n + n/2} {
+			s.rewind(seq)
+			for i := seq; i < 3*n; i++ {
+				if got := take(t, s); got != first[i] {
+					t.Fatalf("refetched record %d differs:\nfirst %+v\nagain %+v", i, first[i], got)
+				}
+			}
+		}
+	})
+
+	t.Run("out-of-window-panics", func(t *testing.T) {
+		s := newSim(t)
+		n := uint64(len(s.ring))
+		for i := uint64(0); i < n+10; i++ {
+			take(t, s)
+		}
+		for _, c := range []struct {
+			name string
+			seq  uint64
+		}{{"outside the window", 9}, {"forward", n + 11}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("rewind %s did not panic", c.name)
+					}
+				}()
+				s.rewind(c.seq)
+			}()
+		}
+	})
+
+	t.Run("steady-state-allocs", func(t *testing.T) {
+		s := newSim(t)
+		avg := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 64; i++ {
+				if _, ok := s.next(); !ok {
+					t.Fatal("trace too short for the allocation run")
+				}
+			}
+			s.rewind(s.fetchSeq - 32) // squash-style re-fetch
+		})
+		if avg != 0 {
+			t.Errorf("replay window allocates %.2f allocs per 64-record batch, want 0", avg)
+		}
+	})
 }
 
 // TestRecordSlackCoversMatrix pins the invariant trace.RecordSlack

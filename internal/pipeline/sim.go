@@ -22,22 +22,23 @@ type vref struct {
 	elem   int
 }
 
-// Source feeds fetch with the dynamic instruction stream. It is satisfied
-// by emu.Stream (live functional emulation) and trace.Replayer (a recorded
-// stream), keeping fetch agnostic to where records come from. NextRef
-// returns the record at the current position by pointer (valid until the
-// source's replay window wraps past its sequence number); Rewind
-// repositions the stream after a squash, with at least the in-flight
-// capacity of the pipeline addressable backwards (see SourceWindow).
+// Source feeds fetch with the dynamic instruction stream, strictly
+// forward: Next writes the next record into d and reports true, or
+// reports false — leaving d untouched — once the halt record or the last
+// recorded record has been served. It is satisfied by emu.Machine (live
+// functional emulation) and trace.Replayer (a recorded stream), keeping
+// fetch agnostic to where records come from. Re-fetching after a squash
+// never reaches the source: the simulator keeps its own replay window
+// (see SourceWindow).
 type Source interface {
-	NextRef() (*emu.DynInst, bool)
-	Rewind(seq uint64)
+	Next(d *emu.DynInst) bool
 }
 
-// SourceWindow returns the replay-window size (in records) a Source must
-// retain to serve the pipeline under cfg: every in-flight instruction
-// (ROB + fetch buffer + the record held across an I-cache miss) may be
-// rewound to, doubled for slack and rounded to a power of two.
+// SourceWindow returns the size (in records) of the replay window the
+// simulator keeps under cfg: every in-flight instruction (ROB + fetch
+// buffer + the record held across an I-cache miss) may be rewound to,
+// doubled for slack and rounded to a power of two. It is also how far
+// past its last commit a run may pull records from its source.
 func SourceWindow(cfg config.Config) int {
 	inFlight := cfg.ROBSize + 3*cfg.FetchWidth + 1
 	n := 64
@@ -58,7 +59,14 @@ type Simulator struct {
 	cfg  config.Config
 	sim  *stats.Sim
 	mach *emu.Machine // nil when running from an external Source
-	strm Source
+	src  Source
+
+	// Replay window: the last len(ring) records pulled from src, indexed
+	// by Seq & ringMask, so a squash can re-fetch in-flight instructions.
+	ring     []emu.DynInst
+	ringMask uint64
+	pulled   uint64 // records pulled from src so far
+	fetchSeq uint64 // Seq of the next record fetch takes
 
 	hier  *mem.Hierarchy
 	ports *mem.Ports
@@ -97,8 +105,6 @@ type Simulator struct {
 
 	// Front end.
 	fetchBuf        *uopRing
-	pendingInst     emu.DynInst // fetched record waiting for the I-cache
-	pendingValid    bool
 	fetchReadyAt    uint64
 	fetchStall      *uop // unresolved mispredicted control instruction
 	fetchHalted     bool
@@ -225,7 +231,7 @@ func New(cfg config.Config, prog *isa.Program) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewFromSource(cfg, emu.NewStream(mach, SourceWindow(cfg)))
+	s, err := NewFromSource(cfg, mach)
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +240,9 @@ func New(cfg config.Config, prog *isa.Program) (*Simulator, error) {
 }
 
 // NewFromSource builds a simulator for cfg fed by an external dynamic
-// instruction source (e.g. a trace.Replayer, or a trace.Recorder wrapping
-// a live machine). The simulator has no machine of its own: Machine
-// returns nil, and the source must serve a stream recorded from — or
-// equivalent to — a valid program.
+// instruction source (e.g. a trace.Replayer). The simulator has no
+// machine of its own: Machine returns nil, and the source must serve a
+// stream recorded from — or equivalent to — a valid program.
 func NewFromSource(cfg config.Config, src Source) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -246,7 +251,8 @@ func NewFromSource(cfg config.Config, src Source) (*Simulator, error) {
 	s := &Simulator{
 		cfg:      cfg,
 		sim:      sim,
-		strm:     src,
+		src:      src,
+		ring:     make([]emu.DynInst, SourceWindow(cfg)),
 		hier:     mem.NewHierarchy(cfg.Mem, sim),
 		ports:    mem.NewPorts(cfg.MemPorts, cfg.WideBus, sim),
 		pred:     branch.New(cfg.Branch),
@@ -257,6 +263,7 @@ func NewFromSource(cfg config.Config, src Source) (*Simulator, error) {
 		iq:       make([]*uop, 0, cfg.IQSize),
 		viq:      make([]*vop, 0, cfg.VIQSize),
 	}
+	s.ringMask = uint64(len(s.ring) - 1)
 	s.readyBits = make([]uint64, (cfg.IQSize+63)/64+1)
 	tlSets, vrmtSets, vregs := cfg.TLSets, cfg.VRMTSets, cfg.VectorRegs
 	if cfg.Unbounded {
@@ -385,12 +392,12 @@ func (s *Simulator) step() {
 func (s *Simulator) robFull() bool { return s.rob.len() >= s.cfg.ROBSize }
 
 // squash flushes every in-flight instruction with sequence >= fromSeq:
-// decode-side SDV/rename state is rewound through the journal, the stream
-// is repositioned, and the front end restarts after a redirect penalty.
-// Vector instances are not squashed (§3.5, §3.6) unless their destination
-// register allocation itself was rewound (epoch bump aborts them). Flushed
-// uops return to the pool; their generation bump invalidates every
-// surviving reference.
+// decode-side SDV/rename state is rewound through the journal, fetch is
+// repositioned in the replay window, and the front end restarts after a
+// redirect penalty. Vector instances are not squashed (§3.5, §3.6)
+// unless their destination register allocation itself was rewound (epoch
+// bump aborts them). Flushed uops return to the pool; their generation
+// bump invalidates every surviving reference.
 func (s *Simulator) squash(fromSeq uint64) {
 	flushed := 0
 	for p := s.rob.head; p < s.rob.tail; p++ {
@@ -401,8 +408,7 @@ func (s *Simulator) squash(fromSeq uint64) {
 	s.sim.Squashed += uint64(flushed) + uint64(s.fetchBuf.len())
 
 	s.jnl.RewindTo(fromSeq)
-	s.strm.Rewind(fromSeq)
-	s.pendingValid = false
+	s.rewind(fromSeq)
 
 	for s.rob.len() > 0 {
 		s.uops.put(s.rob.popFront())
@@ -438,6 +444,38 @@ func (s *Simulator) squash(fromSeq uint64) {
 	if at := s.cycle + uint64(s.cfg.MispredictPenalty); at > s.fetchReadyAt {
 		s.fetchReadyAt = at
 	}
+}
+
+// next returns the record fetch takes next — from the replay window if it
+// was pulled before, else pulled from the source into the window — and
+// advances past it. The pointer stays valid until the window wraps past
+// its sequence number. ok is false once the source is exhausted.
+//
+//sdv:hotpath
+func (s *Simulator) next() (*emu.DynInst, bool) {
+	d := &s.ring[s.fetchSeq&s.ringMask]
+	if s.fetchSeq == s.pulled {
+		if !s.src.Next(d) {
+			return nil, false
+		}
+		s.pulled++
+	}
+	s.fetchSeq++
+	return d, true
+}
+
+// rewind repositions fetch so that next returns the record with sequence
+// number seq again. It panics if seq is ahead of fetch or has fallen out
+// of the replay window: either is a pipeline bug (squashing something
+// not yet fetched, or older than the machine's in-flight capacity).
+func (s *Simulator) rewind(seq uint64) {
+	if seq > s.fetchSeq {
+		panic(fmt.Sprintf("pipeline: rewind forward from %d to %d", s.fetchSeq, seq))
+	}
+	if n := uint64(len(s.ring)); s.pulled > n && seq < s.pulled-n {
+		panic(fmt.Sprintf("pipeline: rewind to %d outside the replay window (oldest %d)", seq, s.pulled-n))
+	}
+	s.fetchSeq = seq
 }
 
 // flushMerges retires completed wide-bus transactions: a line access stays

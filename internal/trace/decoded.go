@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"specvec/internal/emu"
@@ -13,15 +12,13 @@ import (
 // served by reference to any number of concurrent Cursors. A group of
 // simulators replaying the same recording pays the column decode —
 // tuple-pool lookups, static-instruction fetch, successor-PC derivation —
-// once per block instead of once per simulator, and a Cursor needs no
-// replay window at all: every decoded record stays addressable, so Rewind
-// is a pure position move.
+// once per block instead of once per simulator.
 //
 // Blocks decode lazily, on first touch by any cursor, so a short replay
-// (a cancelled run) never pays for the whole
-// trace. The decoded form is about 5x the size of the column form
-// (DynInst is ~100 bytes per record against ~20 compressed), which is
-// why experiments.Runner replays through a windowed Replayer instead:
+// (a cancelled run) never pays for the whole trace. The decoded form is
+// about 5x the size of the column form (DynInst is ~100 bytes per record
+// against ~20 compressed), which is why experiments.Runner replays
+// through a Replayer instead:
 // Decoded is the bench ladder's shared-walk reader (cmd/sdvbench).
 type Decoded struct {
 	t      *Trace
@@ -88,13 +85,11 @@ func (d *Decoded) block(i int) []emu.DynInst {
 // decoded blocks they walk are shared.
 func (d *Decoded) Cursor() *Cursor { return &Cursor{d: d} }
 
-// Cursor walks a Decoded trace as a pipeline.Source. It satisfies the
-// same contract as Replayer — records in sequence order, ok=false past
-// the halt (or, for a truncated trace, past the last record), Rewind to
-// any previously served record — but with no materialization window:
-// NextRef hands out pointers into the shared immutable blocks, so the
-// steady state does no copying and no allocation, and a squash's Rewind
-// is a position move that can never fall out of a window.
+// Cursor walks a Decoded trace forward as a pipeline.Source, with the
+// same contract as Replayer: records in sequence order, false past the
+// halt (or, for a truncated trace, past the last record). NextRef hands
+// out pointers into the shared immutable blocks, so the steady state does
+// no allocation.
 type Cursor struct {
 	d   *Decoded
 	pos uint64 // next Seq to hand out
@@ -104,14 +99,13 @@ type Cursor struct {
 	blkHi uint64        // blkLo + len(blk); 0 until the first load
 }
 
-// NextRef returns a pointer to the record at the current position. The
-// pointer aliases the shared decoded block and stays valid for the life
-// of the Decoded; consumers treat records as read-only (the pipeline
-// copies what it keeps), exactly as with Replayer's window pointers.
+// NextRef returns a pointer to the record at the current position and
+// advances. The pointer aliases the shared decoded block and stays valid
+// for the life of the Decoded; consumers treat records as read-only.
 //
 //sdv:hotpath
 func (c *Cursor) NextRef() (*emu.DynInst, bool) {
-	if c.pos < c.blkLo || c.pos >= c.blkHi {
+	if c.pos >= c.blkHi {
 		if c.pos >= uint64(c.d.t.Len()) {
 			return nil, false
 		}
@@ -125,44 +119,12 @@ func (c *Cursor) NextRef() (*emu.DynInst, bool) {
 	return rec, true
 }
 
-// Next returns the current record by value.
-func (c *Cursor) Next() (emu.DynInst, bool) {
-	d, ok := c.NextRef()
-	if !ok {
-		return emu.DynInst{}, false
+// Next copies the record at the current position into d and advances,
+// reporting false, with d untouched, past the last record.
+func (c *Cursor) Next(d *emu.DynInst) bool {
+	rec, ok := c.NextRef()
+	if ok {
+		*d = *rec
 	}
-	return *d, true
-}
-
-// Pos returns the sequence number of the next record NextRef will return.
-func (c *Cursor) Pos() uint64 { return c.pos }
-
-// Rewind repositions the stream so that NextRef returns the record with
-// sequence number seq again. Unlike a windowed source there is no oldest
-// reachable record — any seq in [0, pos] is valid.
-func (c *Cursor) Rewind(seq uint64) {
-	if seq > c.pos {
-		panic(fmt.Sprintf("trace: rewind forward from %d to %d", c.pos, seq))
-	}
-	c.pos = seq
-}
-
-// Peek returns a previously served record without repositioning,
-// mirroring Replayer.Peek (a decoded block never expires, so any record
-// in [0, pos) is available).
-func (c *Cursor) Peek(seq uint64) (emu.DynInst, bool) {
-	if seq >= c.pos {
-		return emu.DynInst{}, false
-	}
-	if seq >= c.blkLo && seq < c.blkHi {
-		return c.blk[seq-c.blkLo], true
-	}
-	return *c.d.Record(seq), true
-}
-
-// Record returns a pointer to record seq, decoding its block if needed.
-// It panics if seq is out of range (mirroring Trace.Record).
-func (d *Decoded) Record(seq uint64) *emu.DynInst {
-	blk := d.block(int(seq >> decodedBlockShift))
-	return &blk[seq&(1<<decodedBlockShift-1)]
+	return ok
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // TestCursorMatchesStream walks a Cursor against the model-visible
-// projection of a live stream with the same randomized Next/Rewind
-// schedule used for Recorder and Replayer, demanding identical records
-// at every step.
+// projection of a live machine, demanding identical records at every
+// step.
 func TestCursorMatchesStream(t *testing.T) {
 	for _, bench := range []string{"compress", "swim"} {
 		prog := buildBench(t, bench, 4000)
@@ -19,77 +18,16 @@ func TestCursorMatchesStream(t *testing.T) {
 		if tr.Truncated() {
 			t.Fatalf("%s: recording truncated at %d records", bench, tr.Len())
 		}
-		strm := visibleStream{emu.NewStream(newMachine(t, prog), 512)}
-		walk(t, bench+"/cursor", strm, NewDecoded(tr).Cursor(), 20_000)
+		sameStream(t, bench+"/cursor", newMachine(t, prog), NewDecoded(tr).Cursor())
 	}
 }
 
 // TestCursorMatchesReplayer drives a Cursor and a Replayer over the same
-// recording with the shared walk schedule: the decoded form must be
-// record-for-record indistinguishable from the windowed one.
+// recording: the decoded form must be record-for-record
+// indistinguishable from the column form.
 func TestCursorMatchesReplayer(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 4000), 1<<22)
-	walk(t, "swim/cursor-vs-replayer", NewReplayer(tr, 512), NewDecoded(tr).Cursor(), 20_000)
-}
-
-// TestCursorRewindContract pins the panic contract shared with Replayer:
-// a forward rewind is a programming error.
-func TestCursorRewindContract(t *testing.T) {
-	tr := record(t, buildBench(t, "compress", 2000), 1<<22)
-	d := NewDecoded(tr)
-
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-
-	c := d.Cursor()
-	for i := 0; i < 50; i++ {
-		c.NextRef()
-	}
-	c.Rewind(0) // to the first record: fine
-	for i := 0; i < 50; i++ {
-		c.NextRef()
-	}
-	mustPanic("rewind forward", func() { c.Rewind(c.Pos() + 1) })
-
-	// Unlike a windowed source, any rewind within [0, pos] is valid —
-	// even one reaching back past a block boundary far behind the window
-	// a Replayer would keep.
-	far := d.Cursor()
-	for i := 0; i < 3*(1<<decodedBlockShift)/2; i++ {
-		far.NextRef()
-	}
-	far.Rewind(0)
-	if rec, ok := far.NextRef(); !ok || rec.Seq != 0 {
-		t.Fatalf("deep rewind: got seq %v ok=%v, want 0 true", rec, ok)
-	}
-}
-
-// TestCursorPeek mirrors Replayer.Peek: served records are peekable,
-// unserved ones are not.
-func TestCursorPeek(t *testing.T) {
-	tr := record(t, buildBench(t, "compress", 2000), 1<<22)
-	c := NewDecoded(tr).Cursor()
-	if _, ok := c.Peek(0); ok {
-		t.Error("peek before first NextRef succeeded")
-	}
-	for i := 0; i < 10; i++ {
-		c.NextRef()
-	}
-	want, _ := c.Next()
-	got, ok := c.Peek(10)
-	if !ok || got != want {
-		t.Fatalf("peek(10) = %+v ok=%v, want %+v true", got, ok, want)
-	}
-	if _, ok := c.Peek(c.Pos()); ok {
-		t.Error("peek at unserved position succeeded")
-	}
+	sameStream(t, "swim/cursor-vs-replayer", NewReplayer(tr), NewDecoded(tr).Cursor())
 }
 
 // TestDecodedBlocksDecodeOnce checks the sharing arithmetic: K sequential
@@ -134,7 +72,6 @@ func TestDecodedConcurrentCursors(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := d.Cursor()
-			served := 0
 			for i := 0; ; i++ {
 				rec, ok := c.NextRef()
 				if !ok {
@@ -147,13 +84,6 @@ func TestDecodedConcurrentCursors(t *testing.T) {
 					errc <- fmt.Errorf("cursor %d: record %d mismatch", g, i)
 					return
 				}
-				// Periodic squash-style rewinds stress shared blocks. The
-				// trigger counts served records, not positions, so each
-				// rewind's replayed stretch cannot re-trigger it.
-				if served++; served%1777 == 0 && i > 32 {
-					c.Rewind(uint64(i - 31))
-					i -= 32
-				}
 			}
 		}(g)
 	}
@@ -165,9 +95,8 @@ func TestDecodedConcurrentCursors(t *testing.T) {
 }
 
 // TestCursorSteadyStateAllocs pins the shared-replay hot path at zero
-// allocations per served record once its blocks are decoded, including
-// across rewinds — the same discipline TestReplayerSteadyStateAllocs pins
-// for the windowed form.
+// allocations per served record once its blocks are decoded — the same
+// discipline TestReplayerSteadyStateAllocs pins for the column form.
 func TestCursorSteadyStateAllocs(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 4000), 1<<22)
 	d := NewDecoded(tr)
@@ -178,13 +107,13 @@ func TestCursorSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	cur := d.Cursor()
+	var rec emu.DynInst
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			if _, ok := cur.NextRef(); !ok {
-				cur.Rewind(0)
+			if !cur.Next(&rec) {
+				*cur = Cursor{d: d}
 			}
 		}
-		cur.Rewind(cur.Pos() - 32) // squash-style replay
 	})
 	if avg != 0 {
 		t.Errorf("cursor steady state allocates %.2f allocs per 64-record batch, want 0", avg)

@@ -58,11 +58,10 @@ func TestEncodeDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, b := range digestWorkloads(t) {
 		prog := b.Build(digestScale, 1)
-		rec, err := NewRecorder(newMachine(t, prog), prog, 0)
+		rec, err := NewRecorder(newMachine(t, prog), prog, digestScale+RecordSlack)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.Reserve(digestScale + RecordSlack)
 		tr, err := rec.Finish(digestScale + RecordSlack)
 		if err != nil {
 			t.Fatal(err)

@@ -13,25 +13,23 @@
 //
 // Three faces:
 //
-//   - Recorder wraps a live emu.Machine and captures records. It can
-//     serve the pipeline exactly like emu.Stream (bounded window, rewind
-//     on squash), so a recording run is byte-identical to an unrecorded
-//     one (sdvsim -trace-record). Finish then runs the machine to its
-//     target so the trace covers the dynamic stream; called on a fresh
-//     recorder it is a pure functional recording pass, which is how
-//     experiments.Runner records.
-//   - Replayer serves a recorded Trace with the same semantics, as the
-//     model-visible projection of the live records, without a machine, a
-//     memory image, or per-instruction interpretation; its steady state
-//     allocates nothing. It is the one replay source of
-//     experiments.Runner.
+//   - Recorder wraps a fresh emu.Machine; Finish runs it to a target
+//     record count (or its halt) and captures the records. Recording is a
+//     pure functional pass: sdvsim -trace-record and experiments.Runner
+//     both record first and then replay.
+//   - Replayer serves a recorded Trace to the pipeline as a forward-only
+//     pipeline.Source, as the model-visible projection of the live
+//     records, without a machine, a memory image, or per-instruction
+//     interpretation; it allocates nothing. The pipeline keeps the replay
+//     window a squash re-fetches from, so no source rewinds. Replayer is
+//     the one replay source of experiments.Runner.
 //   - Encode/Decode stream a Trace to and from a compact, versioned,
 //     checksummed file (format in codec.go).
 //
 // Decoded and Cursor are a fourth, shared-walk reader: a trace decoded
 // once into blocks that any number of cursors read. The bench ladder
 // (cmd/sdvbench) measures it; experiments.Runner does not use it, since
-// a walked Decoded holds 96 B per record against a Replayer's window.
+// a walked Decoded holds 96 B per record where a Replayer holds none.
 //
 // The in-memory form is structure-of-arrays: a PC column and an
 // interned-tuple index column, each stored at the narrowest width (1 to

@@ -42,8 +42,7 @@ func requireExact(t *testing.T, name string, tr *Trace) {
 // its data: whether the program halts short of a reserved target, the
 // recording is truncated with grown-on-demand columns, or the columns
 // were reserved up front, Finish leaves no capacity slack and drops the
-// full-width columns and the interning table, and a recorder that serves
-// no record never allocates its replay window.
+// full-width columns and the interning table.
 func TestFinishExactFootprint(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -56,12 +55,9 @@ func TestFinishExactFootprint(t *testing.T) {
 		{"reserved", buildBench(t, "swim", 50_000), 20_000, 20_000},
 	}
 	for _, c := range cases {
-		rec, err := NewRecorder(newMachine(t, c.prog), c.prog, 0)
+		rec, err := NewRecorder(newMachine(t, c.prog), c.prog, c.reserve)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.reserve > 0 {
-			rec.Reserve(c.reserve)
 		}
 		tr, err := rec.Finish(c.target)
 		if err != nil {
@@ -73,9 +69,6 @@ func TestFinishExactFootprint(t *testing.T) {
 		requireExact(t, c.name, tr)
 		if rec.intern.slots != nil || rec.cols.pcs != nil || rec.cols.tuples != nil {
 			t.Errorf("%s: recorder kept its columns or interning table after Finish", c.name)
-		}
-		if rec.window != nil {
-			t.Errorf("%s: a recorder that only finished allocated its replay window", c.name)
 		}
 	}
 }

@@ -1,90 +1,30 @@
 package trace
 
-import (
-	"fmt"
+import "specvec/internal/emu"
 
-	"specvec/internal/emu"
-)
-
-// Replayer serves a recorded Trace to the timing pipeline with the same
-// semantics emu.Stream gives fetch: records come out in sequence order,
-// a bounded window of recent records stays addressable so a squash can
-// rewind and replay, and the stream ends after the halt record. Replay
-// needs no machine, memory image or per-instruction interpretation; its
-// steady state allocates nothing.
+// Replayer serves a recorded Trace to the timing pipeline as a
+// forward-only pipeline.Source: records come out in sequence order and
+// the stream ends after the halt record — or, for a truncated trace,
+// after the last recorded instruction. Replay needs no machine, memory
+// image or per-instruction interpretation; it allocates nothing.
 type Replayer struct {
-	t      *Trace
-	window []emu.DynInst // ring buffer indexed by Seq % len
-	filled uint64        // records materialized into the window so far
-	pos    uint64        // next Seq to hand out
+	t   *Trace
+	pos int // next record to serve
 }
 
-// NewReplayer wraps t with a replay window of n records (emu.DefaultWindow
-// if n <= 0). The window must exceed the maximum number of in-flight
-// instructions of the consuming pipeline, exactly as for emu.NewStream.
-func NewReplayer(t *Trace, n int) *Replayer {
-	if n <= 0 {
-		n = emu.DefaultWindow
-	}
-	return &Replayer{t: t, window: make([]emu.DynInst, n)}
-}
+// NewReplayer returns a Replayer positioned at the first record of t.
+func NewReplayer(t *Trace) *Replayer { return &Replayer{t: t} }
 
-// Trace returns the trace being replayed.
-func (r *Replayer) Trace() *Trace { return r.t }
-
-// NextRef returns a pointer to the record at the current position,
-// materializing it from the trace columns on first touch. The pointer
-// stays valid until the window wraps past its sequence number. ok is
-// false once the stream is positioned past the halt record — or, for a
-// truncated trace, past the last recorded instruction.
+// Next materializes the record at the current position into d and
+// advances. It reports false, leaving d untouched, once every record has
+// been served.
 //
 //sdv:hotpath
-func (r *Replayer) NextRef() (*emu.DynInst, bool) {
-	if r.pos >= uint64(r.t.Len()) {
-		return nil, false
+func (r *Replayer) Next(d *emu.DynInst) bool {
+	if r.pos >= r.t.Len() {
+		return false
 	}
-	for r.filled <= r.pos {
-		r.t.Record(int(r.filled), &r.window[r.filled%uint64(len(r.window))])
-		r.filled++
-	}
-	d := &r.window[r.pos%uint64(len(r.window))]
+	r.t.Record(r.pos, d)
 	r.pos++
-	return d, true
-}
-
-// Next returns the current record by value.
-func (r *Replayer) Next() (emu.DynInst, bool) {
-	d, ok := r.NextRef()
-	if !ok {
-		return emu.DynInst{}, false
-	}
-	return *d, true
-}
-
-// Pos returns the sequence number of the next record NextRef will return.
-func (r *Replayer) Pos() uint64 { return r.pos }
-
-// Rewind repositions the stream so that NextRef returns the record with
-// sequence number seq again, with the same window contract as
-// emu.Stream.Rewind.
-func (r *Replayer) Rewind(seq uint64) {
-	if seq > r.pos {
-		panic(fmt.Sprintf("trace: rewind forward from %d to %d", r.pos, seq))
-	}
-	if r.filled > uint64(len(r.window)) && seq < r.filled-uint64(len(r.window)) {
-		panic(fmt.Sprintf("trace: rewind to %d outside window (oldest %d)",
-			seq, r.filled-uint64(len(r.window))))
-	}
-	r.pos = seq
-}
-
-// Peek returns a previously materialized record without repositioning.
-func (r *Replayer) Peek(seq uint64) (emu.DynInst, bool) {
-	if seq >= r.filled {
-		return emu.DynInst{}, false
-	}
-	if r.filled > uint64(len(r.window)) && seq < r.filled-uint64(len(r.window)) {
-		return emu.DynInst{}, false
-	}
-	return r.window[seq%uint64(len(r.window))], true
+	return true
 }

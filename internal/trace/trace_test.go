@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -73,21 +72,6 @@ func record(t testing.TB, prog *isa.Program, cap int) *Trace {
 	return tr
 }
 
-// TestRecorderMatchesStream drives a Recorder and an emu.Stream over the
-// same program with an identical randomized Next/Rewind walk and demands
-// identical records at every step.
-func TestRecorderMatchesStream(t *testing.T) {
-	for _, bench := range []string{"compress", "swim"} {
-		prog := buildBench(t, bench, 4000)
-		strm := emu.NewStream(newMachine(t, prog), 512)
-		rec, err := NewRecorder(newMachine(t, prog), prog, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk(t, bench+"/recorder", strm, rec, 20_000)
-	}
-}
-
 // visible returns d as a recording reproduces it: the operand values
 // project keeps, every other operand value zero.
 func visible(d emu.DynInst) emu.DynInst {
@@ -95,17 +79,8 @@ func visible(d emu.DynInst) emu.DynInst {
 	return d
 }
 
-// visibleStream serves a live stream's records through visible, for
-// comparison with a recording's readers.
-type visibleStream struct{ *emu.Stream }
-
-func (s visibleStream) Next() (emu.DynInst, bool) {
-	d, ok := s.Stream.Next()
-	return visible(d), ok
-}
-
 // TestReplayerMatchesStream replays a finished recording against the
-// model-visible projection of a live stream under the same walk.
+// model-visible projection of a live machine.
 func TestReplayerMatchesStream(t *testing.T) {
 	for _, bench := range []string{"compress", "swim"} {
 		prog := buildBench(t, bench, 4000)
@@ -113,43 +88,31 @@ func TestReplayerMatchesStream(t *testing.T) {
 		if tr.Truncated() {
 			t.Fatalf("%s: recording truncated at %d records", bench, tr.Len())
 		}
-		strm := visibleStream{emu.NewStream(newMachine(t, prog), 512)}
-		walk(t, bench+"/replayer", strm, NewReplayer(tr, 512), 20_000)
+		sameStream(t, bench+"/replayer", newMachine(t, prog), NewReplayer(tr))
 	}
 }
 
-// source is the common face of emu.Stream, Recorder and Replayer.
+// source is the forward-only face of emu.Machine, Replayer and Cursor
+// (pipeline.Source).
 type source interface {
-	Next() (emu.DynInst, bool)
-	Pos() uint64
-	Rewind(seq uint64)
+	Next(d *emu.DynInst) bool
 }
 
-// walk advances both sources together, randomly rewinding within the
-// window, and compares every record.
-func walk(t *testing.T, name string, want, got source, steps int) {
+// sameStream drains both sources together and compares every record,
+// want through visible, demanding that they end together.
+func sameStream(t *testing.T, name string, want, got source) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < steps; i++ {
-		if rng.Intn(64) == 0 && want.Pos() > 0 {
-			// Rewind up to 100 records, bounded by the window (512).
-			back := uint64(rng.Intn(100)) + 1
-			if back > want.Pos() {
-				back = want.Pos()
-			}
-			want.Rewind(want.Pos() - back)
-			got.Rewind(got.Pos() - back)
-		}
-		w, wok := want.Next()
-		g, gok := got.Next()
+	var w, g emu.DynInst
+	for i := 0; ; i++ {
+		wok, gok := want.Next(&w), got.Next(&g)
 		if wok != gok {
-			t.Fatalf("%s: step %d: ok %v vs %v", name, i, wok, gok)
+			t.Fatalf("%s: record %d: ok %v vs %v", name, i, wok, gok)
 		}
 		if !wok {
-			return // both ended together
+			return
 		}
-		if w != g {
-			t.Fatalf("%s: step %d: record mismatch\nlive:   %+v\nreplay: %+v", name, i, w, g)
+		if w = visible(w); w != g {
+			t.Fatalf("%s: record %d mismatch\nwant: %+v\ngot:  %+v", name, i, w, g)
 		}
 	}
 }
@@ -306,23 +269,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestReplayerSteadyStateAllocs pins the replay hot path at zero
-// allocations per served record, including across rewinds.
+// allocations per served record.
 func TestReplayerSteadyStateAllocs(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 4000), 1<<22)
-	rep := NewReplayer(tr, 1024)
-	// Warm up: materialize the first window.
-	for i := 0; i < 256; i++ {
-		if _, ok := rep.NextRef(); !ok {
-			t.Fatal("trace too short for warmup")
-		}
-	}
+	rep := NewReplayer(tr)
+	var d emu.DynInst
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			if _, ok := rep.NextRef(); !ok {
-				rep.Rewind(0)
+			if !rep.Next(&d) {
+				*rep = Replayer{t: tr}
 			}
 		}
-		rep.Rewind(rep.Pos() - 32) // squash-style replay
 	})
 	if avg != 0 {
 		t.Errorf("replay steady state allocates %.2f allocs per 64-record batch, want 0", avg)

@@ -92,7 +92,7 @@ func recordBytes(t *testing.T, p *isa.Program) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := trace.NewRecorder(m, p, 64)
+	rec, err := trace.NewRecorder(m, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
