@@ -76,7 +76,7 @@ func main() {
 	}
 
 	var toRun []experiments.Experiment
-	if *specArg == "" || flagSet("exp") {
+	if *specArg == "" || cliutil.FlagGiven(flag.CommandLine, "exp") {
 		if *exp == "all" {
 			toRun = experiments.All()
 		} else {
@@ -118,13 +118,6 @@ func main() {
 		render(tables)
 		timing("specsweep", start)
 	}
-}
-
-// flagSet reports whether the named flag was given on the command line.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
 }
 
 // render prints tables exactly the same way for local and served runs,

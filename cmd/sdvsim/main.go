@@ -59,12 +59,12 @@ func main() {
 	if *specArg != "" {
 		paths, err := cliutil.SplitSpecPaths(*specArg)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		for _, p := range paths {
 			f, err := wspec.LoadAndRegister(p)
 			if err != nil {
-				fatal(err)
+				cliutil.Fatal("sdvsim", err)
 			}
 			specNames = append(specNames, f.Names()...)
 		}
@@ -92,31 +92,31 @@ func main() {
 	}
 
 	if err := cliutil.ValidateRunFlags(*scale, *parallel); err != nil {
-		fatal(err)
+		cliutil.Fatal("sdvsim", err)
 	}
 	if *max == 0 {
-		fatal(cliutil.FlagError("max", *max, "> 0"))
+		cliutil.Fatal("sdvsim", cliutil.FlagError("max", *max, "> 0"))
 	}
 
 	cfg, err := parseConfig(*cfgName)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("sdvsim", err)
 	}
 
 	if *trcIn != "" {
 		if *wl != "" || *asmFile != "" || *trcOut != "" {
-			fatal(fmt.Errorf("-trace-replay runs from the trace alone; drop -workload/-asm/-trace-record"))
+			cliutil.Fatal("sdvsim", fmt.Errorf("-trace-replay runs from the trace alone; drop -workload/-asm/-trace-record"))
 		}
 		// The trace fixes the workload and its data: the generation knobs
 		// have no effect, so flag them the same way -max is flagged for
 		// multiple workloads instead of silently ignoring them.
 		for _, name := range []string{"seed", "scale"} {
-			if flagSet(name) {
+			if cliutil.FlagGiven(flag.CommandLine, name) {
 				fmt.Fprintf(os.Stderr, "sdvsim: -%s is ignored with -trace-replay; the trace fixes the workload and its data\n", name)
 			}
 		}
 		if err := replayRun(cfg, *trcIn, *max, *hotStats); err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		return
 	}
@@ -126,56 +126,56 @@ func main() {
 	case *asmFile != "":
 		src, err := os.ReadFile(*asmFile)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		prog, err = asm.Assemble(*asmFile, string(src))
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 	case *wl != "":
 		names, err := workloadNames(*wl)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		if len(names) > 1 {
 			if *trcOut != "" {
-				fatal(fmt.Errorf("-trace-record records a single run; got %d workloads", len(names)))
+				cliutil.Fatal("sdvsim", fmt.Errorf("-trace-record records a single run; got %d workloads", len(names)))
 			}
 			// The experiments Runner caps every run at -scale; -max only
 			// applies to single runs.
-			if flagSet("max") && *max != uint64(*scale) {
+			if cliutil.FlagGiven(flag.CommandLine, "max") && *max != uint64(*scale) {
 				fmt.Fprintf(os.Stderr, "sdvsim: -max is ignored with multiple workloads; each run commits up to -scale (%d) instructions\n", *scale)
 			}
 			if err := runSuite(cfg, names, *scale, *seed, *parallel); err != nil {
-				fatal(err)
+				cliutil.Fatal("sdvsim", err)
 			}
 			return
 		}
 		b, err := workload.Get(names[0])
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		prog = b.Build(*scale, *seed)
 	default:
-		fatal(fmt.Errorf("need -workload or -asm (see -workloads)"))
+		cliutil.Fatal("sdvsim", fmt.Errorf("need -workload or -asm (see -workloads)"))
 	}
 
 	if *trcOut != "" {
 		if err := recordTrace(prog, *trcOut, *max); err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		if err := replayRun(cfg, *trcOut, *max, *hotStats); err != nil {
-			fatal(err)
+			cliutil.Fatal("sdvsim", err)
 		}
 		return
 	}
 	sim, err := pipeline.New(cfg, prog)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("sdvsim", err)
 	}
 	st, err := sim.Run(*max)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("sdvsim", err)
 	}
 	printRun(prog.Name, cfg.Name, st, sim, *hotStats)
 }
@@ -271,13 +271,6 @@ func workloadNames(arg string) ([]string, error) {
 	return names, nil
 }
 
-// flagSet reports whether the named flag was given on the command line.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
-}
-
 // runSuite fans one or more workloads out over the experiments Runner's
 // worker pool and prints their statistics in the requested order.
 func runSuite(cfg config.Config, names []string, scale int, seed int64, parallel int) error {
@@ -303,9 +296,4 @@ func parseConfig(name string) (config.Config, error) {
 	}
 	return config.Config{}, fmt.Errorf("unknown config %q (want e.g. %s)",
 		name, strings.Join([]string{"4w-1pV", "8w-4pnoIM"}, ", "))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sdvsim:", err)
-	os.Exit(1)
 }

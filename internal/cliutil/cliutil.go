@@ -5,6 +5,7 @@
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"net/url"
@@ -112,6 +113,14 @@ func ValidateListenAddr(name, addr string) error {
 		return FlagError(name, fmt.Sprintf("%q", addr), "a listen address with a port")
 	}
 	return nil
+}
+
+// FlagGiven reports whether the named flag was set on fs's command line,
+// as opposed to holding its default.
+func FlagGiven(fs *flag.FlagSet, name string) bool {
+	given := false
+	fs.Visit(func(f *flag.Flag) { given = given || f.Name == name })
+	return given
 }
 
 // Fatal prints "tool: err" to stderr and exits 1.

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,6 +170,21 @@ func TestValidateListenAddr(t *testing.T) {
 		}
 		if strings.Contains(err.Error(), "\n") {
 			t.Errorf("multi-line error: %q", err)
+		}
+	}
+}
+
+func TestFlagGiven(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.Int("scale", 100, "")
+	fs.Int("max", 100, "")
+	fs.Bool("quiet", false, "")
+	if err := fs.Parse([]string{"-max", "100", "-quiet=false"}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{"scale": false, "max": true, "quiet": true, "absent": false} {
+		if got := FlagGiven(fs, name); got != want {
+			t.Errorf("FlagGiven(%q) = %v, want %v", name, got, want)
 		}
 	}
 }

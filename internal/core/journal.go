@@ -13,13 +13,11 @@ package core
 // pushed and popped in lock-step with the central log. Every log compacts
 // as soon as its pruned prefix outgrows its live entries, so its capacity
 // follows its live high-water mark and, after warm-up, pushing is
-// allocation-free. Push (the closure form) remains available for cold
-// paths and tests.
+// allocation-free.
 type Journal struct {
 	recs []jrec
 	head int // index of the oldest live central record
 
-	closures  jstack[func()]
 	tlRecs    jstack[tlRestore]
 	tlConfs   jstack[tlConf]
 	tlDels    jstack[tlDelete]
@@ -37,8 +35,7 @@ type Journal struct {
 type jkind uint8
 
 const (
-	jClosure jkind = iota
-	jTLRestore
+	jTLRestore jkind = iota
 	jTLConf
 	jTLDelete
 	jVRMTRestore
@@ -57,7 +54,7 @@ type jrec struct {
 	kind jkind
 }
 
-// Typed payloads. Each mirrors exactly the closure it replaced.
+// Typed payloads: each holds what its undo restores.
 type tlRestore struct {
 	e   *TLEntry
 	old TLEntry
@@ -122,8 +119,9 @@ func (s *jstack[T]) pop() T {
 	return v
 }
 
-// dropOldest forgets the head item (zeroing it so closures release their
-// captures) and compacts once the dead prefix outgrows the live items.
+// dropOldest forgets the head item (zeroing it so its pointers release
+// what they reference) and compacts once the dead prefix outgrows the
+// live items.
 func (s *jstack[T]) dropOldest() {
 	var zero T
 	s.items[s.head] = zero
@@ -138,22 +136,13 @@ func (s *jstack[T]) dropOldest() {
 // NewJournal returns an empty journal.
 func NewJournal() *Journal { return &Journal{} }
 
-// record appends one central record. A nil journal discards it —
-// commit-time effects are never rolled back, so callers mutating state at
-// commit pass nil (the typed push methods each nil-check before calling).
+// record appends one central record for the instruction with sequence
+// seq; sequences are non-decreasing (decode is in order). A nil journal
+// discards it — commit-time effects are never rolled back, so callers
+// mutating state at commit pass nil (the typed push methods each
+// nil-check before calling).
 func (j *Journal) record(seq uint64, kind jkind) {
 	j.recs = append(j.recs, jrec{seq: seq, kind: kind})
-}
-
-// Push records a closure undo action for the instruction with sequence
-// seq. Sequences must be non-decreasing (decode is in order). Cold paths
-// and tests use this form; hot paths use the typed pushes below.
-func (j *Journal) Push(seq uint64, undo func()) {
-	if j == nil {
-		return
-	}
-	j.record(seq, jClosure)
-	j.closures.push(undo)
 }
 
 func (j *Journal) pushTLRestore(seq uint64, e *TLEntry) {
@@ -265,8 +254,6 @@ func (j *Journal) undoNewest() {
 	rec := j.recs[len(j.recs)-1]
 	j.recs = j.recs[:len(j.recs)-1]
 	switch rec.kind {
-	case jClosure:
-		j.closures.pop()()
 	case jTLRestore:
 		r := j.tlRecs.pop()
 		*r.e = r.old
@@ -324,8 +311,6 @@ func (j *Journal) RewindTo(seq uint64) {
 func (j *Journal) Prune(seq uint64) {
 	for j.head < len(j.recs) && j.recs[j.head].seq < seq {
 		switch j.recs[j.head].kind {
-		case jClosure:
-			j.closures.dropOldest()
 		case jTLRestore:
 			j.tlRecs.dropOldest()
 		case jTLConf:
@@ -378,7 +363,6 @@ func sizeOf[T any](name string, s *jstack[T]) StackSize {
 func (j *Journal) StackSizes() []StackSize {
 	return []StackSize{
 		{"recs", j.Len(), cap(j.recs)},
-		sizeOf("closures", &j.closures),
 		sizeOf("tlRecs", &j.tlRecs),
 		sizeOf("tlConfs", &j.tlConfs),
 		sizeOf("tlDels", &j.tlDels),

@@ -36,12 +36,12 @@ func TestRunnerMemoises(t *testing.T) {
 	if _, err := Fig11(r); err != nil {
 		t.Fatal(err)
 	}
-	n := len(r.cache)
+	n := r.runs.Len()
 	if _, err := Fig12(r); err != nil { // same sweep: no new runs
 		t.Fatal(err)
 	}
-	if len(r.cache) != n {
-		t.Errorf("Fig12 re-ran the Fig11 sweep: %d -> %d cached runs", n, len(r.cache))
+	if r.runs.Len() != n {
+		t.Errorf("Fig12 re-ran the Fig11 sweep: %d -> %d cached runs", n, r.runs.Len())
 	}
 }
 

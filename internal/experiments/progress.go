@@ -1,9 +1,5 @@
 package experiments
 
-import (
-	"specvec/internal/trace"
-)
-
 // ProgressKind names one Runner lifecycle event.
 type ProgressKind int
 
@@ -48,19 +44,4 @@ type ProgressEvent struct {
 	Cached bool
 	// Err is the run's error on RunDone (nil on success).
 	Err error
-}
-
-// TraceStore persists recorded benchmark traces across Runner instances
-// (the service layer's content-addressed artifact store implements it; a
-// warm daemon hands every new Runner the recordings of earlier jobs).
-// Implementations must be safe for concurrent use and MUST be scoped to
-// one (scale, seed) pair — the Runner addresses the
-// store by bare benchmark name and trusts that a returned trace was
-// recorded under its own options. Load misses and Store failures are
-// silent: the store is an optimisation, never a correctness dependency.
-type TraceStore interface {
-	// Load returns the stored recording for bench, or ok=false.
-	Load(bench string) (tr *trace.Trace, ok bool)
-	// Store persists bench's recording, best effort.
-	Store(bench string, tr *trace.Trace)
 }

@@ -31,25 +31,24 @@ func renderSuite(t *testing.T, opts Options, cfgs ...config.Config) (string, *Ru
 	return sb.String(), r
 }
 
-// TestPublishTraceNeverNilNil is the ISSUE 4 regression pin: resolving a
-// trace entry with a nil trace and a nil error must never reach the
-// followers as such — the guard substitutes ErrRecordingUnusable.
-func TestPublishTraceNeverNilNil(t *testing.T) {
-	r := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 1})
-	tc := &traceCall{done: make(chan struct{})}
-	r.publishTrace(tc, "stub", nil, nil)
-	<-tc.done
-	if !errors.Is(tc.err, ErrRecordingUnusable) {
-		t.Errorf("nil-trace/nil-error publish resolved with err=%v, want ErrRecordingUnusable", tc.err)
+// TestNilRecordingUnusable: a recording that resolves to no trace and no
+// error — here, a store that returns nothing without recording — never
+// reaches a replay as such: the run fails with ErrRecordingUnusable and
+// nothing is counted as recorded.
+func TestNilRecordingUnusable(t *testing.T) {
+	r := NewRunner(Options{Scale: 5_000, Seed: 1, Workers: 1,
+		Traces: traceStoreFunc(func(string, func() (*trace.Trace, error)) (*trace.Trace, error) { return nil, nil })})
+	if _, err := r.Run(config.MustNamed(4, 1, config.ModeV), "compress"); !errors.Is(err, ErrRecordingUnusable) {
+		t.Errorf("nil-trace/nil-error recording resolved with err=%v, want ErrRecordingUnusable", err)
 	}
 	if r.TraceRecordings() != 0 {
 		t.Error("a failed recording was counted as recorded")
 	}
 }
 
-// TestRecordingFailureFailsRuns seeds a shared-trace entry in the failed
-// state (no trace, ErrRecordingUnusable) and checks that timing runs and
-// the stream pass (VecLen's eachRecord) both fail with a one-line error
+// TestRecordingFailureFailsRuns gives a runner a recording that fails
+// (no trace, ErrRecordingUnusable) and checks that timing runs and the
+// stream pass (VecLen's eachRecord) both fail with a one-line error
 // wrapping it, while a runner whose recording succeeds matches a direct
 // live-emulation run of the same program.
 func TestRecordingFailureFailsRuns(t *testing.T) {
@@ -57,10 +56,11 @@ func TestRecordingFailureFailsRuns(t *testing.T) {
 	opts := Options{Scale: 10_000, Seed: 1, Workers: 2}
 	cfg := config.MustNamed(4, 1, config.ModeV)
 
-	seeded := NewRunner(opts)
-	tc := &traceCall{done: make(chan struct{})}
-	seeded.publishTrace(tc, bench, nil, fmt.Errorf("%w: indirect jump target out of range", ErrRecordingUnusable))
-	seeded.traces[bench] = tc
+	failing := opts
+	failing.Traces = traceStoreFunc(func(string, func() (*trace.Trace, error)) (*trace.Trace, error) {
+		return nil, fmt.Errorf("%w: indirect jump target out of range", ErrRecordingUnusable)
+	})
+	seeded := NewRunner(failing)
 
 	_, err := seeded.Run(cfg, bench)
 	if !errors.Is(err, ErrRecordingUnusable) {
@@ -100,12 +100,13 @@ func TestReplayRejectsShortRecording(t *testing.T) {
 		t.Fatalf("test premise broken: want a truncated %d-record trace, got %d records (truncated=%v)",
 			records, tr.Len(), tr.Truncated())
 	}
-	// runner returns a runner at scale whose recording of bench is tr.
+	// runner returns a runner at scale whose recording of bench is tr,
+	// seeded into its memo.
 	runner := func(scale int) *Runner {
 		r := NewRunner(Options{Scale: scale, Seed: 1, Workers: 1})
-		tc := &traceCall{done: make(chan struct{})}
-		r.publishTrace(tc, bench, tr, nil)
-		r.traces[bench] = tc
+		if _, _, err := r.traces.Do(r.ctx, bench, func() (*trace.Trace, error) { return tr, nil }); err != nil {
+			t.Fatal(err)
+		}
 		return r
 	}
 	for _, scale := range []int{records - 1, records, 1 << 40} {

@@ -13,25 +13,39 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/stats"
+	"specvec/internal/trace"
 	"specvec/internal/workload"
 )
 
-// ResultStore persists per-run statistics across Runner instances, under
-// the content address RunKey computes. Runner.Run consults it on a memo
-// miss, before recording: a hit loads no trace and takes no pool slot; a
-// miss simulates through compute and the store keeps the result. The
-// service layer backs it with its content-addressed cache, so every job
-// on a daemon shares every run.
-type ResultStore interface {
-	// GetOrCompute returns the statistics stored under key, or calls
-	// compute — synchronously, on the caller's goroutine — and stores a
-	// successful result. Concurrent calls for one key compute once and
-	// share the outcome; a caller whose leader was cancelled computes
-	// itself. ctx cancels the wait and carries the run's span
-	// (obs.FromContext). The returned statistics are shared with every
-	// other caller and must not be mutated.
-	GetOrCompute(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, error)
+// Store persists a Runner memo's values across Runner instances. The
+// service layer backs both of the Runner's stores with its
+// content-addressed tiers, so jobs on one daemon share runs and
+// recordings. A store is an optimisation, never a correctness
+// dependency: its misses and persistence failures are silent.
+type Store[V any] interface {
+	// GetOrCompute returns the value stored under key, or calls compute —
+	// synchronously, on the caller's goroutine — and stores a successful
+	// result. Concurrent calls for one key compute once and share the
+	// outcome; a caller whose leader was cancelled computes itself. ctx
+	// cancels the wait and carries the caller's span (obs.FromContext).
+	// The returned value is shared with every other caller and must not
+	// be mutated.
+	GetOrCompute(ctx context.Context, key string, compute func() (V, error)) (V, error)
 }
+
+// ResultStore holds per-run statistics under the content address RunKey
+// computes. Runner.Run consults it on a memo miss, before recording: a
+// hit loads no trace and takes no pool slot; a miss simulates through
+// compute.
+type ResultStore = Store[*stats.Sim]
+
+// TraceStore holds recorded benchmark traces, keyed by bare benchmark
+// name: an implementation MUST be scoped to one (scale, seed) pair, and
+// the Runner trusts that a returned trace was recorded under its own
+// options. A miss records through compute. A returned recording shorter
+// than the Runner's record target is not replayed: the Runner records
+// afresh.
+type TraceStore = Store[*trace.Trace]
 
 // resultSchema versions the stats.Sim encoding the result stores persist.
 // Bump it when that JSON shape changes incompatibly: the version is

@@ -10,6 +10,7 @@ import (
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
+	"specvec/internal/flight"
 	"specvec/internal/obs"
 	"specvec/internal/pipeline"
 	"specvec/internal/profile"
@@ -38,8 +39,8 @@ type Options struct {
 	// abort within a few thousand cycles, queued work is not started, and
 	// Run/RunAll return the context's error. The service layer hands each
 	// job its own context so abandoned requests stop burning workers. A
-	// memo entry whose run was cancelled is evicted, so cancellation never
-	// poisons the cache for a later requester. Results are unaffected: a
+	// cancelled run or recording is never memoised, so cancellation never
+	// poisons the memo for a later requester. Results are unaffected: a
 	// run that completes before cancellation is byte-identical to one
 	// without a context.
 	//
@@ -54,8 +55,9 @@ type Options struct {
 	//sdv:shape
 	Progress func(ProgressEvent)
 	// Traces, when non-nil, persists recorded benchmark traces across
-	// Runner instances (see TraceStore). A leader checks the store before
-	// recording and publishes successful recordings back to it.
+	// Runner instances (see TraceStore). A recording's leader asks it for
+	// the benchmark's recording, and it records through the leader on a
+	// miss.
 	Traces TraceStore
 	// Results, when non-nil, persists per-run statistics across Runner
 	// instances (see ResultStore). Run consults it on a memo miss, before
@@ -101,44 +103,25 @@ type RunSpec struct {
 	Bench string
 }
 
-// call is one memoised simulation. The first requester of a key becomes
-// the leader and computes; every later requester blocks on done and
-// shares the leader's result (singleflight), so experiments that overlap
-// (e.g. Figures 11 and 12) pay for each run once even when submitted
-// concurrently.
-type call struct {
-	done chan struct{}
-	st   *stats.Sim
-	err  error
-}
-
-// traceCall is one memoised (benchmark, scale, seed) recording, shared by
-// every configuration that simulates the benchmark and by the stream
-// pass. Exactly one of tr and err is set once done is closed.
-type traceCall struct {
-	done chan struct{}
-	tr   *trace.Trace
-	err  error
-}
-
 // ErrRecordingUnusable marks a benchmark whose program was built but whose
 // recording failed: every run of the benchmark fails with it, since every
 // run replays the recording.
 var ErrRecordingUnusable = errors.New("experiments: benchmark recording unusable")
 
 // Runner executes (configuration, benchmark) pairs on a bounded worker
-// pool with two memo layers: per-run statistics keyed by RunKey (backed
-// by Options.Results when set), and per-benchmark recorded traces shared
-// across every configuration of a sweep (backed by Options.Traces). It is
-// safe for concurrent use by multiple goroutines.
+// pool with two memos: per-run statistics keyed by RunKey (backed by
+// Options.Results when set), so experiments that overlap (e.g. Figures
+// 11 and 12) pay for each run once even when submitted concurrently; and
+// per-benchmark recorded traces shared across every configuration of a
+// sweep and the stream pass (backed by Options.Traces). It is safe for
+// concurrent use by multiple goroutines.
 type Runner struct {
 	opts Options
 	ctx  context.Context // Options.Context or Background; never nil
 	sem  chan struct{}   // the worker pool: one token per executing pass (see slot)
 
-	mu     sync.Mutex
-	cache  map[string]*call // by RunKey
-	traces map[string]*traceCall
+	runs   flight.Memo[*stats.Sim]   // by RunKey
+	traces flight.Memo[*trace.Trace] // by benchmark
 
 	sims     atomic.Int64 // simulations actually executed (cache misses)
 	recorded atomic.Int64 // benchmark traces recorded (trace-cache misses)
@@ -162,8 +145,8 @@ func NewRunner(opts Options) *Runner {
 		opts:   opts,
 		ctx:    ctx,
 		sem:    make(chan struct{}, opts.Workers),
-		cache:  map[string]*call{},
-		traces: map[string]*traceCall{},
+		runs:   flight.Memo[*stats.Sim]{Keep: true},
+		traces: flight.Memo[*trace.Trace]{Keep: true},
 	}
 }
 
@@ -172,12 +155,6 @@ func (r *Runner) emit(ev ProgressEvent) {
 	if r.opts.Progress != nil {
 		r.opts.Progress(ev)
 	}
-}
-
-// cancelled reports whether err is a context cancellation (the runner's
-// own or a deadline).
-func cancelled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // collectHot folds one finished simulator's hot-path counters into the
@@ -218,41 +195,17 @@ func (r *Runner) TraceLoads() int64 { return r.loaded.Load() }
 // joined rather than duplicated.
 func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
 	key := RunKey(r.opts, cfg, bench)
-	r.mu.Lock()
-	if c, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-		case <-r.ctx.Done():
-			return nil, r.ctx.Err()
-		}
-		r.emit(ProgressEvent{Kind: RunDone, Cfg: cfg.Name, Bench: bench, Cached: true, Err: c.err})
-		return c.st, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	r.cache[key] = c
-	r.mu.Unlock()
-
 	stored := false
-	if err := r.ctx.Err(); err != nil {
-		// A cancelled runner must not start new simulations.
-		c.err = err
-	} else {
-		c.st, stored, c.err = r.result(cfg, bench, key)
-	}
-	if c.err != nil && cancelled(c.err) {
-		// A cancelled run must not poison the memo: evict the entry before
-		// waking followers so the next requester (with a live context)
-		// recomputes. Followers already waiting still observe the error.
-		r.mu.Lock()
-		if r.cache[key] == c {
-			delete(r.cache, key)
+	st, led, err := r.runs.Do(r.ctx, key, func() (*stats.Sim, error) {
+		if err := r.ctx.Err(); err != nil {
+			return nil, err // a cancelled runner starts no new simulations
 		}
-		r.mu.Unlock()
-	}
-	close(c.done)
-	r.emit(ProgressEvent{Kind: RunDone, Cfg: cfg.Name, Bench: bench, Cached: stored, Err: c.err})
-	return c.st, c.err
+		st, ok, err := r.result(cfg, bench, key)
+		stored = ok
+		return st, err
+	})
+	r.emit(ProgressEvent{Kind: RunDone, Cfg: cfg.Name, Bench: bench, Cached: !led || stored, Err: err})
+	return st, err
 }
 
 // result produces one memo entry's statistics under a "run" span: from
@@ -369,54 +322,45 @@ func (r *Runner) recordTarget() int { return r.opts.Scale + trace.RecordSlack }
 
 // recording returns bench's recording: the one entry point through which
 // every run and the stream pass get their input. The first requester
-// leads — it loads the recording from Options.Traces or records it with
-// a functional pass — and every later requester waits for the leader,
-// holding no pool slot. sc, when active, receives the leader's
-// "trace-load" and "record" spans.
+// leads — it takes the recording from Options.Traces, which records
+// through it on a miss, or records it itself with a functional pass —
+// and every later requester waits for the leader, holding no pool slot.
+// sc, when active, receives the leader's "trace-load" and "record"
+// spans. A recording that resolves to nothing fails with
+// ErrRecordingUnusable.
 func (r *Runner) recording(bench string, sc obs.SpanContext) (*trace.Trace, error) {
-	r.mu.Lock()
-	tc, ok := r.traces[bench]
-	if !ok {
-		tc = &traceCall{done: make(chan struct{})}
-		r.traces[bench] = tc
+	tr, _, err := r.traces.Do(r.ctx, bench, func() (*trace.Trace, error) {
+		if r.opts.Traces == nil {
+			return r.record(bench, sc)
+		}
+		return r.fromStore(bench, sc)
+	})
+	if errors.Is(err, flight.ErrNoValue) {
+		err = fmt.Errorf("%w: %w", ErrRecordingUnusable, err)
 	}
-	r.mu.Unlock()
-	if !ok {
-		r.lead(bench, tc, sc)
-	}
-	select {
-	case <-tc.done:
-	case <-r.ctx.Done():
-		return nil, r.ctx.Err()
-	}
-	return tc.tr, tc.err
+	return tr, err
 }
 
-// lead resolves a new trace entry: from Options.Traces when it holds a
-// usable recording, from a fresh functional recording otherwise. A
-// cancelled recording evicts the entry, so cancellation never sticks to
-// the benchmark for a later requester.
-func (r *Runner) lead(bench string, tc *traceCall, sc obs.SpanContext) {
-	if r.opts.Traces != nil {
-		load := sc.Start("trace-load")
-		tr, ok := r.loadStoredTrace(bench)
+// fromStore gets bench's recording from Options.Traces, which records on
+// a miss. A stored recording that stops short of this runner's record
+// target (and of a halt) is never replayed: the leader records afresh.
+func (r *Runner) fromStore(bench string, sc obs.SpanContext) (*trace.Trace, error) {
+	load := sc.Start("trace-load")
+	fresh := false
+	tr, err := r.opts.Traces.GetOrCompute(r.ctx, bench, func() (*trace.Trace, error) {
 		load.End()
-		if ok {
-			tc.tr = tr
-			r.loaded.Add(1)
-			close(tc.done)
-			return
-		}
+		fresh = true
+		return r.record(bench, sc)
+	})
+	load.End()
+	if err != nil || fresh || tr == nil {
+		return tr, err
 	}
-	tr, err := r.record(bench, sc)
-	if cancelled(err) {
-		r.mu.Lock()
-		if r.traces[bench] == tc {
-			delete(r.traces, bench)
-		}
-		r.mu.Unlock()
+	if !tr.Halted() && tr.Len() < r.recordTarget() {
+		return r.record(bench, sc)
 	}
-	r.publishTrace(tc, bench, tr, err)
+	r.loaded.Add(1)
+	return tr, nil
 }
 
 // record builds bench's program and records its dynamic stream with a
@@ -440,48 +384,15 @@ func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) 
 			rec.SetContext(r.ctx)
 			tr, err = rec.Finish(r.recordTarget())
 		}
-		if err != nil && !cancelled(err) {
+		if err != nil && !flight.Cancelled(err) {
 			return fmt.Errorf("%w: %v", ErrRecordingUnusable, err)
 		}
 		return err
 	})
-	return tr, err
-}
-
-// publishTrace resolves a leader's trace entry and wakes the followers.
-// An entry without a trace must carry the reason: a nil trace published
-// with a nil error would leave followers replaying nothing, so such a
-// call is coerced to ErrRecordingUnusable. A freshly recorded trace is
-// persisted to Options.Traces, if configured — after the followers are
-// woken: the store's disk tier encodes and writes megabytes, and the
-// in-memory trace is already complete, so the sweep's critical path must
-// not wait out the persistence of an optimisation.
-func (r *Runner) publishTrace(tc *traceCall, bench string, tr *trace.Trace, err error) {
-	if tr == nil && err == nil {
-		err = ErrRecordingUnusable
-	}
-	tc.tr, tc.err = tr, err
-	if tr != nil {
+	if err == nil {
 		r.recorded.Add(1)
 	}
-	close(tc.done)
-	if tr != nil && r.opts.Traces != nil {
-		r.opts.Traces.Store(bench, tr)
-	}
-}
-
-// loadStoredTrace asks Options.Traces for a usable recording of bench: it
-// must cover this runner's record target (or end in a halt). An unusable
-// stored trace is ignored — the leader records afresh.
-func (r *Runner) loadStoredTrace(bench string) (*trace.Trace, bool) {
-	tr, ok := r.opts.Traces.Load(bench)
-	if !ok || tr == nil {
-		return nil, false
-	}
-	if !tr.Halted() && tr.Len() < r.recordTarget() {
-		return nil, false
-	}
-	return tr, true
+	return tr, err
 }
 
 // progressStride is the committed-instruction spacing of RunProgress

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"specvec/internal/config"
@@ -12,31 +13,33 @@ import (
 	"specvec/internal/workload"
 )
 
-// memTraceStore is a TraceStore over a plain map, for tests.
+// memTraceStore is a TraceStore over a plain map, for tests: a miss
+// records through compute and keeps a successful recording.
 type memTraceStore struct {
-	mu     sync.Mutex
-	m      map[string]*trace.Trace
-	loads  int
-	stores int
+	mu sync.Mutex
+	m  map[string]*trace.Trace
 }
 
 func newMemTraceStore() *memTraceStore { return &memTraceStore{m: map[string]*trace.Trace{}} }
 
-func (s *memTraceStore) Load(bench string) (*trace.Trace, bool) {
+func (s *memTraceStore) GetOrCompute(_ context.Context, bench string, compute func() (*trace.Trace, error)) (*trace.Trace, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr, ok := s.m[bench]
-	if ok {
-		s.loads++
+	if tr, ok := s.m[bench]; ok {
+		return tr, nil
 	}
-	return tr, ok
+	tr, err := compute()
+	if err == nil {
+		s.m[bench] = tr
+	}
+	return tr, err
 }
 
-func (s *memTraceStore) Store(bench string, tr *trace.Trace) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[bench] = tr
-	s.stores++
+// traceStoreFunc adapts a function to a TraceStore, for tests.
+type traceStoreFunc func(bench string, compute func() (*trace.Trace, error)) (*trace.Trace, error)
+
+func (f traceStoreFunc) GetOrCompute(_ context.Context, bench string, compute func() (*trace.Trace, error)) (*trace.Trace, error) {
+	return f(bench, compute)
 }
 
 // TestRunnerCancellation cancels a runner mid-run (from a progress event)
@@ -58,11 +61,8 @@ func TestRunnerCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	r.mu.Lock()
-	_, poisoned := r.cache[RunKey(r.opts, cfg, "compress")]
-	r.mu.Unlock()
-	if poisoned {
-		t.Error("cancelled run left a poisoned memo entry")
+	if n := r.runs.Len(); n != 0 {
+		t.Errorf("cancelled run left %d memo entries", n)
 	}
 
 	// A fresh runner with a live context recomputes successfully.
@@ -73,17 +73,22 @@ func TestRunnerCancellation(t *testing.T) {
 }
 
 // TestRunAllCancellationEvicts cancels a sweep mid-run and checks the
-// eviction contract: once RunAll returns, no memo entry and no trace
-// entry carries the cancellation, and a fresh runner recomputes the
-// sweep successfully — a cancelled sweep must not poison the next one.
+// eviction contract: once RunAll returns, the memos hold exactly the
+// runs and recordings that succeeded — none in flight, none carrying the
+// cancellation — and a fresh runner recomputes the sweep successfully:
+// a cancelled sweep must not poison the next one.
 func TestRunAllCancellationEvicts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
+	var simulated atomic.Int64 // runs that simulated to success
 	r := NewRunner(Options{
 		Scale: 200_000, Seed: 1, Workers: 2, Context: ctx,
 		Progress: func(ev ProgressEvent) {
-			if ev.Kind == RunProgress {
+			switch {
+			case ev.Kind == RunProgress:
 				once.Do(cancel)
+			case ev.Kind == RunDone && ev.Err == nil && !ev.Cached:
+				simulated.Add(1)
 			}
 		},
 	})
@@ -92,37 +97,13 @@ func TestRunAllCancellationEvicts(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// RunAll returns after every run settled, and a run evicts its entry
-	// before resolving it, so the maps are final here.
-	r.mu.Lock()
-	var poisoned []string
-	for _, s := range specs {
-		c, ok := r.cache[RunKey(r.opts, s.Cfg, s.Bench)]
-		if !ok {
-			continue
-		}
-		select {
-		case <-c.done:
-			if c.err != nil {
-				poisoned = append(poisoned, s.Cfg.Name+"/"+s.Bench)
-			}
-		default:
-			poisoned = append(poisoned, "unresolved "+s.Cfg.Name+"/"+s.Bench)
-		}
+	// RunAll returns after every run settled, and a failed computation is
+	// forgotten before it resolves, so the memos are final here.
+	if runs, want := int64(r.runs.Len()), simulated.Load(); runs != want {
+		t.Errorf("cancelled sweep left %d run entries for %d successful runs", runs, want)
 	}
-	for bench, tc := range r.traces {
-		select {
-		case <-tc.done:
-			if tc.err != nil {
-				poisoned = append(poisoned, "trace "+bench)
-			}
-		default:
-			poisoned = append(poisoned, "unresolved trace "+bench)
-		}
-	}
-	r.mu.Unlock()
-	if len(poisoned) > 0 {
-		t.Errorf("cancelled sweep left entries behind: %v", poisoned)
+	if traces, want := int64(r.traces.Len()), r.TraceRecordings(); traces != want {
+		t.Errorf("cancelled sweep left %d trace entries for %d recordings", traces, want)
 	}
 
 	// The next sweep — a fresh runner with a live context, as the service

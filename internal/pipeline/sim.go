@@ -104,14 +104,12 @@ type Simulator struct {
 	readyBits []uint64
 
 	// Front end.
-	fetchBuf        *uopRing
-	fetchReadyAt    uint64
-	fetchStall      *uop // unresolved mispredicted control instruction
-	fetchHalted     bool
-	maxFetchedSeq   uint64 // high-water mark: replayed fetches skip stats
-	hasFetched      bool
-	maxStrideSeq    uint64 // high-water mark for the stride histogram
-	hasStrideSample bool
+	fetchBuf      *uopRing
+	fetchReadyAt  uint64
+	fetchStall    *uop // unresolved mispredicted control instruction
+	fetchHalted   bool
+	maxFetchedSeq uint64 // high-water mark: replayed fetches skip stats
+	hasFetched    bool
 
 	// Functional units.
 	pools  [isa.NumFUClasses]*fuPool

@@ -1,9 +1,8 @@
 // Package profile carries lightweight hot-path health counters for the
 // cycle-level simulator, so the allocation-free steady state is measured
 // rather than asserted. The pipeline reports pool traffic (heap news vs
-// recycles) and journal depth through HotStats; MeasureAllocs gives a
-// dependency-free allocations-per-operation probe for benchmarks and
-// examples that cannot use testing.AllocsPerRun.
+// recycles) and journal depth through HotStats; ReadRuntime samples the
+// process-wide gauges the service layer's /metrics endpoint reports.
 package profile
 
 import "runtime"
@@ -30,17 +29,6 @@ func (h *HotStats) Add(o HotStats) {
 	h.JournalDepth = 0
 }
 
-// Sub returns the change from an earlier snapshot.
-func (h HotStats) Sub(prev HotStats) HotStats {
-	return HotStats{
-		UopNews:      h.UopNews - prev.UopNews,
-		UopRecycles:  h.UopRecycles - prev.UopRecycles,
-		VopNews:      h.VopNews - prev.VopNews,
-		VopRecycles:  h.VopRecycles - prev.VopRecycles,
-		JournalDepth: h.JournalDepth,
-	}
-}
-
 // Runtime is a snapshot of process-wide health gauges, read by the
 // service layer's /metrics endpoint.
 type Runtime struct {
@@ -52,9 +40,8 @@ type Runtime struct {
 	NumGC           uint32
 }
 
-// ReadRuntime samples the current process gauges (without forcing a GC —
-// this is a monitoring probe, not a measurement barrier like
-// MeasureAllocs).
+// ReadRuntime samples the current process gauges, without forcing a GC:
+// it is a monitoring probe, not a measurement barrier.
 func ReadRuntime() Runtime {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -66,22 +53,4 @@ func ReadRuntime() Runtime {
 		Frees:           m.Frees,
 		NumGC:           m.NumGC,
 	}
-}
-
-// MeasureAllocs runs fn rounds times and returns the mean number of heap
-// allocations per round, measured with runtime.MemStats (GC is forced
-// first so concurrent sweeps do not pollute the count). It is the
-// non-testing-package analogue of testing.AllocsPerRun.
-func MeasureAllocs(rounds int, fn func()) float64 {
-	if rounds <= 0 {
-		return 0
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(rounds)
 }

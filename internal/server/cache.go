@@ -6,12 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"specvec/internal/flight"
 	"specvec/internal/obs"
 	"specvec/internal/stats"
 )
@@ -51,55 +52,241 @@ func (s Source) String() string {
 // Hit reports whether the value was served without computing.
 func (s Source) Hit() bool { return s != SourceComputed }
 
-// Cache is the daemon's content-addressed result store: an in-memory LRU
-// bounded by entry count and total encoded bytes, singleflight
-// deduplication of identical in-flight computations, and optional disk
-// persistence (one self-verifying file per key; the disk tier survives
-// restarts and is not bounded by the memory limits). The scheduler keeps
-// one statistics entry per simulation run in it (GetOrComputeRun, keyed
-// by experiments.RunKey), so every job on the daemon shares every run.
-// Safe for concurrent use.
-type Cache struct {
+// tier is one of the daemon's two content-addressed stores: an
+// in-memory LRU bounded by entry count and, optionally, by bytes; an
+// optional disk tier of one self-verifying file per key, written through
+// writeDurable, which survives restarts and is not bounded by the memory
+// limits; and the shared memo, so concurrent computations of one key run
+// once. Results (Cache) and recordings (traceCache) differ only in their
+// codec and bounds. Safe for concurrent use.
+type tier[V comparable] struct {
+	codec[V]
 	maxEntries int
-	maxBytes   int64
+	maxBytes   int64  // 0 = entries only
 	dir        string // "" = memory only
 
-	mu       sync.Mutex
-	entries  map[string]*list.Element // key -> element in order
-	order    *list.List               // front = most recently used
-	bytes    int64
-	inflight map[string]*flight
+	memo flight.Memo[V]
 
-	// obs counters carrying their final /metrics names; registered by
-	// Server.buildRegistry.
-	hits, misses, diskHits, coalesced, evictions *obs.Counter
+	mu      sync.Mutex
+	entries map[string]*list.Element // key -> element in order
+	order   *list.List               // front = most recently used; of *tierEntry[V]
+	bytes   int64
+
+	// served counts successful lookups by Source (nil: not counted) and
+	// evictions the LRU's; both carry their final /metrics names and
+	// are registered by Server.buildRegistry.
+	served    [SourceCoalesced + 1]*obs.Counter
+	evictions *obs.Counter
 }
 
-// value is one cached run: its encoding — the disk form, and what the
-// byte bound counts — and the decoded statistics that every memory hit
-// shares without decoding. Neither is ever mutated.
+// codec is how a tier sizes and persists its values.
+type codec[V any] struct {
+	sub, ext string                       // files live at <dir>/<sub>/<key><ext>
+	write    func(v V, w io.Writer) error // a file's contents
+	read     func(path string) (V, error) // rejects a torn or corrupted file
+	size     func(v V) int64              // what the byte bound counts; nil = 0
+}
+
+type tierEntry[V any] struct {
+	key  string
+	val  V
+	size int64
+}
+
+func newTier[V comparable](c codec[V], maxEntries int, maxBytes int64, dir string) *tier[V] {
+	return &tier[V]{
+		codec:      c,
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		dir:        dir,
+		entries:    map[string]*list.Element{},
+		order:      list.New(),
+	}
+}
+
+// Len returns the number of in-memory entries.
+func (t *tier[V]) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.order.Len()
+}
+
+// Bytes returns the total size of the in-memory entries.
+func (t *tier[V]) Bytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes
+}
+
+// lookup returns the in-memory value for key, refreshing its recency.
+func (t *tier[V]) lookup(key string) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	t.order.MoveToFront(el)
+	return el.Value.(*tierEntry[V]).val, true
+}
+
+// put inserts val under key and evicts from the LRU tail until both
+// bounds hold. A value larger than the byte bound is not cached at all
+// (it would evict everything and still not fit).
+func (t *tier[V]) put(key string, val V) {
+	var size int64
+	if t.size != nil {
+		size = t.size(val)
+	}
+	if size > t.maxBytes {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if el, ok := t.entries[key]; ok {
+		e := el.Value.(*tierEntry[V])
+		t.bytes += size - e.size
+		e.val, e.size = val, size
+		t.order.MoveToFront(el)
+	} else {
+		t.entries[key] = t.order.PushFront(&tierEntry[V]{key: key, val: val, size: size})
+		t.bytes += size
+	}
+	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
+		e := t.order.Remove(t.order.Back()).(*tierEntry[V])
+		delete(t.entries, e.key)
+		t.bytes -= e.size
+		t.evictions.Add(1)
+	}
+}
+
+// diskPath maps a key to its persistence file.
+func (t *tier[V]) diskPath(key string) string {
+	return filepath.Join(t.dir, t.sub, key+t.ext)
+}
+
+// loadDisk reads a persisted value, if the disk tier is enabled. A file
+// the codec rejects (a torn write, bit rot, a retired format) is a miss
+// and is removed, so the next computation of the key writes it afresh.
+func (t *tier[V]) loadDisk(key string) (V, bool) {
+	var zero V
+	if t.dir == "" {
+		return zero, false
+	}
+	path := t.diskPath(key)
+	v, err := t.read(path)
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			_ = os.Remove(path) // best effort: a file that stays is re-verified, never served
+		}
+		return zero, false
+	}
+	return v, true
+}
+
+// storeDisk persists a value, best effort (an unwritable directory
+// degrades to memory-only caching rather than failing the job).
+func (t *tier[V]) storeDisk(key string, v V) {
+	if t.dir == "" {
+		return
+	}
+	_ = writeDurable(t.diskPath(key), func(w io.Writer) error { return t.write(v, w) })
+}
+
+// getOrCompute returns key's value from (in order) the in-memory LRU,
+// an identical in-flight computation, the disk tier (promoting a hit to
+// memory), or by running compute. The memo's rules hold: a computation
+// that fails or is cancelled caches nothing, and a waiting caller whose
+// leader was cancelled computes itself if its own context is live. A
+// computed value is persisted after the waiting callers are woken: they
+// need the value, not its durability.
+func (t *tier[V]) getOrCompute(ctx context.Context, key string, compute func() (V, error)) (V, Source, error) {
+	v, ok := t.lookup(key)
+	src := SourceMemory
+	if !ok {
+		var led bool
+		var err error
+		src = SourceCoalesced
+		v, led, err = t.memo.Do(ctx, key, func() (V, error) {
+			// Look again: the previous leader may have filled memory
+			// between this caller's lookup and its joining the memo.
+			if v, ok := t.lookup(key); ok {
+				src = SourceMemory
+				return v, nil
+			}
+			if v, ok := t.loadDisk(key); ok {
+				src = SourceDisk
+				t.put(key, v)
+				return v, nil
+			}
+			src = SourceComputed
+			v, err := compute()
+			var zero V
+			if err == nil && v != zero {
+				t.put(key, v)
+			}
+			return v, err
+		})
+		if err != nil {
+			return v, src, err
+		}
+		if led && src == SourceComputed {
+			t.storeDisk(key, v)
+		}
+	}
+	if c := t.served[src]; c != nil {
+		c.Add(1)
+	}
+	return v, src, nil
+}
+
+// Cache is the daemon's result tier. The scheduler keeps one statistics
+// entry per simulation run in it (keyed by experiments.RunKey, see
+// jobRuns), so every job on the daemon shares every run. A value holds
+// the decoded statistics, which every memory hit shares without
+// decoding, and their JSON encoding, which the byte bound counts and a
+// disk file holds behind its SHA-256.
+type Cache = tier[*value]
+
+// value is one cached run; neither field is ever mutated.
 type value struct {
 	enc []byte
 	sim *stats.Sim
 }
 
-type cacheEntry struct {
-	key string
-	val value
+// errDigest rejects a result file whose value does not match its digest.
+var errDigest = errors.New("server: result file fails its digest")
+
+// runCodec persists a run's statistics behind the SHA-256 of their JSON,
+// so every file verifies itself.
+var runCodec = codec[*value]{
+	sub: "results",
+	ext: ".res",
+	write: func(v *value, w io.Writer) error {
+		sum := sha256.Sum256(v.enc)
+		_, err := w.Write(append(sum[:], v.enc...))
+		return err
+	},
+	read: func(path string) (*value, error) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if len(b) < sha256.Size || sha256.Sum256(b[sha256.Size:]) != [sha256.Size]byte(b[:sha256.Size]) {
+			return nil, errDigest
+		}
+		v := &value{enc: b[sha256.Size:], sim: new(stats.Sim)}
+		return v, json.Unmarshal(v.enc, v.sim)
+	},
+	size: func(v *value) int64 { return int64(len(v.enc)) },
 }
 
-// flight is one in-progress computation; followers block on done.
-type flight struct {
-	done chan struct{}
-	val  value
-	err  error
-}
-
-// NewCache returns a cache bounded to maxEntries values and maxBytes
-// total encoded size (<= 0 for the defaults: 512 entries, which hold the
-// 348 distinct runs of one sdvexp -exp all sweep without eviction, and
-// 256 MiB). dir enables disk persistence when non-empty; it is created
-// on first write.
+// NewCache returns a result tier bounded to maxEntries values and
+// maxBytes total encoded size (<= 0 for the defaults: 512 entries, which
+// hold the 348 distinct runs of one sdvexp -exp all sweep without
+// eviction, and 256 MiB). dir enables disk persistence when non-empty;
+// it is created on first write.
 func NewCache(maxEntries int, maxBytes int64, dir string) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 512
@@ -107,120 +294,37 @@ func NewCache(maxEntries int, maxBytes int64, dir string) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	return &Cache{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		dir:        dir,
-		entries:    map[string]*list.Element{},
-		order:      list.New(),
-		inflight:   map[string]*flight{},
-		hits:       obs.NewCounter("sdvd_cache_hits_total"),
-		misses:     obs.NewCounter("sdvd_cache_misses_total"),
-		diskHits:   obs.NewCounter("sdvd_cache_disk_hits_total"),
-		coalesced:  obs.NewCounter("sdvd_cache_coalesced_total"),
-		evictions:  obs.NewCounter("sdvd_cache_evictions_total"),
+	c := newTier(runCodec, maxEntries, maxBytes, dir)
+	c.served = [...]*obs.Counter{
+		SourceComputed:  obs.NewCounter("sdvd_cache_misses_total"),
+		SourceMemory:    obs.NewCounter("sdvd_cache_hits_total"),
+		SourceDisk:      obs.NewCounter("sdvd_cache_disk_hits_total"),
+		SourceCoalesced: obs.NewCounter("sdvd_cache_coalesced_total"),
 	}
+	c.evictions = obs.NewCounter("sdvd_cache_evictions_total")
+	return c
 }
 
-// Len returns the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Bytes returns the total encoded size of the in-memory entries.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Counters returns the lifetime hit/miss/disk/coalesced/eviction counts.
-func (c *Cache) Counters() (hits, misses, diskHits, coalesced, evictions int64) {
-	return c.hits.Value(), c.misses.Value(), c.diskHits.Value(), c.coalesced.Value(), c.evictions.Value()
-}
-
-// lookup returns the in-memory value for key, refreshing its recency.
-func (c *Cache) lookup(key string) (value, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return value{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// put inserts val under key and evicts from the LRU tail until both
-// bounds hold. A value larger than maxBytes is not cached at all (it
-// would evict everything and still not fit).
-func (c *Cache) put(key string, val value) {
-	if int64(len(val.enc)) > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.bytes += int64(len(val.enc)) - int64(len(el.Value.(*cacheEntry).val.enc))
-		el.Value.(*cacheEntry).val = val
-		c.order.MoveToFront(el)
-	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-		c.bytes += int64(len(val.enc))
-	}
-	for c.order.Len() > c.maxEntries || c.bytes > c.maxBytes {
-		tail := c.order.Back()
-		if tail == nil {
-			break
+// getRun is the result tier's get-or-compute over statistics: a memory
+// hit returns the shared, decoded statistics, which callers must not
+// mutate; a computed result is encoded once, for the byte bound and the
+// disk tier.
+func getRun(c *Cache, ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, Source, error) {
+	v, src, err := c.getOrCompute(ctx, key, func() (*value, error) {
+		st, err := compute()
+		if err != nil || st == nil {
+			return nil, err
 		}
-		e := tail.Value.(*cacheEntry)
-		c.order.Remove(tail)
-		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.val.enc))
-		c.evictions.Add(1)
-	}
-}
-
-// diskPath maps a key to its persistence file. A file holds the SHA-256
-// of the value followed by the value, so every entry verifies itself.
-func (c *Cache) diskPath(key string) string {
-	return filepath.Join(c.dir, "results", key+".res")
-}
-
-// loadDisk reads a persisted value, if the disk tier is enabled. A file
-// too short to hold its digest, or whose value does not match it (a torn
-// write, bit rot), is a miss and is removed, so the next computation of
-// the key writes it afresh.
-func (c *Cache) loadDisk(key string) ([]byte, bool) {
-	if c.dir == "" {
-		return nil, false
-	}
-	path := c.diskPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	if len(b) < sha256.Size || sha256.Sum256(b[sha256.Size:]) != [sha256.Size]byte(b[:sha256.Size]) {
-		_ = os.Remove(path) // best effort: a file that stays is re-verified, never served
-		return nil, false
-	}
-	return b[sha256.Size:], true
-}
-
-// storeDisk persists a value behind its digest, best effort (an
-// unwritable directory degrades to memory-only caching rather than
-// failing the job).
-func (c *Cache) storeDisk(key string, val []byte) {
-	if c.dir == "" {
-		return
-	}
-	sum := sha256.Sum256(val)
-	_ = writeDurable(c.diskPath(key), func(w io.Writer) error {
-		_, err := w.Write(append(sum[:], val...))
-		return err
+		enc, err := json.Marshal(st)
+		if err != nil {
+			return nil, err
+		}
+		return &value{enc: enc, sim: st}, nil
 	})
+	if err != nil {
+		return nil, src, err
+	}
+	return v.sim, src, nil
 }
 
 // writeDurable publishes a disk-tier file: write a temporary file next to
@@ -262,89 +366,6 @@ func writeDurable(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// errFlightAbandoned marks a singleflight whose leader was cancelled; a
-// follower with a live context retries the computation itself.
-var errFlightAbandoned = errors.New("server: in-flight computation abandoned")
-
-// GetOrComputeRun returns one run's statistics under key (an
-// experiments.RunKey), from (in order) the in-memory LRU, the disk tier,
-// an identical in-flight computation, or by running compute. A memory
-// hit returns the shared, decoded statistics, which callers must not
-// mutate. The disk tier holds their stats.Sim JSON, decoded once when a
-// disk hit is promoted to memory; a file that does not decode is a miss
-// and is removed. A computed result is encoded once, for the byte bound
-// and the disk tier.
-//
-// Concurrent calls for the same key run compute once (singleflight);
-// followers share the leader's result. A leader whose compute fails
-// caches nothing. If the leader is cancelled, waiting followers whose own
-// context is still live retry the computation instead of inheriting the
-// cancellation.
-func (c *Cache) GetOrComputeRun(ctx context.Context, key string, compute func() (*stats.Sim, error)) (*stats.Sim, Source, error) {
-	for {
-		if val, ok := c.lookup(key); ok {
-			c.hits.Add(1)
-			return val.sim, SourceMemory, nil
-		}
-		if enc, ok := c.loadDisk(key); ok {
-			st := new(stats.Sim)
-			if err := json.Unmarshal(enc, st); err == nil {
-				c.diskHits.Add(1)
-				c.put(key, value{enc: enc, sim: st})
-				return st, SourceDisk, nil
-			}
-			_ = os.Remove(c.diskPath(key)) // verified but undecodable: recompute and rewrite it
-		}
-
-		c.mu.Lock()
-		if f, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, SourceCoalesced, ctx.Err()
-			}
-			if f.err == nil {
-				c.coalesced.Add(1)
-				return f.val.sim, SourceCoalesced, nil
-			}
-			if errors.Is(f.err, errFlightAbandoned) && ctx.Err() == nil {
-				continue // the leader was cancelled, not the work: retry
-			}
-			return nil, SourceCoalesced, f.err
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		c.mu.Unlock()
-
-		c.misses.Add(1)
-		st, err := compute()
-		var enc []byte
-		if err == nil {
-			enc, err = json.Marshal(st)
-		}
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			f.err = fmt.Errorf("%w: %w", errFlightAbandoned, err)
-		} else {
-			f.val, f.err = value{enc: enc, sim: st}, err
-		}
-		if f.err == nil {
-			c.put(key, f.val)
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, SourceComputed, err
-		}
-		// Persist after waking the followers: they need the value, not
-		// its durability.
-		c.storeDisk(key, enc)
-		return st, SourceComputed, nil
-	}
-}
-
 // jobRuns is one job's view of the Cache: the experiments.ResultStore its
 // Runner consults for every run. Each lookup is a "cache-lookup" span
 // under the run's span, observed in sdvd_cache_lookup_seconds, and the
@@ -371,7 +392,7 @@ func (j *jobRuns) GetOrCompute(ctx context.Context, key string, compute func() (
 			j.lookup.Observe(sc.T.Duration(sc.Span).Seconds())
 		}
 	}
-	st, src, err := j.cache.GetOrComputeRun(ctx, key, func() (*stats.Sim, error) {
+	st, src, err := getRun(j.cache, ctx, key, func() (*stats.Sim, error) {
 		endLookup()
 		return compute()
 	})

@@ -43,7 +43,7 @@ func mustNorm(t *testing.T, s JobSpec) JobSpec {
 func TestCacheLRUEntryBound(t *testing.T) {
 	c := NewCache(4, 1<<20, "")
 	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), value{enc: []byte{byte(i)}})
+		c.put(fmt.Sprintf("k%d", i), &value{enc: []byte{byte(i)}})
 	}
 	if c.Len() != 4 {
 		t.Fatalf("entries = %d, want 4", c.Len())
@@ -58,8 +58,7 @@ func TestCacheLRUEntryBound(t *testing.T) {
 			t.Errorf("k%d (recent) was evicted", i)
 		}
 	}
-	_, _, _, _, ev := c.Counters()
-	if ev != 6 {
+	if ev := c.evictions.Value(); ev != 6 {
 		t.Errorf("evictions = %d, want 6", ev)
 	}
 }
@@ -68,10 +67,10 @@ func TestCacheLRUEntryBound(t *testing.T) {
 // entry bound, and that recency (lookup) protects an entry.
 func TestCacheLRUByteBound(t *testing.T) {
 	c := NewCache(100, 100, "")
-	c.put("a", value{enc: make([]byte, 40)})
-	c.put("b", value{enc: make([]byte, 40)})
+	c.put("a", &value{enc: make([]byte, 40)})
+	c.put("b", &value{enc: make([]byte, 40)})
 	c.lookup("a") // refresh a: b becomes the LRU victim
-	c.put("c", value{enc: make([]byte, 40)})
+	c.put("c", &value{enc: make([]byte, 40)})
 	if c.Bytes() > 100 {
 		t.Fatalf("bytes = %d, want <= 100", c.Bytes())
 	}
@@ -82,7 +81,7 @@ func TestCacheLRUByteBound(t *testing.T) {
 		t.Error("a (refreshed) was evicted")
 	}
 	// A value larger than the whole bound must not wipe the cache.
-	c.put("huge", value{enc: make([]byte, 200)})
+	c.put("huge", &value{enc: make([]byte, 200)})
 	if _, ok := c.lookup("huge"); ok {
 		t.Error("over-bound value was cached")
 	}
@@ -107,7 +106,7 @@ func TestCacheSingleflight(t *testing.T) {
 	srcs := make([]Source, callers)
 	call := func(i int) {
 		defer wg.Done()
-		v, src, err := c.GetOrComputeRun(context.Background(), "shared", func() (*stats.Sim, error) {
+		v, src, err := getRun(c, context.Background(), "shared", func() (*stats.Sim, error) {
 			computes.Add(1)
 			onceEnter.Do(func() { close(entered) })
 			<-release // hold the leader so followers pile into the flight
@@ -166,7 +165,7 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.GetOrComputeRun(leaderCtx, "k", func() (*stats.Sim, error) {
+		_, _, err := getRun(c, leaderCtx, "k", func() (*stats.Sim, error) {
 			once.Do(func() { close(entered) })
 			<-leaderCtx.Done()
 			return nil, leaderCtx.Err()
@@ -181,7 +180,7 @@ func TestCacheFlightAbandoned(t *testing.T) {
 	go func() {
 		defer close(done)
 		retried := simOf(7)
-		v, _, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+		v, _, err := getRun(c, context.Background(), "k", func() (*stats.Sim, error) {
 			return retried, nil
 		})
 		if err != nil || v != retried {
@@ -237,7 +236,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	want := simOf(99)
 	a := NewCache(8, 1<<20, dir)
-	v, src, err := a.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+	v, src, err := getRun(a, context.Background(), "k", func() (*stats.Sim, error) {
 		return want, nil
 	})
 	if err != nil || src != SourceComputed || v != want {
@@ -245,14 +244,14 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 
 	b := NewCache(8, 1<<20, dir)
-	v, src, err = b.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+	v, src, err = getRun(b, context.Background(), "k", func() (*stats.Sim, error) {
 		t.Fatal("disk hit must not recompute")
 		return nil, nil
 	})
 	if err != nil || src != SourceDisk || !sameSim(v, want) {
 		t.Fatalf("disk read: %v %v %v", v, src, err)
 	}
-	if v, src, _ = b.GetOrComputeRun(context.Background(), "k", nil); src != SourceMemory || !sameSim(v, want) {
+	if v, src, _ = getRun(b, context.Background(), "k", nil); src != SourceMemory || !sameSim(v, want) {
 		t.Fatalf("promotion: %v %v", v, src)
 	}
 }
@@ -262,13 +261,13 @@ func TestCacheDiskPersistence(t *testing.T) {
 func TestCacheComputeErrorNotCached(t *testing.T) {
 	c := NewCache(8, 1<<20, "")
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+	if _, _, err := getRun(c, context.Background(), "k", func() (*stats.Sim, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
 	ok := simOf(5)
-	v, src, err := c.GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+	v, src, err := getRun(c, context.Background(), "k", func() (*stats.Sim, error) {
 		return ok, nil
 	})
 	if err != nil || src != SourceComputed || v != ok {

@@ -53,6 +53,27 @@ func requireGone(t *testing.T, name, path string) {
 	}
 }
 
+// errMiss fails a lookup's computation, so the lookup only reads.
+var errMiss = errors.New("miss")
+
+// loadTrace looks compress's recording up in tc without recording it.
+func loadTrace(tc *traceCache, opts experiments.Options) (*trace.Trace, bool) {
+	tr, err := scopeTraces(tc, opts).GetOrCompute(context.Background(), "compress", func() (*trace.Trace, error) {
+		return nil, errMiss
+	})
+	return tr, err == nil
+}
+
+// storeTrace hands tr to tc as compress's freshly made recording.
+func storeTrace(t *testing.T, tc *traceCache, opts experiments.Options, tr *trace.Trace) {
+	t.Helper()
+	if _, err := scopeTraces(tc, opts).GetOrCompute(context.Background(), "compress", func() (*trace.Trace, error) {
+		return tr, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheDiskCorruption: a torn or bit-flipped results file is never
 // served. It reads as a miss, is removed, and the recomputed run is
 // persisted again for the next restart.
@@ -61,22 +82,22 @@ func TestCacheDiskCorruption(t *testing.T) {
 	for _, c := range diskCorruptions {
 		dir := t.TempDir()
 		compute := func() (*stats.Sim, error) { return val, nil }
-		if _, _, err := NewCache(8, 1<<20, dir).GetOrComputeRun(context.Background(), "k", compute); err != nil {
+		if _, _, err := getRun(NewCache(8, 1<<20, dir), context.Background(), "k", compute); err != nil {
 			t.Fatal(err)
 		}
 		b := NewCache(8, 1<<20, dir)
 		path := b.diskPath("k")
 		corruptFile(t, path, c.mut)
 		if got, ok := b.loadDisk("k"); ok {
-			t.Errorf("%s: corrupt file served (%d bytes)", c.name, len(got))
+			t.Errorf("%s: corrupt file served (%d bytes)", c.name, len(got.enc))
 		}
 		requireGone(t, c.name, path)
 
-		v, src, err := b.GetOrComputeRun(context.Background(), "k", compute)
+		v, src, err := getRun(b, context.Background(), "k", compute)
 		if err != nil || src != SourceComputed || v != val {
 			t.Fatalf("%s: after corruption: %v, %v, %v; want a recomputation", c.name, v, src, err)
 		}
-		v, src, err = NewCache(8, 1<<20, dir).GetOrComputeRun(context.Background(), "k", func() (*stats.Sim, error) {
+		v, src, err = getRun(NewCache(8, 1<<20, dir), context.Background(), "k", func() (*stats.Sim, error) {
 			t.Fatalf("%s: rewritten entry not served from disk", c.name)
 			return nil, nil
 		})
@@ -113,17 +134,17 @@ func TestTraceStoreDiskCorruption(t *testing.T) {
 
 	for _, c := range diskCorruptions {
 		dir := t.TempDir()
-		newTraceCache(4, dir).forOptions(opts).Store("compress", tr)
+		storeTrace(t, newTraceCache(4, dir), opts, tr)
 		tc := newTraceCache(4, dir)
 		path := tc.diskPath("compress-" + traceScope(opts))
 		corruptFile(t, path, c.mut)
-		if _, ok := tc.forOptions(opts).Load("compress"); ok {
+		if _, ok := loadTrace(tc, opts); ok {
 			t.Errorf("%s: corrupt trace artifact served", c.name)
 		}
 		requireGone(t, c.name, path)
 
-		tc.forOptions(opts).Store("compress", tr)
-		back, ok := newTraceCache(4, dir).forOptions(opts).Load("compress")
+		storeTrace(t, tc, opts, tr)
+		back, ok := loadTrace(newTraceCache(4, dir), opts)
 		if !ok || back.Len() != tr.Len() || back.TupleCount() != tr.TupleCount() {
 			t.Fatalf("%s: re-stored trace not served from disk (ok=%v)", c.name, ok)
 		}
@@ -188,7 +209,7 @@ func TestTraceStoreDropsCheckpointFlag(t *testing.T) {
 	}
 	opts := experiments.Options{Scale: 2_000, Seed: 1}.WithDefaults()
 	dir := t.TempDir()
-	newTraceCache(4, dir).forOptions(opts).Store("compress", tr)
+	storeTrace(t, newTraceCache(4, dir), opts, tr)
 	tc := newTraceCache(4, dir)
 	path := tc.diskPath("compress-" + traceScope(opts))
 	corruptFile(t, path, func(b []byte) []byte {
@@ -200,7 +221,7 @@ func TestTraceStoreDropsCheckpointFlag(t *testing.T) {
 		!strings.Contains(err.Error(), "unsupported format flags") {
 		t.Fatalf("checkpoint-flagged artifact: want a one-line unsupported-flags error, got %v", err)
 	}
-	if _, ok := tc.forOptions(opts).Load("compress"); ok {
+	if _, ok := loadTrace(tc, opts); ok {
 		t.Error("checkpoint-flagged trace artifact served")
 	}
 	requireGone(t, "checkpoint-flag", path)

@@ -35,11 +35,14 @@
 // 11 and 12, or a sim job inside a figure's sweep) simulate each run once
 // and a repeated job simulates nothing. The Cache is an in-memory LRU of
 // decoded statistics bounded by entries and encoded bytes, with optional
-// disk persistence (Options.CacheDir) that survives restarts. Identical
-// in-flight runs are deduplicated across jobs (singleflight). Recorded
-// benchmark traces are kept in a separate artifact store scoped by
-// (scale, seed) and definition digest, so a job that
-// does need a simulation replays instead of re-recording.
+// disk persistence (Options.CacheDir) that survives restarts. Recorded
+// benchmark traces are kept in a second store of the same shape, scoped
+// by (scale, seed) and definition digest and bounded by entries, so a
+// job that does need a simulation replays instead of re-recording. Both
+// stores are instances of one generic tier: an LRU, a self-verifying
+// disk file written through writeDurable, and a flight.Memo, so
+// identical in-flight runs and recordings are computed once across
+// jobs.
 //
 // # Cancellation
 //
@@ -48,7 +51,8 @@
 // request stops burning workers: the context is plumbed through
 // experiments.Runner into the cycle loop of every in-flight simulation
 // (pipeline.Simulator.SetContext) and into trace recording
-// (trace.Recorder.SetContext). Cancelled runs are evicted from the
-// runner memo and the cache singleflight, never poisoning later
-// requests.
+// (trace.Recorder.SetContext). Every memo on the path is a
+// flight.Memo, which forgets a cancelled computation and lets a waiter
+// with a live context compute in its place, so cancellation never
+// poisons later requests.
 package server

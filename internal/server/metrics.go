@@ -109,12 +109,14 @@ func (s *Server) buildRegistry() *obs.Registry {
 		obs.NewFunc("sdvd_jobs_queued", func() int64 { return int64(sc.QueueDepth()) }),
 	)
 	reg.Register(
-		s.cache.hits, s.cache.misses, s.cache.diskHits, s.cache.coalesced, s.cache.evictions,
+		s.cache.served[SourceMemory], s.cache.served[SourceComputed], s.cache.served[SourceDisk],
+		s.cache.served[SourceCoalesced], s.cache.evictions,
 		obs.NewFunc("sdvd_cache_entries", func() int64 { return int64(s.cache.Len()) }),
 		obs.NewFunc("sdvd_cache_bytes", s.cache.Bytes),
 	)
 	if s.traces != nil {
-		reg.Register(s.traces.loads, s.traces.diskLoads, s.traces.stores, s.traces.evictions)
+		tc := s.traces
+		reg.Register(tc.served[SourceMemory], tc.served[SourceDisk], tc.served[SourceComputed], tc.evictions)
 	}
 	reg.Register(sc.sims, sc.recorded, sc.traceLoads)
 	reg.Register(

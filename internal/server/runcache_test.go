@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net/http"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"specvec/internal/config"
@@ -87,7 +91,7 @@ func TestDefinitionDigestKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return experiments.RunKey(opts, cfg, name), tc.forOptions(opts).(scopedTraces).key(name)
+		return experiments.RunKey(opts, cfg, name), scopeTraces(tc, opts).(scopedTraces).key(name)
 	}
 	runA, trA := keys(def("5"))
 	runB, trB := keys(def("6"))
@@ -113,11 +117,41 @@ func TestDefinitionDigestKeys(t *testing.T) {
 		t.Fatalf("registered %s: digest %q, err %v", name, b.Digest, err)
 	}
 	opts := experiments.Options{Scale: 8_000}.WithDefaults()
-	if experiments.RunKey(opts, cfg, name) != runA || tc.forOptions(opts).(scopedTraces).key(name) != trA {
+	if experiments.RunKey(opts, cfg, name) != runA || scopeTraces(tc, opts).(scopedTraces).key(name) != trA {
 		t.Error("a registered definition and an identical payload got different keys")
 	}
 	// Built-ins carry no digest: their trace key is unchanged.
-	if got, want := tc.forOptions(opts).(scopedTraces).key("compress"), "compress-"+traceScope(opts); got != want {
+	if got, want := scopeTraces(tc, opts).(scopedTraces).key("compress"), "compress-"+traceScope(opts); got != want {
 		t.Errorf("built-in trace key %q, want %q", got, want)
+	}
+}
+
+// TestConcurrentJobsShareRecordings: two experiment jobs over the same 12
+// benchmarks, running at once on a fresh daemon, record each benchmark
+// once — a job needing a recording another job is making waits for it.
+func TestConcurrentJobsShareRecordings(t *testing.T) {
+	_, ts := testServer(t, Options{Jobs: 2})
+	var wg sync.WaitGroup
+	for _, exp := range []string{"fig1", "fig9"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if view, code := postJob(t, ts.URL, JobSpec{Exp: exp, Scale: 5_000}, true); code != http.StatusOK || view.State != StateDone {
+				t.Errorf("%s: HTTP %d, state %q", exp, code, view.State)
+			}
+		}()
+	}
+	wg.Wait()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(strings.Split(string(body), "\n"), "sdvd_trace_recordings_total 12") {
+		t.Errorf("metrics lack the line %q:\n%s", "sdvd_trace_recordings_total 12", body)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"specvec/internal/experiments"
+	"specvec/internal/flight"
 	"specvec/internal/obs"
 	"specvec/internal/profile"
 )
@@ -243,7 +244,7 @@ func (s *scheduler) run(job *Job) {
 	tr.End(comp)
 	src := runs.source()
 
-	cancelledErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	cancelledErr := flight.Cancelled(err)
 	switch {
 	case err == nil:
 		s.completed.Add(1)
@@ -335,7 +336,7 @@ func (s *scheduler) compute(ctx context.Context, job *Job, runs *jobRuns) ([]byt
 	opts.Progress = job.progressHook
 	opts.Results = runs
 	if s.traces != nil {
-		opts.Traces = s.traces.forOptions(opts)
+		opts.Traces = scopeTraces(s.traces, opts)
 	}
 	runner := experiments.NewRunner(opts)
 	defer s.collect(runner)

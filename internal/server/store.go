@@ -1,13 +1,8 @@
 package server
 
 import (
-	"container/list"
-	"errors"
+	"context"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"specvec/internal/experiments"
 	"specvec/internal/obs"
@@ -15,78 +10,31 @@ import (
 	"specvec/internal/workload"
 )
 
-// traceCache holds decoded benchmark recordings across jobs: an LRU
-// bounded by entry count (recordings are the big artifacts — SizeBytes of
-// a full-scale trace runs to megabytes) with optional disk persistence of
-// the encoded form. Entries are keyed by benchmark plus the effective
-// (scale, seed) scope and, for a generated workload,
-// its definition digest, so a runner never sees a recording made under
+// traceCache is the daemon's recording tier: decoded benchmark
+// recordings shared across jobs, in an LRU bounded by entry count only
+// (recordings are the big artifacts — SizeBytes of a full-scale trace
+// runs to megabytes), persisted in the trace codec, whose checksum makes
+// every file verify itself. Entries are keyed by benchmark plus the
+// effective (scale, seed) scope and, for a generated workload, its
+// definition digest, so a runner never sees a recording made under
 // different options or of a different program (the
 // experiments.TraceStore contract). One traceCache serves every scope;
 // scopedTraces is the per-job view handed to a Runner.
-type traceCache struct {
-	maxEntries int
-	dir        string // "" = memory only
+type traceCache = tier[*trace.Trace]
 
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-
-	loads, diskLoads, stores, evictions *obs.Counter
-}
-
-type traceEntry struct {
-	key string
-	tr  *trace.Trace
-}
+// traceCodec persists a recording in the trace codec.
+var traceCodec = codec[*trace.Trace]{sub: "traces", ext: ".sdvt", write: (*trace.Trace).Encode, read: trace.ReadFile}
 
 func newTraceCache(maxEntries int, dir string) *traceCache {
 	if maxEntries <= 0 {
 		maxEntries = 16
 	}
-	return &traceCache{
-		maxEntries: maxEntries,
-		dir:        dir,
-		entries:    map[string]*list.Element{},
-		order:      list.New(),
-		loads:      obs.NewCounter("sdvd_trace_store_loads_total"),
-		diskLoads:  obs.NewCounter("sdvd_trace_store_disk_loads_total"),
-		stores:     obs.NewCounter("sdvd_trace_store_stores_total"),
-		evictions:  obs.NewCounter("sdvd_trace_store_evictions_total"),
-	}
-}
-
-func (tc *traceCache) lookup(key string) (*trace.Trace, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	el, ok := tc.entries[key]
-	if !ok {
-		return nil, false
-	}
-	tc.order.MoveToFront(el)
-	return el.Value.(*traceEntry).tr, true
-}
-
-func (tc *traceCache) put(key string, tr *trace.Trace) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if el, ok := tc.entries[key]; ok {
-		el.Value.(*traceEntry).tr = tr
-		tc.order.MoveToFront(el)
-		return
-	}
-	tc.entries[key] = tc.order.PushFront(&traceEntry{key: key, tr: tr})
-	for tc.order.Len() > tc.maxEntries {
-		tail := tc.order.Back()
-		e := tail.Value.(*traceEntry)
-		tc.order.Remove(tail)
-		delete(tc.entries, e.key)
-		tc.evictions.Add(1)
-	}
-}
-
-func (tc *traceCache) diskPath(key string) string {
-	return filepath.Join(tc.dir, "traces", key+".sdvt")
+	tc := newTier(traceCodec, maxEntries, 0, dir)
+	tc.served[SourceMemory] = obs.NewCounter("sdvd_trace_store_loads_total")
+	tc.served[SourceDisk] = obs.NewCounter("sdvd_trace_store_disk_loads_total")
+	tc.served[SourceComputed] = obs.NewCounter("sdvd_trace_store_stores_total")
+	tc.evictions = obs.NewCounter("sdvd_trace_store_evictions_total")
+	return tc
 }
 
 // scope renders the option pair a recording is only valid under.
@@ -104,11 +52,12 @@ type scopedTraces struct {
 	resolve func(bench string) (workload.Benchmark, error) // the Runner's resolver
 }
 
-// forOptions returns the store view a Runner built with o may use. o must
-// already have its defaults resolved (Options.WithDefaults) so the scope
-// reflects the effective scale and seed, and must carry the Runner's
-// workload resolver, through which key finds generated definitions.
-func (tc *traceCache) forOptions(o experiments.Options) experiments.TraceStore {
+// scopeTraces returns the store view a Runner built with o may use. o
+// must already have its defaults resolved (Options.WithDefaults) so the
+// scope reflects the effective scale and seed, and must carry the
+// Runner's workload resolver, through which key finds generated
+// definitions.
+func scopeTraces(tc *traceCache, o experiments.Options) experiments.TraceStore {
 	return scopedTraces{tc: tc, scope: traceScope(o), resolve: o.Resolve}
 }
 
@@ -125,39 +74,9 @@ func (s scopedTraces) key(bench string) string {
 	return key
 }
 
-// Load implements experiments.TraceStore: memory first, then the disk
-// tier (promoting a disk hit to memory). A file the trace codec rejects
-// (checksum mismatch, truncation) is a miss and is removed, so the next
-// recording of the benchmark replaces it.
-func (s scopedTraces) Load(bench string) (*trace.Trace, bool) {
-	key := s.key(bench)
-	if tr, ok := s.tc.lookup(key); ok {
-		s.tc.loads.Add(1)
-		return tr, true
-	}
-	if s.tc.dir == "" {
-		return nil, false
-	}
-	path := s.tc.diskPath(key)
-	tr, err := trace.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			_ = os.Remove(path) // best effort: a file that stays is re-verified, never served
-		}
-		return nil, false
-	}
-	s.tc.diskLoads.Add(1)
-	s.tc.put(key, tr)
-	return tr, true
-}
-
-// Store implements experiments.TraceStore, best effort on the disk tier.
-func (s scopedTraces) Store(bench string, tr *trace.Trace) {
-	key := s.key(bench)
-	s.tc.put(key, tr)
-	s.tc.stores.Add(1)
-	if s.tc.dir == "" {
-		return
-	}
-	_ = writeDurable(s.tc.diskPath(key), tr.Encode)
+// GetOrCompute implements experiments.TraceStore: concurrent jobs
+// needing one recording make it once.
+func (s scopedTraces) GetOrCompute(ctx context.Context, bench string, record func() (*trace.Trace, error)) (*trace.Trace, error) {
+	tr, _, err := s.tc.getOrCompute(ctx, s.key(bench), record)
+	return tr, err
 }
