@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"strconv"
 	"syscall"
-	"time"
 
 	"specvec/internal/cliutil"
 	"specvec/internal/server"
@@ -40,19 +39,18 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", "127.0.0.1:8077", "listen address")
-		cacheDir      = flag.String("cache-dir", "", "persist results and trace artifacts under this directory (empty = memory only)")
-		cacheEntries  = flag.Int("cache-entries", 512, "in-memory result cache entry bound (one entry per simulation run)")
-		cacheBytes    = flag.Int64("cache-bytes", 256<<20, "in-memory result cache bound on encoded bytes")
-		traceEntries  = flag.Int("trace-entries", 16, "in-memory trace artifact cache entry bound")
-		queueDepth    = flag.Int("queue", 64, "job queue depth (submissions beyond it get 503)")
-		jobs          = flag.Int("jobs", 2, "jobs executing concurrently")
-		jobHistory    = flag.Int("job-history", 512, "terminal jobs retained in the registry (older ids answer 404; their runs stay in the cache)")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per job (0 = all cores)")
-		specArg       = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads for /v1/workloads discovery and by-name sim jobs")
-		quiet         = flag.Bool("quiet", false, "suppress operational logging")
-		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (opt-in; empty = disabled)")
-		metricsSample = flag.Duration("metrics-sample", 10*time.Second, "how often the sdvd_go_* runtime gauges are refreshed; /metrics reports them at most one interval stale")
+		addr         = flag.String("addr", "127.0.0.1:8077", "listen address")
+		cacheDir     = flag.String("cache-dir", "", "persist results and trace artifacts under this directory (empty = memory only)")
+		cacheEntries = flag.Int("cache-entries", 512, "in-memory result cache entry bound (one entry per simulation run)")
+		cacheBytes   = flag.Int64("cache-bytes", 256<<20, "in-memory result cache bound on encoded bytes")
+		traceEntries = flag.Int("trace-entries", 16, "in-memory trace artifact cache entry bound")
+		queueDepth   = flag.Int("queue", 64, "job queue depth (submissions beyond it get 503)")
+		jobs         = flag.Int("jobs", 2, "jobs executing concurrently")
+		jobHistory   = flag.Int("job-history", 512, "terminal jobs retained in the registry (older ids answer 404; their runs stay in the cache)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per job (0 = all cores)")
+		specArg      = flag.String("spec", "", "workload-spec file(s) (YAML/JSON, comma-separated): register their generated workloads for /v1/workloads discovery and by-name sim jobs")
+		quiet        = flag.Bool("quiet", false, "suppress operational logging")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (opt-in; empty = disabled)")
 	)
 	flag.Parse()
 
@@ -92,9 +90,6 @@ func main() {
 			cliutil.Fatal("sdvd", err)
 		}
 	}
-	if *metricsSample <= 0 {
-		cliutil.Fatal("sdvd", cliutil.FlagError("metrics-sample", *metricsSample, "> 0"))
-	}
 
 	logf := log.New(os.Stderr, "sdvd: ", log.LstdFlags).Printf
 	if *quiet {
@@ -114,7 +109,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv.StartRuntimeSampler(ctx, *metricsSample)
+	srv.StartRuntimeSampler(ctx)
 	if *pprofAddr != "" {
 		// Profiling binds its own listener so the API surface never carries
 		// /debug/pprof by accident; failures are fatal (an explicitly

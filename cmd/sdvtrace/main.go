@@ -80,18 +80,18 @@ func inspect(path string, dump, start int, verify bool) error {
 	if n := t.Len(); n > 0 {
 		fmt.Printf("  tuples      %d distinct operand tuples (%.1f%% of records)\n",
 			t.TupleCount(), 100*float64(t.TupleCount())/float64(n))
-		aos := n * int(unsafe.Sizeof(emu.DynInst{}))
+		aos := n * int(unsafe.Sizeof(emu.Record{}))
 		fmt.Printf("  size        %d B on disk, %d B decoded (%.1fx smaller than %d B array-of-structs)\n",
 			fi.Size(), t.SizeBytes(), float64(aos)/float64(t.SizeBytes()), aos)
 	}
 	if dump > 0 {
-		var d emu.DynInst
+		var d emu.Record
 		for i := start; i < start+dump && i < t.Len(); i++ {
 			t.Record(i, &d)
 			extra := ""
 			switch {
 			case d.Inst.IsMem():
-				extra = fmt.Sprintf("  addr=%#x", d.EffAddr)
+				extra = fmt.Sprintf("  addr=%#x", d.EffAddr())
 			case d.Inst.IsBranch():
 				extra = fmt.Sprintf("  taken=%v", d.Taken)
 			}

@@ -122,9 +122,6 @@ func NewRegFile(n, vl int, sim *stats.Sim) *RegFile {
 func (rf *RegFile) markFree(id int)  { rf.freeBits[id/64] |= 1 << (id % 64) }
 func (rf *RegFile) clearFree(id int) { rf.freeBits[id/64] &^= 1 << (id % 64) }
 
-// VL returns the vector length.
-func (rf *RegFile) VL() int { return rf.vl }
-
 // InUse returns the number of allocated registers.
 func (rf *RegFile) InUse() int { return rf.inUse }
 

@@ -22,6 +22,69 @@ type DynInst struct {
 	Halt     bool     // program terminated at this instruction
 }
 
+// Record is the part of one dynamic instruction that the timing model
+// reads: its place in the stream, the static instruction, the branch
+// outcome and the operand values Project keeps. Machine.Next and the
+// trace readers serve Records; Step's DynInst stays the architectural
+// oracle that tests compare against.
+type Record struct {
+	Seq   uint64    // 0-based dynamic instruction number
+	PC    uint64    // instruction index
+	Inst  isa.Inst  // the static instruction
+	Vals  [2]uint64 // operand values the timing model reads (see Project)
+	Taken bool      // branch outcome (conditional branches only)
+	Halt  bool      // program terminated at this instruction
+}
+
+// Project returns the Record of d. Its Vals hold:
+//   - loads and stores: EffAddr (stride detection in the Table of Loads,
+//     the memory hierarchy and store-conflict checks);
+//   - arithmetic: the source values that Inst.SrcRegs names (the
+//     scalar-operand check that validates a vector instance);
+//   - jr: Src1Val (its successor PC);
+//
+// and zero in every word nothing reads. StoreVal and Result are never
+// kept.
+func Project(d *DynInst) (r Record) {
+	r.project(d)
+	return r
+}
+
+// project sets r to Project(d) in place: the one projection body, which
+// Next runs on every step. It writes field by field: assigned as one
+// composite literal, r is copied in 8+16+16+16-byte stores that split
+// Inst, and a reader's next load of Inst cannot be served from the
+// store buffer until both stores retire.
+//
+//sdv:hotpath
+func (r *Record) project(d *DynInst) {
+	r.Seq, r.PC, r.Inst, r.Vals = d.Seq, d.PC, d.Inst, [2]uint64{}
+	r.Taken, r.Halt = d.Taken, d.Halt
+	in := d.Inst
+	switch {
+	case in.IsMem():
+		r.Vals[0] = d.EffAddr
+	case in.IsArith():
+		switch _, n := in.SrcRegs(); n {
+		case 1:
+			r.Vals[0] = d.Src1Val
+		case 2:
+			r.Vals = [2]uint64{d.Src1Val, d.Src2Val}
+		}
+	case in.Op == isa.OpJr:
+		r.Vals[0] = d.Src1Val
+	}
+}
+
+// EffAddr returns a memory op's effective address. For any other
+// instruction it returns Vals[0], which is not an address: callers ask
+// only of loads and stores, and the LSQ's store walk asks per store, so
+// the method does not re-check the opcode.
+func (r *Record) EffAddr() uint64 { return r.Vals[0] }
+
+// NextPC returns the instruction index of the next dynamic instruction.
+func (r *Record) NextPC() uint64 { return SuccessorPC(r.Inst, r.PC, r.Vals[0], r.Taken) }
+
 // ErrLimit is returned by Run when the instruction budget is exhausted
 // before the program halts.
 var ErrLimit = fmt.Errorf("emu: instruction limit reached")
@@ -50,14 +113,8 @@ func New(prog *isa.Program) (*Machine, error) {
 	return m, nil
 }
 
-// Program returns the loaded program.
-func (m *Machine) Program() *isa.Program { return m.prog }
-
 // Mem exposes the machine's memory (examples and tests inspect results).
 func (m *Machine) Mem() *Memory { return m.mem }
-
-// PC returns the current instruction index.
-func (m *Machine) PC() uint64 { return m.pc }
 
 // Halted reports whether the program has executed a halt.
 func (m *Machine) Halted() bool { return m.halt }
@@ -88,9 +145,16 @@ func (m *Machine) FPReg(i int) float64 { return isa.FloatFromBits(m.Reg(isa.FPRe
 
 // Step executes one instruction and returns its dynamic record.
 // Executing on a halted machine returns further halt records.
-func (m *Machine) Step() DynInst {
+func (m *Machine) Step() (d DynInst) {
+	m.step(&d)
+	return d
+}
+
+// step executes one instruction into d, so that Next projects it without
+// copying the DynInst out of Step.
+func (m *Machine) step(d *DynInst) {
 	in := m.prog.Inst(m.pc)
-	d := DynInst{Seq: m.seq, PC: m.pc, Inst: in, NextPC: m.pc + 1}
+	*d = DynInst{Seq: m.seq, PC: m.pc, Inst: in, NextPC: m.pc + 1}
 	m.seq++
 
 	s1 := m.Reg(in.Rs1)
@@ -254,7 +318,6 @@ func (m *Machine) Step() DynInst {
 		d.NextPC = uint64(in.Imm)
 	}
 	m.pc = d.NextPC
-	return d
 }
 
 // SuccessorPC returns the PC following one dynamic execution of in at pc,
@@ -262,9 +325,9 @@ func (m *Machine) Step() DynInst {
 // branches) its outcome — the same rules Step applies: a halt re-executes
 // in place, direct jumps use the immediate, register-indirect jumps use
 // rs1+imm, taken branches use the immediate, and everything else (unknown
-// opcodes included) falls through. It exists so that recorded traces
-// (internal/trace) can re-derive NextPC instead of storing it; Step and
-// this function are kept in lockstep by TestSuccessorPCMatchesStep.
+// opcodes included) falls through. It exists so that a Record can
+// re-derive NextPC instead of storing it; Step and this function are kept
+// in lockstep by TestSuccessorPCMatchesStep.
 func SuccessorPC(in isa.Inst, pc, s1 uint64, taken bool) uint64 {
 	switch in.Op {
 	case isa.OpHalt:
@@ -280,14 +343,18 @@ func SuccessorPC(in isa.Inst, pc, s1 uint64, taken bool) uint64 {
 	return pc + 1
 }
 
-// Next executes one instruction into d, as a forward-only record source
-// for the timing pipeline: it reports false, leaving d untouched, once the
-// halt record has been produced.
-func (m *Machine) Next(d *DynInst) bool {
+// Next executes one instruction and writes its projection into r, as the
+// forward-only live source of the timing pipeline: it reports false,
+// leaving r untouched, once the halt record has been produced.
+//
+//sdv:hotpath
+func (m *Machine) Next(r *Record) bool {
 	if m.halt {
 		return false
 	}
-	*d = m.Step()
+	var d DynInst
+	m.step(&d)
+	r.project(&d)
 	return true
 }
 

@@ -83,11 +83,6 @@ func (m *Memory) ReadFloat(addr uint64) float64 {
 	return isa.FloatFromBits(m.Read64(addr))
 }
 
-// WriteFloat stores an IEEE-754 double at addr.
-func (m *Memory) WriteFloat(addr uint64, v float64) {
-	m.Write64(addr, isa.FloatBits(v))
-}
-
 // WriteBytes copies data into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, data []byte) {
 	for len(data) > 0 {

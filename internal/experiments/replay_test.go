@@ -69,7 +69,7 @@ func TestRecordingFailureFailsRuns(t *testing.T) {
 	if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, cfg.Name) || !strings.Contains(msg, bench) {
 		t.Errorf("error %q is not one line naming %s and %s", msg, cfg.Name, bench)
 	}
-	if err := seeded.eachRecord(bench, 1000, func(*emu.DynInst) {}); !errors.Is(err, ErrRecordingUnusable) {
+	if err := seeded.eachRecord(bench, 1000, func(*emu.Record) {}); !errors.Is(err, ErrRecordingUnusable) {
 		t.Errorf("stream pass over a failed recording: want ErrRecordingUnusable, got %v", err)
 	}
 

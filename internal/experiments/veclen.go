@@ -29,11 +29,11 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 		}
 		st.runLen = 0
 	}
-	observe := func(d *emu.DynInst) {
+	observe := func(d *emu.Record) {
 		if !d.Inst.IsLoad() {
 			return
 		}
-		st := loads[d.PC]
+		addr, st := d.EffAddr(), loads[d.PC]
 		if st == nil {
 			st = &state{}
 			loads[d.PC] = st
@@ -42,11 +42,11 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 		case !st.seen:
 			st.seen = true
 		case !st.haveStr:
-			st.stride = int64(d.EffAddr - st.lastAddr)
+			st.stride = int64(addr - st.lastAddr)
 			st.haveStr = true
 			st.runLen = 2
 		default:
-			if s := int64(d.EffAddr - st.lastAddr); s == st.stride {
+			if s := int64(addr - st.lastAddr); s == st.stride {
 				st.runLen++
 			} else {
 				closeRun(st)
@@ -54,7 +54,7 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 				st.runLen = 2
 			}
 		}
-		st.lastAddr = d.EffAddr
+		st.lastAddr = addr
 	}
 
 	budget := r.opts.Scale
@@ -75,7 +75,7 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 // replay — walking it on one pool slot. The "record" span, if this call
 // leads the recording, parents under whatever span the job's context
 // carries: a stream-only experiment has no per-run span of its own.
-func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.DynInst)) error {
+func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.Record)) error {
 	tr, err := r.recording(bench, obs.FromContext(r.ctx))
 	if err != nil {
 		return fmt.Errorf("experiments: %s: %w", bench, err)
@@ -85,7 +85,7 @@ func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.DynInst)) 
 			ErrIntervalOutOfRange, bench, budget, tr.Len())
 	}
 	return r.slot(func() error {
-		var d emu.DynInst
+		var d emu.Record
 		for i, n := 0, min(tr.Len(), budget); i < n; i++ {
 			tr.Record(i, &d)
 			yield(&d)

@@ -205,9 +205,6 @@ func (i Inst) IsArith() bool {
 	return false
 }
 
-// IsFPOp reports whether the instruction executes on floating-point units.
-func (i Inst) IsFPOp() bool { return i.Op >= OpFadd && i.Op <= OpFeq || i.Op == OpLdf || i.Op == OpStf }
-
 // WritesReg reports whether the instruction produces a register result.
 func (i Inst) WritesReg() bool {
 	switch {

@@ -40,7 +40,6 @@ type line struct {
 // so constructing a cache is two allocations, not one per set — the
 // experiment harness builds hundreds of simulators per sweep.
 type Cache struct {
-	cfg      CacheConfig
 	lines    []line
 	nsets    uint64
 	assoc    int
@@ -65,16 +64,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		bits++
 	}
 	return &Cache{
-		cfg:      cfg,
 		lines:    make([]line, cfg.Sets()*cfg.Assoc),
 		nsets:    uint64(cfg.Sets()),
 		assoc:    cfg.Assoc,
 		lineBits: bits,
 	}
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }

@@ -49,12 +49,6 @@ func NewHierarchy(cfg HierarchyConfig, sim *stats.Sim) *Hierarchy {
 	}
 }
 
-// Config returns the hierarchy parameters.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// DLineBytes returns the L1D line size (the wide-bus transfer unit).
-func (h *Hierarchy) DLineBytes() int { return h.cfg.DCache.LineBytes }
-
 // DLineAddr returns the L1D line-aligned address containing addr.
 func (h *Hierarchy) DLineAddr(addr uint64) uint64 { return h.l1d.LineAddr(addr) }
 

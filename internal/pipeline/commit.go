@@ -37,7 +37,7 @@ func (s *Simulator) commit() {
 			if !s.hier.CanAcceptData(s.cycle) || !s.ports.TryAcquire() {
 				return
 			}
-			s.hier.AccessData(u.d.EffAddr, true, s.cycle)
+			s.hier.AccessData(u.d.EffAddr(), true, s.cycle)
 			s.sim.StoreAccesses++
 			stores++
 		}
@@ -122,7 +122,7 @@ func (s *Simulator) commit() {
 			if s.cfg.RangeOnlyConflicts {
 				check = s.vrf.CheckStoreConflictRangeOnly
 			}
-			if id := check(u.d.EffAddr, isa.WordBytes); id >= 0 {
+			if id := check(u.d.EffAddr(), isa.WordBytes); id >= 0 {
 				s.sim.StoreConflicts++
 				s.vrmt.InvalidateByVReg(u.d.Seq, id, nil)
 				s.squash(u.d.Seq + 1)

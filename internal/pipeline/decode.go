@@ -76,7 +76,7 @@ func (s *Simulator) sdvDecode(u *uop) (blocked bool) {
 	in := u.d.Inst
 	switch {
 	case in.IsLoad():
-		obs := s.tl.Observe(u.d.Seq, u.d.PC, u.d.EffAddr, s.jnl)
+		obs := s.tl.Observe(u.d.Seq, u.d.PC, u.d.EffAddr(), s.jnl)
 		if !obs.FirstSeen && !u.statsCounted {
 			s.sim.StrideHist.Add(strideBucket(obs.Stride))
 		}
@@ -123,17 +123,17 @@ func (s *Simulator) decodeLoadSDV(u *uop, stride int64, confident bool) {
 		if eOffset >= vl {
 			// Register exhausted: generate the next vectorized instance
 			// covering the following window (§3.2).
-			if r.ElemAddr(vl) == u.d.EffAddr && s.createVectorLoad(u, r.Stride) {
+			if r.ElemAddr(vl) == u.d.EffAddr() && s.createVectorLoad(u, r.Stride) {
 				return
 			}
-			if r.ElemAddr(vl) != u.d.EffAddr {
+			if r.ElemAddr(vl) != u.d.EffAddr() {
 				s.loadMisspeculation(u, entry)
 				return
 			}
 			s.vrmt.InvalidateEntry(seq, entry, s.jnl) // no free register: back to scalar
 			return
 		}
-		if r.ElemAddr(eOffset) != u.d.EffAddr {
+		if r.ElemAddr(eOffset) != u.d.EffAddr() {
 			s.loadMisspeculation(u, entry)
 			return
 		}
@@ -176,7 +176,7 @@ func (s *Simulator) createVectorLoad(u *uop, stride int64) bool {
 		s.countSkip(u.d.Seq)
 		return false
 	}
-	s.vrf.SetRange(id, u.d.EffAddr, stride)
+	s.vrf.SetRange(id, u.d.EffAddr(), stride)
 	slot := s.insertVRMT(u.d.Seq, core.Entry{PC: u.d.PC, VReg: id, VEpoch: epoch})
 
 	v := s.vops.get()
@@ -185,7 +185,7 @@ func (s *Simulator) createVectorLoad(u *uop, stride int64) bool {
 	v.vreg = id
 	v.vepoch = epoch
 	v.vl = s.cfg.VectorLen
-	s.buildLoadGroups(v, u.d.EffAddr, stride)
+	s.buildLoadGroups(v, u.d.EffAddr(), stride)
 	s.viq = append(s.viq, v)
 
 	s.sim.VectorLoadInstances++
@@ -271,7 +271,7 @@ func (s *Simulator) decodeArithSDV(u *uop) (blocked bool) {
 	// Resolve current operands against the V/S rename state (Figure 6).
 	var cur [2]core.Operand
 	var curVS [2]core.VSEntry
-	srcVals := [2]uint64{u.d.Src1Val, u.d.Src2Val}
+	srcVals := u.d.Vals
 	for i := 0; i < nsrc; i++ {
 		r := srcs[i]
 		if !r.IsZero() {

@@ -4,9 +4,10 @@
 // engine from internal/core.
 //
 // The model is trace-driven: the functional emulator supplies the
-// committed-path dynamic instruction stream (with effective addresses,
-// branch outcomes and operand values), and this package replays it against
-// real structural, data and memory-system constraints. On a branch
+// committed-path dynamic instruction stream as emu.Records (effective
+// addresses, branch outcomes and scalar source values), and this package
+// replays it against real structural, data and memory-system
+// constraints. On a branch
 // misprediction fetch stalls until the branch resolves plus a redirect
 // penalty; wrong-path instructions are not simulated (ARCHITECTURE.md,
 // "Fetch", says why this preserves the paper's behaviour). Vector state
@@ -34,9 +35,9 @@
 //   - Decode-side speculative state (TL, VRMT, register allocations, V/S
 //     rename entries, churn levels, statistics) is journalled through
 //     typed undo records in preallocated stacks — no closures.
-//   - Fetch takes records from a fixed ring of SourceWindow(cfg) records,
-//     which the source writes in place; a squash moves the ring's
-//     position back.
+//   - Fetch takes records from a fixed ring of SourceWindow(cfg) 56 B
+//     emu.Records, which the source writes in place; a squash moves the
+//     ring's position back.
 //   - Wide-bus merge windows live in a small ordered table with pooled
 //     scratch instead of a per-access map.
 //

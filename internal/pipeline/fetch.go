@@ -68,7 +68,7 @@ func (s *Simulator) fetch() {
 		s.sim.Fetched++
 
 		if d.Inst.IsControl() && !d.Halt {
-			_, correct := s.pred.Predict(d.PC, d.Inst, d.Taken, d.NextPC)
+			_, correct := s.pred.Predict(d.PC, d.Inst, d.Taken, d.NextPC())
 			if !correct {
 				u.mispredicted = true
 				if !replayed {
@@ -92,7 +92,7 @@ func (s *Simulator) fetch() {
 			s.fetchStall = u
 			return
 		}
-		if d.Inst.IsControl() && d.NextPC != d.PC+1 {
+		if d.Inst.IsControl() && d.NextPC() != d.PC+1 {
 			// Taken control flow: at most one taken branch per cycle.
 			return
 		}

@@ -251,7 +251,7 @@ func (s *Simulator) issueLoad(u *uop) bool {
 	// Memory access, merging with an already-issued wide access when the
 	// line matches (§3.7: up to 4 pending loads per access).
 	if s.ports.Wide() {
-		line := s.hier.DLineAddr(u.d.EffAddr)
+		line := s.hier.DLineAddr(u.d.EffAddr())
 		if m := s.merges.lookup(line); m != nil && m.loads < s.cfg.MaxLoadsPerWideAccess {
 			m.loads++
 			m.addWord(u.wordAddr())
@@ -267,7 +267,7 @@ func (s *Simulator) issueLoad(u *uop) bool {
 	if !s.ports.TryAcquire() {
 		return false
 	}
-	addr := u.d.EffAddr
+	addr := u.d.EffAddr()
 	if s.ports.Wide() {
 		addr = s.hier.DLineAddr(addr)
 	}

@@ -24,7 +24,7 @@ func checkPooledUopClean(t *testing.T, u *uop) {
 	if len(u.waiters) != 0 || u.pendingDeps != 0 || u.readyAt != 0 {
 		t.Fatalf("pooled uop keeps scheduling state: %+v", u)
 	}
-	if (u.d != emu.DynInst{}) {
+	if (u.d != emu.Record{}) {
 		t.Fatalf("pooled uop keeps its dynamic record: %+v", u.d)
 	}
 }

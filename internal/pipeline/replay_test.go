@@ -3,6 +3,7 @@ package pipeline
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"specvec/internal/config"
 	"specvec/internal/emu"
@@ -87,10 +88,14 @@ func TestReplayEquivalence(t *testing.T) {
 }
 
 // TestReplayWindow pins the simulator's replay window, through which
-// fetch takes every record: records come out in order, a rewind
-// re-fetches identical records, a rewind outside the window (or forward)
-// panics, and the steady state allocates nothing.
+// fetch takes every record: each slot and uop carries a 56 B emu.Record,
+// records come out in order, a rewind re-fetches identical records, a
+// rewind outside the window (or forward) panics, and the steady state
+// allocates nothing.
 func TestReplayWindow(t *testing.T) {
+	if rec, u := unsafe.Sizeof(emu.Record{}), unsafe.Sizeof(uop{}); rec != 56 || u != 224 {
+		t.Errorf("emu.Record is %d B and uop %d B, want 56 and 224", rec, u)
+	}
 	b, err := workload.Get("swim")
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +109,7 @@ func TestReplayWindow(t *testing.T) {
 		}
 		return s
 	}
-	take := func(t *testing.T, s *Simulator) emu.DynInst {
+	take := func(t *testing.T, s *Simulator) emu.Record {
 		t.Helper()
 		d, ok := s.next()
 		if !ok {
@@ -115,7 +120,7 @@ func TestReplayWindow(t *testing.T) {
 
 	t.Run("in-order", func(t *testing.T) {
 		s := newSim(t)
-		var want emu.DynInst
+		var want emu.Record
 		for i := 0; i < tr.Len(); i++ {
 			tr.Record(i, &want)
 			if got := take(t, s); got != want {
@@ -130,7 +135,7 @@ func TestReplayWindow(t *testing.T) {
 	t.Run("refetch", func(t *testing.T) {
 		s := newSim(t)
 		n := uint64(len(s.ring))
-		first := make([]emu.DynInst, 3*n)
+		first := make([]emu.Record, 3*n)
 		for i := range first {
 			first[i] = take(t, s)
 		}

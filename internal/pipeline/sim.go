@@ -31,7 +31,7 @@ type vref struct {
 // never reaches the source: the simulator keeps its own replay window
 // (see SourceWindow).
 type Source interface {
-	Next(d *emu.DynInst) bool
+	Next(d *emu.Record) bool
 }
 
 // SourceWindow returns the size (in records) of the replay window the
@@ -63,7 +63,7 @@ type Simulator struct {
 
 	// Replay window: the last len(ring) records pulled from src, indexed
 	// by Seq & ringMask, so a squash can re-fetch in-flight instructions.
-	ring     []emu.DynInst
+	ring     []emu.Record
 	ringMask uint64
 	pulled   uint64 // records pulled from src so far
 	fetchSeq uint64 // Seq of the next record fetch takes
@@ -250,7 +250,7 @@ func NewFromSource(cfg config.Config, src Source) (*Simulator, error) {
 		cfg:      cfg,
 		sim:      sim,
 		src:      src,
-		ring:     make([]emu.DynInst, SourceWindow(cfg)),
+		ring:     make([]emu.Record, SourceWindow(cfg)),
 		hier:     mem.NewHierarchy(cfg.Mem, sim),
 		ports:    mem.NewPorts(cfg.MemPorts, cfg.WideBus, sim),
 		pred:     branch.New(cfg.Branch),
@@ -289,9 +289,6 @@ func (s *Simulator) Stats() *stats.Sim { return s.sim }
 // pure functional run). It is nil for simulators built with
 // NewFromSource: a replayed trace carries no architectural state.
 func (s *Simulator) Machine() *emu.Machine { return s.mach }
-
-// Cycle returns the current cycle number.
-func (s *Simulator) Cycle() uint64 { return s.cycle }
 
 // HotStats reports hot-path health counters: pool allocation misses vs
 // recycles and the undo-journal depth. In steady state news stay flat
@@ -450,7 +447,7 @@ func (s *Simulator) squash(fromSeq uint64) {
 // its sequence number. ok is false once the source is exhausted.
 //
 //sdv:hotpath
-func (s *Simulator) next() (*emu.DynInst, bool) {
+func (s *Simulator) next() (*emu.Record, bool) {
 	d := &s.ring[s.fetchSeq&s.ringMask]
 	if s.fetchSeq == s.pulled {
 		if !s.src.Next(d) {

@@ -45,7 +45,7 @@ func (r uopRef) inFlight(cycle uint64) bool {
 // recycled at commit or squash; all cross-uop references go through
 // generation-checked uopRefs.
 type uop struct {
-	d emu.DynInst
+	d emu.Record
 
 	gen  uint64 // bumped on every recycle; validates uopRefs
 	kind uopKind
@@ -106,7 +106,7 @@ func (u *uop) isValidation() bool {
 }
 
 // wordAddr returns the 8-byte-aligned address of a memory op.
-func (u *uop) wordAddr() uint64 { return u.d.EffAddr &^ uint64(isa.WordBytes-1) }
+func (u *uop) wordAddr() uint64 { return u.d.EffAddr() &^ uint64(isa.WordBytes-1) }
 
 // liveProducer returns the producing vector instance if the reference is
 // still current, nil otherwise (recycled instance: it either finished —

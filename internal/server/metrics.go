@@ -70,19 +70,15 @@ func (g *runtimeGauges) sample() {
 	g.gcs.Set(int64(rt.NumGC))
 }
 
-// SampleRuntime refreshes the sdvd_go_* gauges now. Serve-layer callers
-// normally rely on StartRuntimeSampler instead.
-func (s *Server) SampleRuntime() { s.runtime.sample() }
+// runtimeSampleEvery is how often StartRuntimeSampler refreshes the
+// runtime gauges: /metrics reports runtime state at most this stale.
+const runtimeSampleEvery = 10 * time.Second
 
-// StartRuntimeSampler refreshes the runtime gauges every interval until
-// ctx is cancelled (<= 0 means 10s). /metrics then reports runtime
-// state at most one interval stale.
-func (s *Server) StartRuntimeSampler(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = 10 * time.Second
-	}
+// StartRuntimeSampler refreshes the runtime gauges every
+// runtimeSampleEvery until ctx is cancelled.
+func (s *Server) StartRuntimeSampler(ctx context.Context) {
 	go func() {
-		t := time.NewTicker(every)
+		t := time.NewTicker(runtimeSampleEvery)
 		defer t.Stop()
 		for {
 			select {

@@ -25,7 +25,7 @@ import (
 //	pcs     zigzag-varint delta from the previous record's PC
 //	flags   one byte per record: bit 0 taken, bit 1 halt (last record only)
 //	tupleIdx zigzag-varint delta from the previous record's index
-//	tuples  uvarint per value, two per tuple (the values project keeps)
+//	tuples  uvarint per value, two per tuple (an emu.Record's Vals)
 //	crc32   uint32 (IEEE) over every preceding byte, header included
 //
 // PCs and tuple indexes are delta-encoded because both are locally

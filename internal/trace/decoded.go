@@ -7,29 +7,28 @@ import (
 )
 
 // Decoded is the shared, pre-decoded form of a Trace: records are
-// materialized into immutable fixed-size blocks of emu.DynInst, each
+// materialized into immutable fixed-size blocks of emu.Record, each
 // block decoded at most once (modulo a benign publication race) and then
 // served by reference to any number of concurrent Cursors. A group of
 // simulators replaying the same recording pays the column decode —
-// tuple-pool lookups, static-instruction fetch, successor-PC derivation —
-// once per block instead of once per simulator.
+// column reads, tuple-pool lookups, static-instruction fetch — once per
+// block instead of once per simulator.
 //
 // Blocks decode lazily, on first touch by any cursor, so a short replay
-// (a cancelled run) never pays for the whole trace. The decoded form is
-// about 5x the size of the column form (DynInst is ~100 bytes per record
-// against ~20 compressed), which is why experiments.Runner replays
-// through a Replayer instead:
-// Decoded is the bench ladder's shared-walk reader (cmd/sdvbench).
+// (a cancelled run) never pays for the whole trace. A decoded block holds
+// 56 B per record (emu.Record) where the columns hold a few bytes, which
+// is why experiments.Runner replays through a Replayer instead: Decoded
+// is the bench ladder's shared-walk reader (cmd/sdvbench).
 type Decoded struct {
 	t      *Trace
-	blocks []atomic.Pointer[[]emu.DynInst]
+	blocks []atomic.Pointer[[]emu.Record]
 
 	decodes atomic.Int64 // blocks actually decoded (including lost races)
 	loads   atomic.Int64 // block fetches by cursors (hits + decodes)
 }
 
 // decodedBlockShift sets the block granularity: 1<<12 = 4096 records
-// (~400KB decoded) — coarse enough that the per-block bookkeeping
+// (224 KiB decoded) — coarse enough that the per-block bookkeeping
 // disappears from the replay hot path, fine enough that lazy decoding
 // tracks a cursor's actual reach.
 const decodedBlockShift = 12
@@ -39,14 +38,8 @@ const decodedBlockShift = 12
 // block directory.
 func NewDecoded(t *Trace) *Decoded {
 	n := (t.Len() + (1 << decodedBlockShift) - 1) >> decodedBlockShift
-	return &Decoded{t: t, blocks: make([]atomic.Pointer[[]emu.DynInst], n)}
+	return &Decoded{t: t, blocks: make([]atomic.Pointer[[]emu.Record], n)}
 }
-
-// Trace returns the trace being decoded.
-func (d *Decoded) Trace() *Trace { return d.t }
-
-// Len returns the number of records, mirroring Trace.Len.
-func (d *Decoded) Len() int { return d.t.Len() }
 
 // BlockLoads returns how many block fetches cursors have performed
 // (decodes plus shared hits). BlockLoads - BlockDecodes is the decode
@@ -62,14 +55,14 @@ func (d *Decoded) BlockDecodes() int64 { return d.decodes.Load() }
 // block returns the decoded block containing record seq, decoding and
 // publishing it if no cursor has touched it yet. The returned slice is
 // immutable once published.
-func (d *Decoded) block(i int) []emu.DynInst {
+func (d *Decoded) block(i int) []emu.Record {
 	d.loads.Add(1)
 	if p := d.blocks[i].Load(); p != nil {
 		return *p
 	}
 	lo := i << decodedBlockShift
 	hi := min(lo+(1<<decodedBlockShift), d.t.Len())
-	blk := make([]emu.DynInst, hi-lo)
+	blk := make([]emu.Record, hi-lo)
 	for j := range blk {
 		d.t.Record(lo+j, &blk[j])
 	}
@@ -94,9 +87,9 @@ type Cursor struct {
 	d   *Decoded
 	pos uint64 // next Seq to hand out
 
-	blk   []emu.DynInst // current block (fast path)
-	blkLo uint64        // sequence number of blk[0]
-	blkHi uint64        // blkLo + len(blk); 0 until the first load
+	blk   []emu.Record // current block (fast path)
+	blkLo uint64       // sequence number of blk[0]
+	blkHi uint64       // blkLo + len(blk); 0 until the first load
 }
 
 // NextRef returns a pointer to the record at the current position and
@@ -104,7 +97,7 @@ type Cursor struct {
 // for the life of the Decoded; consumers treat records as read-only.
 //
 //sdv:hotpath
-func (c *Cursor) NextRef() (*emu.DynInst, bool) {
+func (c *Cursor) NextRef() (*emu.Record, bool) {
 	if c.pos >= c.blkHi {
 		if c.pos >= uint64(c.d.t.Len()) {
 			return nil, false
@@ -121,7 +114,7 @@ func (c *Cursor) NextRef() (*emu.DynInst, bool) {
 
 // Next copies the record at the current position into d and advances,
 // reporting false, with d untouched, past the last record.
-func (c *Cursor) Next(d *emu.DynInst) bool {
+func (c *Cursor) Next(d *emu.Record) bool {
 	rec, ok := c.NextRef()
 	if ok {
 		*d = *rec

@@ -8,9 +8,8 @@ import (
 	"specvec/internal/emu"
 )
 
-// TestCursorMatchesStream walks a Cursor against the model-visible
-// projection of a live machine, demanding identical records at every
-// step.
+// TestCursorMatchesStream walks a Cursor against the records of a live
+// machine, demanding identical records at every step.
 func TestCursorMatchesStream(t *testing.T) {
 	for _, bench := range []string{"compress", "swim"} {
 		prog := buildBench(t, bench, 4000)
@@ -60,7 +59,7 @@ func TestDecodedBlocksDecodeOnce(t *testing.T) {
 // is sound under concurrent first touch.
 func TestDecodedConcurrentCursors(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 6000), 1<<22)
-	want := make([]emu.DynInst, tr.Len())
+	want := make([]emu.Record, tr.Len())
 	for i := range want {
 		tr.Record(i, &want[i])
 	}
@@ -107,7 +106,7 @@ func TestCursorSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	cur := d.Cursor()
-	var rec emu.DynInst
+	var rec emu.Record
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
 			if !cur.Next(&rec) {

@@ -2,7 +2,7 @@
 // the timing pipeline consumes.
 //
 // The stream produced by functional emulation is config-independent: one
-// (benchmark, scale, seed) triple yields the same emu.DynInst sequence
+// (benchmark, scale, seed) triple yields the same emu.Record sequence
 // under every processor configuration, because the workload program is
 // built from those knobs alone. A sweep that simulates the same benchmark
 // under many configurations therefore re-derives identical streams over
@@ -18,8 +18,8 @@
 //     pure functional pass: sdvsim -trace-record and experiments.Runner
 //     both record first and then replay.
 //   - Replayer serves a recorded Trace to the pipeline as a forward-only
-//     pipeline.Source, as the model-visible projection of the live
-//     records, without a machine, a memory image, or per-instruction
+//     pipeline.Source — the same emu.Records the live machine serves —
+//     without a machine, a memory image, or per-instruction
 //     interpretation; it allocates nothing. The pipeline keeps the replay
 //     window a squash re-fetches from, so no source rewinds. Replayer is
 //     the one replay source of experiments.Runner.
@@ -29,22 +29,20 @@
 // Decoded and Cursor are a fourth, shared-walk reader: a trace decoded
 // once into blocks that any number of cursors read. The bench ladder
 // (cmd/sdvbench) measures it; experiments.Runner does not use it, since
-// a walked Decoded holds 96 B per record where a Replayer holds none.
+// a walked Decoded holds 56 B per record where a Replayer holds none.
 //
 // The in-memory form is structure-of-arrays: a PC column and an
 // interned-tuple index column, each stored at the narrowest width (1 to
 // 4 bytes) that holds its largest value, a taken bitset (one bit per
 // record), one halt flag (only the last record can halt), and one pool of
 // distinct two-word operand tuples, interned through an open-addressed
-// table in first-occurrence order. A tuple holds only what the timing
-// model reads (project): a memory op's effective address, the source
-// values an arithmetic op names, a jr's target register; Record restores
-// those and leaves every other operand value zero (StoreVal and Result
-// always). The recorder and the decoder build full-width columns and
-// narrow them once, so a finished Trace has one layout. Everything else
-// in a DynInst (Seq, the static instruction, NextPC) is re-derived on
-// materialization from the embedded program text, mirroring
-// emu.Machine.Step. On disk, PC and tuple-index columns
+// table in first-occurrence order. A tuple is a record's Vals
+// (emu.Project): a memory op's effective address, the source values an
+// arithmetic op names, a jr's target register. The recorder and the
+// decoder build full-width columns and narrow them once, so a finished
+// Trace has one layout. Record writes an emu.Record straight from the
+// columns: Seq is the record index and the static instruction comes from
+// the embedded program text. On disk, PC and tuple-index columns
 // are zigzag-varint delta encoded (loops keep both locally repetitive)
 // and each record keeps a flag byte.
 package trace

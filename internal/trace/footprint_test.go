@@ -105,7 +105,7 @@ func TestDecodeExactFootprint(t *testing.T) {
 		t.Errorf("decoded tuple-index column is %d bytes wide, want 3", back.tupleIdx.w)
 	}
 	requireExact(t, "decoded", back)
-	var a, b emu.DynInst
+	var a, b emu.Record
 	for _, i := range []int{0, 1, 1 << 20, n - 1} {
 		tr.Record(i, &a)
 		back.Record(i, &b)
@@ -118,7 +118,7 @@ func TestDecodeExactFootprint(t *testing.T) {
 // synthetic builds an n-record trace in-package, without emulation, over
 // a two-instruction loop text (add at PC 0, j at PC 1); rec(i) supplies
 // record i's PC, branch outcome and operand values, of which the tuple
-// keeps what project keeps for the instruction at that PC.
+// keeps what emu.Project keeps for the instruction at that PC.
 func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	tr := &Trace{
 		name: "synthetic",
@@ -132,8 +132,8 @@ func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	for i := range n {
 		d := rec(i)
 		d.Inst = tr.inst(d.PC)
-		k := project(&d)
-		cols.add(uint32(d.PC), d.Taken, in.intern(&cols.tuples, &k))
+		r := emu.Project(&d)
+		cols.add(uint32(r.PC), r.Taken, in.intern(&cols.tuples, &r.Vals))
 	}
 	cols.build(tr)
 	return tr
@@ -178,10 +178,10 @@ func TestColumnWidths(t *testing.T) {
 				c.tuples, tr.tupleIdx.w, tr.pcs.w, tr.TupleCount(), c.want)
 		}
 		requireExact(t, "synthetic", tr)
-		var d emu.DynInst
+		var d emu.Record
 		tr.Record(c.tuples-1, &d)
-		if d.Src1Val != uint64(c.tuples-1) {
-			t.Errorf("%d tuples: last record's tuple reads Src1Val %d", c.tuples, d.Src1Val)
+		if d.Vals[0] != uint64(c.tuples-1) {
+			t.Errorf("%d tuples: last record's tuple reads Vals[0] %d", c.tuples, d.Vals[0])
 		}
 	}
 }

@@ -27,12 +27,12 @@ func mix(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-func hashTuple(k *tuple) uint64 {
+func hashTuple(k *[tupleWords]uint64) uint64 {
 	return mix(mix(k[0]^hashK0, k[1]^hashK1)^hashK2, hashK3)
 }
 
 // intern returns k's index in pool, appending k to pool if it is new.
-func (in *interner) intern(pool *[]uint64, k *tuple) uint32 {
+func (in *interner) intern(pool *[]uint64, k *[tupleWords]uint64) uint32 {
 	if 2*(in.used+1) > len(in.slots) {
 		in.grow(*pool)
 	}
@@ -47,7 +47,7 @@ func (in *interner) intern(pool *[]uint64, k *tuple) uint32 {
 			return idx
 		}
 		j := int(s-1) * tupleWords
-		if tuple((*pool)[j:j+tupleWords]) == *k {
+		if [tupleWords]uint64((*pool)[j:j+tupleWords]) == *k {
 			return s - 1
 		}
 	}
@@ -59,7 +59,7 @@ func (in *interner) grow(pool []uint64) {
 	in.slots = make([]uint32, max(1024, 2*len(in.slots)))
 	mask := uint64(len(in.slots) - 1)
 	for j := 0; j < len(pool); j += tupleWords {
-		i := hashTuple((*tuple)(pool[j:])) & mask
+		i := hashTuple((*[tupleWords]uint64)(pool[j:])) & mask
 		for in.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

@@ -78,16 +78,15 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 func (r *Recorder) Finish(target int) (*Trace, error) {
 	const ctxPoll = 4096 // records between context cancellation checks
 	poll := ctxPoll
-	for !r.cols.halted && len(r.cols.pcs) < target {
-		d := r.m.Step()
-		if d.PC > math.MaxUint32 {
+	var rec emu.Record
+	for len(r.cols.pcs) < target && r.m.Next(&rec) {
+		if rec.PC > math.MaxUint32 {
 			// A register-indirect jump far outside the text cannot be
 			// encoded in the compact PC column.
-			return nil, fmt.Errorf("trace: PC %#x exceeds the recordable range", d.PC)
+			return nil, fmt.Errorf("trace: PC %#x exceeds the recordable range", rec.PC)
 		}
-		k := project(&d)
-		r.cols.add(uint32(d.PC), d.Taken, r.intern.intern(&r.cols.tuples, &k))
-		r.cols.halted = d.Halt
+		r.cols.add(uint32(rec.PC), rec.Taken, r.intern.intern(&r.cols.tuples, &rec.Vals))
+		r.cols.halted = rec.Halt
 		if poll--; poll <= 0 {
 			poll = ctxPoll
 			if r.ctx != nil {

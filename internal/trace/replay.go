@@ -20,7 +20,7 @@ func NewReplayer(t *Trace) *Replayer { return &Replayer{t: t} }
 // been served.
 //
 //sdv:hotpath
-func (r *Replayer) Next(d *emu.DynInst) bool {
+func (r *Replayer) Next(d *emu.Record) bool {
 	if r.pos >= r.t.Len() {
 		return false
 	}

@@ -14,64 +14,20 @@ const (
 	flagHalt                    // program terminated at this record
 )
 
-// tupleWords is the number of operand values interned per record.
-const tupleWords = 2
-
-// tuple is the part of a record's operand values that the timing model
-// reads (see project).
-type tuple [tupleWords]uint64
-
-// project returns the operand values of d that the timing model reads:
-//   - loads and stores: EffAddr (stride detection in the Table of Loads,
-//     the memory hierarchy and store-conflict checks);
-//   - arithmetic: the source values that Inst.SrcRegs names (the
-//     scalar-operand check that validates a vector instance);
-//   - jr: Src1Val (its successor PC);
-//
-// and zero in every word nothing reads. StoreVal and Result are never
-// kept. Record applies the inverse, unproject.
-func project(d *emu.DynInst) tuple {
-	in := d.Inst
-	switch {
-	case in.IsMem():
-		return tuple{d.EffAddr}
-	case in.IsArith():
-		switch _, n := in.SrcRegs(); n {
-		case 0:
-			return tuple{}
-		case 1:
-			return tuple{d.Src1Val}
-		}
-		return tuple{d.Src1Val, d.Src2Val}
-	case in.Op == isa.OpJr:
-		return tuple{d.Src1Val}
-	}
-	return tuple{}
-}
-
-// unproject sets d's operand values from k, the inverse of project for
-// d.Inst: the values project keeps come back, every other one is zero.
-func unproject(d *emu.DynInst, k tuple) {
-	d.StoreVal, d.Result = 0, 0
-	if d.Inst.IsMem() {
-		d.EffAddr, d.Src1Val, d.Src2Val = k[0], 0, 0
-	} else {
-		d.EffAddr, d.Src1Val, d.Src2Val = 0, k[0], k[1]
-	}
-}
+// tupleWords is the number of operand values interned per record: the
+// Vals of an emu.Record.
+const tupleWords = len(emu.Record{}.Vals)
 
 // Trace is the compact recorded form of a dynamic instruction stream. It
 // is structure-of-arrays: per-record columns hold only what cannot be
 // re-derived (PC, branch outcome), the operand values the timing model
-// reads are interned as two-word tuples (see project; loops repeat
+// reads are interned as two-word tuples (emu.Record.Vals; loops repeat
 // operand patterns, so distinct tuples are stored once and referenced by
 // index), and the static instruction is looked up from the embedded
 // program text. The PC and tuple-index columns are each stored at the
 // narrowest width (1 to 4 bytes) that holds their largest value, the
 // branch outcomes are one bit per record, and a halt — which only the
-// last record can be — is one bool. Seq is the record index and NextPC
-// is derived from the instruction, the branch outcome and the source
-// value, exactly mirroring emu.Machine.Step.
+// last record can be — is one bool. Seq is the record index.
 //
 // A Trace is immutable once built: Recorder.Finish and Decode fill
 // full-width columns and narrow them once (see build).
@@ -234,22 +190,19 @@ func (t *Trace) inst(pc uint64) isa.Inst {
 // takenAt reports record i's branch outcome.
 func (t *Trace) takenAt(i int) bool { return t.taken[i/64]&(1<<(i%64)) != 0 }
 
-// Record materializes record i into d: the operand values the recording
-// kept (see project), every other operand value zero. It panics if i is
-// out of range.
-func (t *Trace) Record(i int, d *emu.DynInst) {
+// Record writes record i into r, straight from the columns. It panics if
+// i is out of range.
+//
+//sdv:hotpath
+func (t *Trace) Record(i int, r *emu.Record) {
 	pc := uint64(t.pcs.at(i))
-	in := t.inst(pc)
 	j := int(t.tupleIdx.at(i)) * tupleWords
-	*d = emu.DynInst{
-		Seq:   uint64(i),
-		PC:    pc,
-		Inst:  in,
-		Taken: t.takenAt(i),
-		Halt:  t.halted && i == t.n-1,
-	}
-	unproject(d, tuple(t.tuples[j:j+tupleWords]))
-	d.NextPC = emu.SuccessorPC(in, pc, d.Src1Val, d.Taken)
+	// Field by field, as in emu's project: a composite literal is copied
+	// in 8+16+16+16-byte stores that split Inst, and the caller's next
+	// read of Inst then waits for both stores to retire.
+	r.Seq, r.PC, r.Inst = uint64(i), pc, t.inst(pc)
+	r.Vals = [tupleWords]uint64(t.tuples[j : j+tupleWords])
+	r.Taken, r.Halt = t.takenAt(i), t.halted && i == t.n-1
 }
 
 // validate checks internal consistency (Decode calls it so a logically

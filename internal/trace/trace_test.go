@@ -72,15 +72,8 @@ func record(t testing.TB, prog *isa.Program, cap int) *Trace {
 	return tr
 }
 
-// visible returns d as a recording reproduces it: the operand values
-// project keeps, every other operand value zero.
-func visible(d emu.DynInst) emu.DynInst {
-	unproject(&d, project(&d))
-	return d
-}
-
 // TestReplayerMatchesStream replays a finished recording against the
-// model-visible projection of a live machine.
+// records of a live machine.
 func TestReplayerMatchesStream(t *testing.T) {
 	for _, bench := range []string{"compress", "swim"} {
 		prog := buildBench(t, bench, 4000)
@@ -95,14 +88,14 @@ func TestReplayerMatchesStream(t *testing.T) {
 // source is the forward-only face of emu.Machine, Replayer and Cursor
 // (pipeline.Source).
 type source interface {
-	Next(d *emu.DynInst) bool
+	Next(d *emu.Record) bool
 }
 
 // sameStream drains both sources together and compares every record,
-// want through visible, demanding that they end together.
+// demanding that they end together.
 func sameStream(t *testing.T, name string, want, got source) {
 	t.Helper()
-	var w, g emu.DynInst
+	var w, g emu.Record
 	for i := 0; ; i++ {
 		wok, gok := want.Next(&w), got.Next(&g)
 		if wok != gok {
@@ -111,28 +104,36 @@ func sameStream(t *testing.T, name string, want, got source) {
 		if !wok {
 			return
 		}
-		if w = visible(w); w != g {
+		if w != g {
 			t.Fatalf("%s: record %d mismatch\nwant: %+v\ngot:  %+v", name, i, w, g)
+		}
+	}
+}
+
+// sameSteps compares every record of tr with emu.Project of the machine's
+// own Step, and each record's NextPC with the machine's.
+func sameSteps(t *testing.T, name string, m *emu.Machine, tr *Trace) {
+	t.Helper()
+	var r emu.Record
+	for i := 0; i < tr.Len(); i++ {
+		d := m.Step()
+		tr.Record(i, &r)
+		if want := emu.Project(&d); r != want {
+			t.Fatalf("%s: record %d:\nmachine: %+v\ntrace:   %+v", name, i, want, r)
+		}
+		if r.NextPC() != d.NextPC {
+			t.Fatalf("%s: record %d (%v at pc %d): NextPC %d, machine %d", name, i, d.Inst.Op, d.PC, r.NextPC(), d.NextPC)
 		}
 	}
 }
 
 // TestNextPCDerivation checks every control-flow shape against the
 // machine's own NextPC, including running off the end of the text, and
-// every other field against the model-visible projection of the
-// machine's record.
+// every other field against the projection of the machine's record.
 func TestNextPCDerivation(t *testing.T) {
 	prog := controlProgram(t)
 	tr := record(t, prog, 1<<20)
-	m := newMachine(t, prog)
-	var d emu.DynInst
-	for i := 0; i < tr.Len(); i++ {
-		want := visible(m.Step())
-		tr.Record(i, &d)
-		if d != want {
-			t.Fatalf("record %d:\nmachine: %+v\ntrace:   %+v", i, want, d)
-		}
-	}
+	sameSteps(t, "control", newMachine(t, prog), tr)
 	if !tr.Halted() {
 		t.Error("control program trace does not end in halt")
 	}
@@ -147,14 +148,7 @@ func TestNextPCDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr = record(t, offend, 1<<20)
-	m = newMachine(t, offend)
-	for i := 0; i < tr.Len(); i++ {
-		want := visible(m.Step())
-		tr.Record(i, &d)
-		if d != want {
-			t.Fatalf("off-end record %d:\nmachine: %+v\ntrace:   %+v", i, want, d)
-		}
-	}
+	sameSteps(t, "off-end", newMachine(t, offend), tr)
 	if !tr.Halted() {
 		t.Error("off-end trace does not end in halt")
 	}
@@ -181,15 +175,7 @@ func TestRoundTripFarIndirectJump(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode rejected a legitimately recorded trace: %v", err)
 	}
-	m := newMachine(t, prog)
-	var d emu.DynInst
-	for i := 0; i < back.Len(); i++ {
-		want := visible(m.Step())
-		back.Record(i, &d)
-		if d != want {
-			t.Fatalf("record %d:\nmachine: %+v\ntrace:   %+v", i, want, d)
-		}
-	}
+	sameSteps(t, "jrfar", newMachine(t, prog), back)
 }
 
 // TestRoundTrip encodes a recorded trace and decodes it back, requiring
@@ -215,7 +201,7 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(tr, back) {
 			t.Fatalf("%s: trace changed across round-trip", bench)
 		}
-		var a, b emu.DynInst
+		var a, b emu.Record
 		for i := 0; i < tr.Len(); i++ {
 			tr.Record(i, &a)
 			back.Record(i, &b)
@@ -273,7 +259,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestReplayerSteadyStateAllocs(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 4000), 1<<22)
 	rep := NewReplayer(tr)
-	var d emu.DynInst
+	var d emu.Record
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
 			if !rep.Next(&d) {
