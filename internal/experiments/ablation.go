@@ -103,8 +103,8 @@ func Ablation(r *Runner) ([]*Table, error) {
 // unvectorizable noise and are not counted.
 func VecLen(r *Runner) ([]*Table, error) {
 	names := workload.Names()
-	// The functional-emulation passes are independent per benchmark; run
-	// them on the same worker pool as the cycle-level simulations.
+	// Each benchmark's walk of its recording is independent; run them on
+	// the same worker pool as the cycle-level simulations.
 	means := make([]float64, len(names))
 	if err := r.each(len(names), func(i int) error {
 		m, err := meanRunLength(r, names[i])

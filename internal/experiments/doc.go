@@ -9,13 +9,17 @@
 // simulations (e.g. the Figure 11/12 sweep) run each one once, and
 // -parallel N fans independent runs across cores with output identical
 // to a sequential run. A second memo shares work across the
-// configurations of a sweep: each benchmark's dynamic instruction stream
-// is recorded once (internal/trace) by a functional pass, and every
-// configuration replays the recording.
-// A simulation has one execution path: record once (or load the
-// recording), check that it covers the run, and replay it through one
-// trace.Replayer on one pool slot. The Replayer only steps forward; the
-// pipeline keeps the window a squash re-fetches from, so a recording
+// configurations of a sweep: a benchmark's dynamic instruction stream is
+// recorded (internal/trace) by a functional pass, and every
+// configuration replays the recording. A recording is kept while a
+// consumer may still read it: one that a single run or stream pass was
+// ever submitted for is released when that consumer finishes, and one
+// asked for twice is kept for the Runner's life, so a one-configuration
+// sweep holds about Workers recordings at a time.
+// A simulation has one execution path, all on one pool slot: get the
+// recording (record it, or load it), check that it covers the run, and
+// replay it through one trace.Replayer. The Replayer only steps forward;
+// the pipeline keeps the window a squash re-fetches from, so a recording
 // must extend pipeline.SourceWindow(cfg) past the commit limit
 // (CheckCoverage).
 // Both memos are content-addressed: RunKey (results.go) names a run's

@@ -16,6 +16,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"specvec/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.json")
@@ -31,8 +33,8 @@ type goldenTable struct {
 }
 
 // goldenTables renders every experiment on a fresh runner and hashes each
-// table in order.
-func goldenTables(t *testing.T, workers int) []goldenTable {
+// table in order. It also returns how many recordings the runner made.
+func goldenTables(t *testing.T, workers int) ([]goldenTable, int64) {
 	t.Helper()
 	r := NewRunner(Options{Scale: goldenScale, Seed: 1, Workers: workers})
 	var out []goldenTable
@@ -46,7 +48,7 @@ func goldenTables(t *testing.T, workers int) []goldenTable {
 			out = append(out, goldenTable{Exp: e.ID, Table: tab.ID, SHA256: hex.EncodeToString(sum[:])})
 		}
 	}
-	return out
+	return out, r.TraceRecordings()
 }
 
 func TestGoldenTables(t *testing.T) {
@@ -55,7 +57,8 @@ func TestGoldenTables(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "golden.json")
 	if *update {
-		b, err := json.MarshalIndent(goldenTables(t, 2), "", "  ")
+		tables, _ := goldenTables(t, 2)
+		b, err := json.MarshalIndent(tables, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +80,13 @@ func TestGoldenTables(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := goldenTables(t, workers)
+			got, recorded := goldenTables(t, workers)
+			// fig1 runs one configuration, so it releases its recordings
+			// and the next experiment records them again; after that every
+			// benchmark has two consumers and keeps its recording.
+			if most := int64(2 * len(workload.Names())); recorded > most {
+				t.Errorf("the sweep recorded %d times, want at most %d (twice per benchmark)", recorded, most)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("rendered %d tables, golden pins %d", len(got), len(want))
 			}

@@ -5,7 +5,8 @@ type ProgressKind int
 
 const (
 	// RunStarted: a (configuration, benchmark) simulation began executing
-	// (a memo miss; joined and memoised requests emit only RunDone).
+	// on its pool slot (a memo miss; joined and memoised requests emit
+	// only RunDone).
 	RunStarted ProgressKind = iota
 	// RunProgress: the simulation's committed-instruction count crossed a
 	// reporting threshold (Committed / Target carry the position).

@@ -13,20 +13,18 @@ import (
 	"specvec/internal/workload"
 )
 
-// renderSuite runs the full benchmark suite under cfgs and concatenates
-// the rendered statistics.
+// renderSuite runs the full benchmark suite under cfgs as one sweep-shaped
+// batch and concatenates the rendered statistics.
 func renderSuite(t *testing.T, opts Options, cfgs ...config.Config) (string, *Runner) {
 	t.Helper()
 	r := NewRunner(opts)
+	sims, err := r.RunAll(suiteSpecs(cfgs...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	for _, cfg := range cfgs {
-		sims, err := r.RunAll(suiteSpecs(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range sims {
-			sb.WriteString(st.String())
-		}
+	for _, st := range sims {
+		sb.WriteString(st.String())
 	}
 	return sb.String(), r
 }

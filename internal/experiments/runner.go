@@ -112,16 +112,23 @@ var ErrRecordingUnusable = errors.New("experiments: benchmark recording unusable
 // pool with two memos: per-run statistics keyed by RunKey (backed by
 // Options.Results when set), so experiments that overlap (e.g. Figures
 // 11 and 12) pay for each run once even when submitted concurrently; and
-// per-benchmark recorded traces shared across every configuration of a
-// sweep and the stream pass (backed by Options.Traces). It is safe for
-// concurrent use by multiple goroutines.
+// per-benchmark recorded traces (backed by Options.Traces), shared by
+// every consumer of a benchmark — each configuration's run and the
+// stream pass. A recording lives only while a consumer may still read
+// it: one that a single consumer was ever submitted for is released when
+// that consumer finishes, and one asked for twice is kept for the
+// Runner's life (see admit). It is safe for concurrent use by multiple
+// goroutines.
 type Runner struct {
 	opts Options
 	ctx  context.Context // Options.Context or Background; never nil
-	sem  chan struct{}   // the worker pool: one token per executing pass (see slot)
+	sem  chan struct{}   // the worker pool: one token per consumer (see slot)
 
 	runs   flight.Memo[*stats.Sim]   // by RunKey
-	traces flight.Memo[*trace.Trace] // by benchmark
+	traces flight.Memo[*trace.Trace] // by benchmark; see admit and release
+
+	usesMu sync.Mutex
+	uses   map[string]int // consumers ever submitted, by benchmark
 
 	sims     atomic.Int64 // simulations actually executed (cache misses)
 	recorded atomic.Int64 // benchmark traces recorded (trace-cache misses)
@@ -147,6 +154,29 @@ func NewRunner(opts Options) *Runner {
 		sem:    make(chan struct{}, opts.Workers),
 		runs:   flight.Memo[*stats.Sim]{Keep: true},
 		traces: flight.Memo[*trace.Trace]{Keep: true},
+		uses:   map[string]int{},
+	}
+}
+
+// admit counts one more consumer of bench's recording: a run or a
+// stream pass that will read it. Batches admit every consumer before
+// starting any, so a benchmark a batch asks for twice is kept from its
+// first consumer on.
+func (r *Runner) admit(bench string) {
+	r.usesMu.Lock()
+	r.uses[bench]++
+	r.usesMu.Unlock()
+}
+
+// release ends a consumer of bench's recording, inside its pool slot. A
+// recording only one consumer was ever admitted for has no later reader,
+// so it is forgotten; one asked for twice stays for the Runner's life.
+// A consumer admitted after the forget records afresh.
+func (r *Runner) release(bench string) {
+	r.usesMu.Lock()
+	defer r.usesMu.Unlock()
+	if r.uses[bench] == 1 {
+		r.traces.Forget(bench)
 	}
 }
 
@@ -182,8 +212,10 @@ func (r *Runner) Opts() Options { return r.opts }
 // do not count.
 func (r *Runner) Simulations() int64 { return r.sims.Load() }
 
-// TraceRecordings returns how many benchmark traces have been recorded
-// (at most one per benchmark).
+// TraceRecordings returns how many benchmark traces have been recorded:
+// at most two per benchmark, since a benchmark whose only consumer
+// released its recording records again for the next one, which keeps it
+// (see admit).
 func (r *Runner) TraceRecordings() int64 { return r.recorded.Load() }
 
 // TraceLoads returns how many benchmark traces were served by
@@ -194,6 +226,12 @@ func (r *Runner) TraceLoads() int64 { return r.loaded.Load() }
 // Results are memoised on RunKey; an in-flight run for the same key is
 // joined rather than duplicated.
 func (r *Runner) Run(cfg config.Config, bench string) (*stats.Sim, error) {
+	r.admit(bench)
+	return r.run(cfg, bench)
+}
+
+// run is Run for a consumer already admitted.
+func (r *Runner) run(cfg config.Config, bench string) (*stats.Sim, error) {
 	key := RunKey(r.opts, cfg, bench)
 	stored := false
 	st, led, err := r.runs.Do(r.ctx, key, func() (*stats.Sim, error) {
@@ -227,16 +265,21 @@ func (r *Runner) result(cfg config.Config, bench, key string) (st *stats.Sim, st
 }
 
 // simulate is one uncached simulation and the runner's only way to run
-// one: get the benchmark's recording, check that it covers the run, and
-// replay it on one pool slot. run is the run's span.
+// one: on one pool slot, get the benchmark's recording, check that it
+// covers the run, replay it and release it. run is the run's span.
 func (r *Runner) simulate(cfg config.Config, bench string, run obs.SpanContext) (*stats.Sim, error) {
 	r.sims.Add(1)
-	r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
-	tr, err := r.recording(bench, run)
 	var st *stats.Sim
-	if err == nil {
+	err := r.slot(func() error {
+		r.emit(ProgressEvent{Kind: RunStarted, Cfg: cfg.Name, Bench: bench, Target: uint64(r.opts.Scale)})
+		tr, err := r.recording(bench, run)
+		if err != nil {
+			return err
+		}
+		defer r.release(bench)
 		st, err = r.replay(cfg, bench, tr, run)
-	}
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", cfg.Name, bench, err)
 	}
@@ -264,40 +307,39 @@ func CheckCoverage(cfg config.Config, tr *trace.Trace, commits uint64) error {
 }
 
 // replay checks that tr covers the run and simulates it through one
-// trace.Replayer on one pool slot, under a "replay" span of sc, reporting
-// RunProgress events as it commits.
+// trace.Replayer, under a "replay" span of sc, reporting RunProgress
+// events as it commits.
 func (r *Runner) replay(cfg config.Config, bench string, tr *trace.Trace, sc obs.SpanContext) (*stats.Sim, error) {
 	commits := uint64(r.opts.Scale)
 	if err := CheckCoverage(cfg, tr, commits); err != nil {
 		return nil, err
 	}
-	var st *stats.Sim
-	err := r.slot(func() error {
-		span := sc.Start("replay")
-		defer span.End()
-		sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr))
-		if err != nil {
-			return err
-		}
-		sim.SetContext(r.ctx)
-		if r.opts.Progress != nil {
-			sim.SetProgress(r.progressStride(), func(committed uint64) {
-				r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
-					Committed: committed, Target: commits})
-			})
-		}
-		st, err = sim.Run(commits)
-		r.collectHot(sim.HotStats())
-		return err
-	})
+	span := sc.Start("replay")
+	defer span.End()
+	sim, err := pipeline.NewFromSource(cfg, trace.NewReplayer(tr))
+	if err != nil {
+		return nil, err
+	}
+	sim.SetContext(r.ctx)
+	if r.opts.Progress != nil {
+		sim.SetProgress(r.progressStride(), func(committed uint64) {
+			r.emit(ProgressEvent{Kind: RunProgress, Cfg: cfg.Name, Bench: bench,
+				Committed: committed, Target: commits})
+		})
+	}
+	st, err := sim.Run(commits)
+	r.collectHot(sim.HotStats())
 	return st, err
 }
 
 // slot runs fn on one worker-pool slot. It is the pool's only point of
-// acquisition, and its callers — a recording pass, a replay, a stream
-// walk — never call anything from fn that takes another slot, so
-// no goroutine waits for a slot while holding one (which at Workers: 1
-// would deadlock). A run waiting for its recording holds none.
+// acquisition, and each consumer of a recording — a run's simulation, a
+// stream pass — takes one slot and holds it while it gets the recording
+// and reads it; nothing called from fn takes a second. A consumer that
+// finds its recording in flight waits for the leader inside its own
+// slot. That cannot deadlock, even at Workers: 1: the leader got there
+// first from inside a slot of its own, and records or loads without
+// waiting for another.
 func (r *Runner) slot(fn func() error) error {
 	// Check the context first: select picks randomly when both a free
 	// slot and a cancelled context are ready.
@@ -321,13 +363,13 @@ func (r *Runner) slot(fn func() error) error {
 func (r *Runner) recordTarget() int { return r.opts.Scale + trace.RecordSlack }
 
 // recording returns bench's recording: the one entry point through which
-// every run and the stream pass get their input. The first requester
-// leads — it takes the recording from Options.Traces, which records
-// through it on a miss, or records it itself with a functional pass —
-// and every later requester waits for the leader, holding no pool slot.
-// sc, when active, receives the leader's "trace-load" and "record"
-// spans. A recording that resolves to nothing fails with
-// ErrRecordingUnusable.
+// every run and the stream pass get their input, called from inside the
+// consumer's pool slot. The first requester leads — it takes the
+// recording from Options.Traces, which records through it on a miss, or
+// records it itself with a functional pass — and every later requester
+// waits for the leader in its own slot. sc, when active, receives the
+// leader's "trace-load" and "record" spans. A recording that resolves to
+// nothing fails with ErrRecordingUnusable.
 func (r *Runner) recording(bench string, sc obs.SpanContext) (*trace.Trace, error) {
 	tr, _, err := r.traces.Do(r.ctx, bench, func() (*trace.Trace, error) {
 		if r.opts.Traces == nil {
@@ -364,31 +406,28 @@ func (r *Runner) fromStore(bench string, sc obs.SpanContext) (*trace.Trace, erro
 }
 
 // record builds bench's program and records its dynamic stream with a
-// pure functional pass (no timing simulation) on one pool slot.
+// pure functional pass (no timing simulation), in the leader's slot.
 func (r *Runner) record(bench string, sc obs.SpanContext) (*trace.Trace, error) {
+	rsc := sc.StartRun("record", "", bench)
+	defer rsc.End()
+	b, err := r.opts.Resolve(bench)
+	if err != nil {
+		return nil, err
+	}
+	prog := b.Build(r.opts.Scale, r.opts.Seed)
+	mach, err := emu.New(prog)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := trace.NewRecorder(mach, prog, r.recordTarget())
 	var tr *trace.Trace
-	err := r.slot(func() error {
-		rsc := sc.StartRun("record", "", bench)
-		defer rsc.End()
-		b, err := r.opts.Resolve(bench)
-		if err != nil {
-			return err
-		}
-		prog := b.Build(r.opts.Scale, r.opts.Seed)
-		mach, err := emu.New(prog)
-		if err != nil {
-			return err
-		}
-		rec, err := trace.NewRecorder(mach, prog, r.recordTarget())
-		if err == nil {
-			rec.SetContext(r.ctx)
-			tr, err = rec.Finish(r.recordTarget())
-		}
-		if err != nil && !flight.Cancelled(err) {
-			return fmt.Errorf("%w: %v", ErrRecordingUnusable, err)
-		}
-		return err
-	})
+	if err == nil {
+		rec.SetContext(r.ctx)
+		tr, err = rec.Finish(r.recordTarget())
+	}
+	if err != nil && !flight.Cancelled(err) {
+		return nil, fmt.Errorf("%w: %v", ErrRecordingUnusable, err)
+	}
 	if err == nil {
 		r.recorded.Add(1)
 	}
@@ -405,16 +444,19 @@ func (r *Runner) progressStride() uint64 {
 // RunAll submits every spec to the worker pool at once and returns the
 // statistics in spec order. The first error (in spec order) is returned
 // after all runs settle, so a failed batch leaves no simulation in
-// flight.
+// flight. The whole batch is admitted before any run starts.
 func (r *Runner) RunAll(specs []RunSpec) ([]*stats.Sim, error) {
 	out := make([]*stats.Sim, len(specs))
 	errs := make([]error, len(specs))
+	for _, s := range specs {
+		r.admit(s.Bench)
+	}
 	var wg sync.WaitGroup
 	for i, s := range specs {
 		wg.Add(1)
 		go func(i int, s RunSpec) {
 			defer wg.Done()
-			out[i], errs[i] = r.Run(s.Cfg, s.Bench)
+			out[i], errs[i] = r.run(s.Cfg, s.Bench)
 		}(i, s)
 	}
 	wg.Wait()
@@ -433,12 +475,16 @@ func (r *Runner) RunAll(specs []RunSpec) ([]*stats.Sim, error) {
 // reported here; they resurface from the memo when Run or RunAll later
 // requests the same key. Cancelling the runner's context stops the
 // feeders from starting further specs; runs already executing abort
-// through their own context polling.
+// through their own context polling. Like RunAll, it admits the whole
+// batch before any run starts.
 func (r *Runner) Prefetch(specs []RunSpec) {
 	if len(specs) == 0 {
 		return
 	}
 	specs = append([]RunSpec(nil), specs...)
+	for _, s := range specs {
+		r.admit(s.Bench)
+	}
 	next := new(atomic.Int64)
 	for n := min(len(specs), r.opts.Workers); n > 0; n-- {
 		go func() {
@@ -447,7 +493,7 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 				if i >= len(specs) {
 					return
 				}
-				_, _ = r.Run(specs[i].Cfg, specs[i].Bench)
+				_, _ = r.run(specs[i].Cfg, specs[i].Bench)
 			}
 		}()
 	}
@@ -455,9 +501,9 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 
 // each runs fn(0..n-1) concurrently and returns the first error in index
 // order. It is used for per-benchmark work that does not go through the
-// simulation cache (the stream pass of VecLen); fn takes pool slots
-// through the runner's own entry points (recording, slot), so the work
-// shares the simulations' concurrency bound.
+// simulation cache (the stream pass of VecLen); fn takes its pool slot
+// through the runner's own entry point (eachRecord), so the work shares
+// the simulations' concurrency bound.
 func (r *Runner) each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup

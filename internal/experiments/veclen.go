@@ -72,19 +72,23 @@ func meanRunLength(r *Runner, bench string) (float64, error) {
 
 // eachRecord yields the first budget records of the benchmark's dynamic
 // stream from the shared recording — the same one the timing runs
-// replay — walking it on one pool slot. The "record" span, if this call
-// leads the recording, parents under whatever span the job's context
-// carries: a stream-only experiment has no per-run span of its own.
+// replay. It is a consumer of the recording like a run: it admits
+// itself, and gets, walks and releases the recording on one pool slot.
+// The "record" span, if this call leads the recording, parents under
+// whatever span the job's context carries: a stream-only experiment has
+// no per-run span of its own.
 func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.Record)) error {
-	tr, err := r.recording(bench, obs.FromContext(r.ctx))
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", bench, err)
-	}
-	if !tr.Halted() && tr.Len() < budget {
-		return fmt.Errorf("%w: %s: stream pass needs %d records, recording has %d",
-			ErrIntervalOutOfRange, bench, budget, tr.Len())
-	}
-	return r.slot(func() error {
+	r.admit(bench)
+	err := r.slot(func() error {
+		tr, err := r.recording(bench, obs.FromContext(r.ctx))
+		if err != nil {
+			return err
+		}
+		defer r.release(bench)
+		if !tr.Halted() && tr.Len() < budget {
+			return fmt.Errorf("%w: stream pass needs %d records, recording has %d",
+				ErrIntervalOutOfRange, budget, tr.Len())
+		}
 		var d emu.Record
 		for i, n := 0, min(tr.Len(), budget); i < n; i++ {
 			tr.Record(i, &d)
@@ -92,4 +96,8 @@ func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.Record)) e
 		}
 		return nil
 	})
+	if err != nil {
+		return fmt.Errorf("experiments: %s: %w", bench, err)
+	}
+	return nil
 }

@@ -34,10 +34,10 @@ func Cancelled(err error) bool {
 //     cancellation;
 //   - the zero value with a nil error resolves to ErrNoValue.
 //
-// With Keep, every computed value serves all later calls; without it the
-// memo only joins concurrent callers, and the caller keeps values where
-// it likes (the daemon's tiers keep them in an LRU). The zero Memo is
-// ready to use and safe for concurrent use.
+// With Keep, every computed value serves all later calls until Forget
+// drops it; without it the memo only joins concurrent callers, and the
+// caller keeps values where it likes (the daemon's tiers keep them in an
+// LRU). The zero Memo is ready to use and safe for concurrent use.
 type Memo[V comparable] struct {
 	Keep bool
 
@@ -98,6 +98,20 @@ func (m *Memo[V]) lead(key string, c *call[V], compute func() (V, error)) {
 		m.mu.Unlock()
 	}
 	close(c.done)
+}
+
+// Forget drops key's kept value, so the next caller computes it afresh.
+// A computation in flight is left alone: its callers still share it.
+func (m *Memo[V]) Forget(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if c, ok := m.calls[key]; ok {
+		select {
+		case <-c.done:
+			delete(m.calls, key)
+		default:
+		}
+	}
 }
 
 // Len returns the number of keys the memo holds: kept values and

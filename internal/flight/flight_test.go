@@ -164,3 +164,40 @@ func TestNilValueRefused(t *testing.T) {
 		t.Error("a refused value was retained")
 	}
 }
+
+// TestForget: Forget drops a kept value, so the next call computes
+// afresh, and leaves a computation in flight to the callers sharing it.
+func TestForget(t *testing.T) {
+	m := Memo[*int]{Keep: true}
+	first, _, _ := m.Do(context.Background(), "k", func() (*int, error) { return new(int), nil })
+	m.Forget("k")
+	m.Forget("absent")
+	if m.Len() != 0 {
+		t.Fatalf("Forget left %d keys", m.Len())
+	}
+	second, led, err := m.Do(context.Background(), "k", func() (*int, error) { return new(int), nil })
+	if err != nil || !led || second == first {
+		t.Fatalf("after Forget: led=%v, same=%v, %v; want a fresh computation", led, second == first, err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan *int)
+	go func() {
+		v, _, _ := m.Do(context.Background(), "busy", func() (*int, error) {
+			close(entered)
+			<-release
+			return new(int), nil
+		})
+		done <- v
+	}()
+	<-entered
+	m.Forget("busy")
+	if m.Len() != 2 {
+		t.Errorf("Forget dropped a computation in flight: %d keys, want 2", m.Len())
+	}
+	close(release)
+	v := <-done
+	if kept, led, _ := m.Do(context.Background(), "busy", nil); kept != v || led {
+		t.Errorf("the computation Forget left in flight was not kept")
+	}
+}

@@ -38,9 +38,11 @@
 // distinct two-word operand tuples, interned through an open-addressed
 // table in first-occurrence order. A tuple is a record's Vals
 // (emu.Project): a memory op's effective address, the source values an
-// arithmetic op names, a jr's target register. The recorder and the
-// decoder build full-width columns and narrow them once, so a finished
-// Trace has one layout. Record writes an emu.Record straight from the
+// arithmetic op names, a jr's target register. The decoder builds
+// full-width columns and narrows them once; the recorder narrows as it
+// goes, stageLen records at a time, re-encoding a column in place when a
+// value needs more bytes, and reuses its per-record columns from one
+// recording to the next. A finished Trace has one layout either way. Record writes an emu.Record straight from the
 // columns: Seq is the record index and the static instruction comes from
 // the embedded program text. On disk, PC and tuple-index columns
 // are zigzag-varint delta encoded (loops keep both locally repetitive)

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"specvec/internal/emu"
@@ -41,8 +44,8 @@ func requireExact(t *testing.T, name string, tr *Trace) {
 // TestFinishExactFootprint pins that a finished recording holds exactly
 // its data: whether the program halts short of a reserved target, the
 // recording is truncated with grown-on-demand columns, or the columns
-// were reserved up front, Finish leaves no capacity slack and drops the
-// full-width columns and the interning table.
+// were reserved up front, Finish leaves no capacity slack, and the
+// recorder lets go of its columns and its interning table.
 func TestFinishExactFootprint(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -139,6 +142,71 @@ func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	return tr
 }
 
+// TestColumnWidensInPlace appends batches whose largest values cross
+// every byte boundary to a column with room for all of them: the column
+// takes each new width without moving, and every value reads back.
+func TestColumnWidensInPlace(t *testing.T) {
+	c := column{b: make([]byte, 0, 4*16)}
+	var want []uint32
+	for _, batch := range [][]uint32{{0, 1, 2}, {255, 3}, {256, 7}, {1<<16 - 1}, {1 << 16, 9}, {1 << 24, 1<<32 - 1, 5}} {
+		c.append(batch, 16)
+		want = append(want, batch...)
+		if hi := slices.Max(want); c.w != width(hi) || cap(c.b) != 4*16 {
+			t.Fatalf("after %v: width %d, cap %d; want width %d in place (cap 64)", batch, c.w, cap(c.b), width(hi))
+		}
+	}
+	if c.len() != len(want) {
+		t.Fatalf("column holds %d values, want %d", c.len(), len(want))
+	}
+	for i, v := range want {
+		if got := c.at(i); got != v {
+			t.Errorf("value %d reads %#x, want %#x", i, got, v)
+		}
+	}
+}
+
+// TestRecordingsShareNoScratch records programs one after another, so
+// each recorder works in the per-record columns the one before returned
+// to the scratch pool, and requires every trace to survive the later
+// recordings intact. Recorded to a reserved target past its halt, a
+// program's trace gets copies of the columns and the scratch keeps them;
+// recorded exactly to a reserved truncation point by a recorder that had
+// to allocate its columns, the trace takes them, and the next recording
+// of the same length must not write into them.
+func TestRecordingsShareNoScratch(t *testing.T) {
+	compress, swim := buildBench(t, "compress", 20_000), buildBench(t, "swim", 20_000)
+	type recorded struct {
+		prog *isa.Program
+		tr   *Trace
+	}
+	var all []recorded
+	record := func(p *isa.Program, n int) {
+		rec, err := NewRecorder(newMachine(t, p), p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Finish(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, p.Name, tr)
+		all = append(all, recorded{p, tr})
+	}
+	for range 2 {
+		record(compress, 1<<20)
+		record(swim, 1<<20)
+		// Two collections empty the pool, so the next recorder allocates
+		// its columns at exactly 20,000 records.
+		runtime.GC()
+		runtime.GC()
+		record(compress, 20_000)
+		record(swim, 20_000)
+	}
+	for i, r := range all {
+		sameSteps(t, fmt.Sprintf("recording %d (%s, %d records)", i, r.prog.Name, r.tr.Len()), newMachine(t, r.prog), r.tr)
+	}
+}
+
 // TestColumnWidths pins the narrowing rule at each byte boundary: a
 // column takes the fewest bytes that hold its largest value, whether
 // that value is a PC or a tuple index (driven here by synthetic tuple
@@ -151,7 +219,8 @@ func TestColumnWidths(t *testing.T) {
 		{0, 1}, {1<<8 - 1, 1}, {1 << 8, 2}, {1<<16 - 1, 2}, {1 << 16, 3}, {1<<24 - 1, 3}, {1 << 24, 4}, {1<<32 - 1, 4},
 	} {
 		vals := []uint32{c.max, 0, c.max / 2, min(1, c.max), c.max}
-		col := narrow(vals)
+		var col column
+		col.append(vals, len(vals))
 		if col.w != c.want || len(col.b) != c.want*len(vals) || cap(col.b) != len(col.b) {
 			t.Errorf("max %#x: width %d, %d bytes (cap %d); want width %d", c.max, col.w, len(col.b), cap(col.b), c.want)
 		}

@@ -1,6 +1,9 @@
 package trace
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // interner numbers distinct operand tuples in first-occurrence order.
 // Its table is open-addressed with linear probing: a slot holds a pool
@@ -41,6 +44,11 @@ func (in *interner) intern(pool *[]uint64, k *[tupleWords]uint64) uint32 {
 		s := in.slots[i]
 		if s == 0 {
 			idx := uint32(len(*pool) / tupleWords)
+			if len(*pool) == cap(*pool) {
+				// Double: append's growth for large slices (about 1.25x)
+				// would copy the pool about five times its final size.
+				*pool = slices.Grow(*pool, max(len(*pool), 64*tupleWords))
+			}
 			*pool = append(*pool, k[:]...)
 			in.slots[i] = idx + 1
 			in.used++

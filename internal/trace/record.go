@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"specvec/internal/emu"
 	"specvec/internal/isa"
@@ -18,17 +19,31 @@ import (
 const RecordSlack = 1 << 13
 
 // Recorder wraps a fresh emu.Machine and records its dynamic stream:
-// Finish runs the machine and appends every record to full-width columns,
-// then narrows them into a Trace. A simulation replays the finished
-// trace through a Replayer.
+// Finish runs the machine and appends every record to columns that it
+// narrows as it goes, then builds them into a Trace. A simulation
+// replays the finished trace through a Replayer.
 type Recorder struct {
 	m      *emu.Machine
 	t      *Trace   // name and text; Finish builds the rest
-	cols   columns  // the records so far, at full width
+	cols   columns  // the records so far
 	intern interner // tuple -> index into cols.tuples
 
 	ctx context.Context // polled by Finish; nil never cancels
 }
+
+// scratchPool holds recorders' per-record columns between recordings:
+// the full-width stage, the narrow PC and tuple-index columns and the
+// taken bits, about 3 to 5 B per record. A recorder takes its columns
+// from the pool and Finish gives back every buffer the trace did not
+// keep (build hands over a column only when it has no slack, and copies
+// it otherwise), so recordings made one after another reuse their
+// working memory. A Runner that releases each recording after its one
+// replay would otherwise allocate these columns as fast as it frees
+// traces, and the collections that allocation paces slow the replays
+// running beside the recordings. The tuple pool and the interning table
+// are not kept: their size follows the program's distinct tuples, not
+// its length.
+var scratchPool = sync.Pool{New: func() any { return new(columns) }}
 
 // SetContext attaches ctx to the recorder: Finish polls it every few
 // thousand records and returns its error early, so an abandoned service
@@ -39,7 +54,10 @@ func (r *Recorder) SetContext(ctx context.Context) { r.ctx = ctx }
 // NewRecorder wraps m, which must be freshly constructed (no instructions
 // executed), with its per-record columns pre-sized for about n records
 // (none if n <= 0), sparing the recording hot path their incremental
-// growth when the caller knows the Finish target up front. The tuple pool
+// growth when the caller knows the Finish target up front. PCs and tuple
+// indexes are narrowed every stageLen records, so the pre-sized columns
+// are the narrow ones, widened (and re-encoded) only when a value needs
+// more bytes: a recording never holds a full-width copy. The tuple pool
 // and the interning table grow on demand: their size is the number of
 // distinct operand tuples, which varies widely between programs
 // (ARCHITECTURE.md, "The recorded form"), so an up-front guess mostly
@@ -50,11 +68,20 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 	if m.InstCount() != 0 {
 		return nil, fmt.Errorf("trace: recorder needs a fresh machine (%d instructions already executed)", m.InstCount())
 	}
-	r := &Recorder{m: m, t: &Trace{name: prog.Name, insts: prog.Insts}}
+	c := scratchPool.Get().(*columns)
+	r := &Recorder{m: m, t: &Trace{name: prog.Name, insts: prog.Insts}, cols: columns{
+		pcs: c.pcs[:0], tupleIdx: c.tupleIdx[:0], taken: c.taken[:0],
+		narrowPCs: column{b: c.narrowPCs.b[:0]}, narrowIdx: column{b: c.narrowIdx.b[:0]},
+	}}
+	if cap(r.cols.pcs) < stageLen {
+		r.cols.pcs = make([]uint32, 0, stageLen)
+		r.cols.tupleIdx = make([]uint32, 0, stageLen)
+	}
 	if n > 0 {
-		r.cols.pcs = make([]uint32, 0, n)
-		r.cols.tupleIdx = make([]uint32, 0, n)
-		r.cols.taken = make([]uint64, 0, (n+63)/64)
+		r.cols.size = n
+		if cap(r.cols.taken) < (n+63)/64 {
+			r.cols.taken = make([]uint64, 0, (n+63)/64)
+		}
 	}
 	return r, nil
 }
@@ -70,16 +97,17 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 // recording is unusable outright (an unrecordable PC was produced) or its
 // context was cancelled.
 //
-// Finish ends the recording: it narrows the columns into the finished
+// Finish ends the recording: it builds the columns into the finished
 // trace, which holds exactly its data (every column at its narrowest
-// width, with no capacity slack), and drops the recorder's columns and
-// interning table, so the recorder must not be used afterwards. On error
-// it returns no trace.
+// width, with no capacity slack), returns the per-record columns the
+// trace did not keep to the scratch pool and drops the interning table,
+// so the recorder must not be used afterwards. On error it returns no
+// trace (and its columns go to the collector).
 func (r *Recorder) Finish(target int) (*Trace, error) {
 	const ctxPoll = 4096 // records between context cancellation checks
 	poll := ctxPoll
 	var rec emu.Record
-	for len(r.cols.pcs) < target && r.m.Next(&rec) {
+	for r.cols.len() < target && r.m.Next(&rec) {
 		if rec.PC > math.MaxUint32 {
 			// A register-indirect jump far outside the text cannot be
 			// encoded in the compact PC column.
@@ -99,6 +127,28 @@ func (r *Recorder) Finish(target int) (*Trace, error) {
 	t := r.t
 	t.truncated = !r.cols.halted
 	r.cols.build(t)
-	r.cols, r.intern = columns{}, interner{}
+	r.release(t)
 	return t, nil
+}
+
+// release returns the per-record columns that t did not keep to the
+// scratch pool, and drops the recorder's state.
+func (r *Recorder) release(t *Trace) {
+	kept := &columns{pcs: r.cols.pcs, tupleIdx: r.cols.tupleIdx}
+	if !shares(t.taken, r.cols.taken) {
+		kept.taken = r.cols.taken
+	}
+	if !shares(t.pcs.b, r.cols.narrowPCs.b) {
+		kept.narrowPCs.b = r.cols.narrowPCs.b
+	}
+	if !shares(t.tupleIdx.b, r.cols.narrowIdx.b) {
+		kept.narrowIdx.b = r.cols.narrowIdx.b
+	}
+	scratchPool.Put(kept)
+	r.cols, r.intern = columns{}, interner{}
+}
+
+// shares reports whether a and b have the same backing array.
+func shares[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }

@@ -52,37 +52,64 @@ type column struct {
 	b []byte
 }
 
-// narrow packs vals into a column of the narrowest width that holds
-// their largest value, with no capacity slack.
-func narrow(vals []uint32) column {
+// width returns the fewest bytes (1 to 4) that hold v.
+func width(v uint32) int {
+	w := 1
+	for w < 4 && v>>(8*w) != 0 {
+		w++
+	}
+	return w
+}
+
+// len returns the number of values in c.
+func (c *column) len() int {
+	if c.w == 0 {
+		return 0
+	}
+	return len(c.b) / c.w
+}
+
+// append adds vals to c, keeping c at the narrowest width that holds
+// every value it has: when a value needs more bytes than c.w, c first
+// re-encodes what it holds at the new width, in place when c.b has room
+// for at least size values and into a new buffer with that room
+// otherwise. A zero column takes the width of its first values.
+func (c *column) append(vals []uint32, size int) {
 	var hi uint32
 	for _, v := range vals {
 		hi = max(hi, v)
 	}
-	w := 1
-	for w < 4 && hi>>(8*w) != 0 {
-		w++
+	if w := width(hi); w > c.w {
+		old, n := *c, c.len()
+		if need := w * max(size, n+len(vals)); cap(c.b) < need {
+			c.b = append(make([]byte, 0, need), c.b...)
+			old.b = c.b
+		}
+		// Backwards, so a value is read before any wider one overwrites it.
+		c.w, c.b = w, c.b[:w*n]
+		for i := n - 1; i >= 0; i-- {
+			v := old.at(i)
+			c.b = appendAt(c.b[:w*i], w, v)
+		}
+		c.b = c.b[:w*n]
 	}
-	b := make([]byte, w*len(vals))
+	for _, v := range vals {
+		c.b = appendAt(c.b, c.w, v)
+	}
+}
+
+// appendAt appends v to b little-endian in w bytes.
+func appendAt(b []byte, w int, v uint32) []byte {
 	switch w {
 	case 1:
-		for i, v := range vals {
-			b[i] = uint8(v)
-		}
+		return append(b, uint8(v))
 	case 2:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint16(b[2*i:], uint16(v))
-		}
+		return binary.LittleEndian.AppendUint16(b, uint16(v))
 	case 3:
-		for i, v := range vals {
-			b[3*i], b[3*i+1], b[3*i+2] = uint8(v), uint8(v>>8), uint8(v>>16)
-		}
+		return append(b, uint8(v), uint8(v>>8), uint8(v>>16))
 	default:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(b[4*i:], v)
-		}
+		return binary.LittleEndian.AppendUint32(b, v)
 	}
-	return column{w: w, b: b}
 }
 
 // at returns value i.
@@ -100,21 +127,47 @@ func (c column) at(i int) uint32 {
 	}
 }
 
-// columns is a trace under construction: full-width columns that the
-// recorder and the decoder append to, narrowed once by build.
+// columns is a trace under construction. PCs and tuple indexes arrive at
+// full width in pcs and tupleIdx, and flush narrows them into narrowPCs
+// and narrowIdx: add flushes every stageLen records, so a recording holds
+// its records at their final widths plus one small full-width stage,
+// never a full-width copy of the trace. The decoder fills pcs and
+// tupleIdx whole, and build narrows them once.
 type columns struct {
-	pcs      []uint32
-	tupleIdx []uint32
+	pcs      []uint32 // PCs not yet narrowed
+	tupleIdx []uint32 // tuple indexes not yet narrowed
 	taken    []uint64 // one bit per record
 	tuples   []uint64
 	halted   bool
+
+	narrowPCs, narrowIdx column // the records flushed so far
+	flushed              int    // how many
+	size                 int    // expected record count (0 = unknown): room for the narrow columns
 }
+
+// stageLen is how many records add stages at full width before it
+// narrows them.
+const stageLen = 4096
+
+// len returns the number of records added.
+func (c *columns) len() int { return c.flushed + len(c.pcs) }
 
 // add appends one record's PC, branch outcome and tuple index.
 func (c *columns) add(pc uint32, taken bool, idx uint32) {
-	c.taken = appendBit(c.taken, len(c.pcs), taken)
+	c.taken = appendBit(c.taken, c.len(), taken)
 	c.pcs = append(c.pcs, pc)
 	c.tupleIdx = append(c.tupleIdx, idx)
+	if len(c.pcs) == stageLen {
+		c.flush()
+	}
+}
+
+// flush narrows the staged records onto the narrow columns.
+func (c *columns) flush() {
+	c.narrowPCs.append(c.pcs, c.size)
+	c.narrowIdx.append(c.tupleIdx, c.size)
+	c.flushed += len(c.pcs)
+	c.pcs, c.tupleIdx = c.pcs[:0], c.tupleIdx[:0]
 }
 
 // appendBit sets bit i of a bitset that holds bits [0, i), growing it by
@@ -132,9 +185,10 @@ func appendBit(bits []uint64, i int, b bool) []uint64 {
 // build narrows the columns into t, leaving every column of t with
 // cap == len.
 func (c *columns) build(t *Trace) {
-	t.n = len(c.pcs)
-	t.pcs = narrow(c.pcs)
-	t.tupleIdx = narrow(c.tupleIdx)
+	c.flush()
+	t.n = c.flushed
+	t.pcs = column{w: c.narrowPCs.w, b: exact(c.narrowPCs.b)}
+	t.tupleIdx = column{w: c.narrowIdx.w, b: exact(c.narrowIdx.b)}
 	t.taken = exact(c.taken)
 	t.tuples = exact(c.tuples)
 	t.halted = c.halted

@@ -178,6 +178,40 @@ func TestRoundTripFarIndirectJump(t *testing.T) {
 	sameSteps(t, "jrfar", newMachine(t, prog), back)
 }
 
+// TestRoundTripIndirectJumpOffset records jrs whose targets are rs1 plus
+// a nonzero immediate, one negative (a loop's back edge) and one
+// positive, and requires every record of the decoded trace to match the
+// machine, NextPC included. Every other trace-test jr has immediate 0,
+// which cannot tell rs1+imm from rs1 in the successor rule.
+func TestRoundTripIndirectJumpOffset(t *testing.T) {
+	r1, r2, r9 := isa.IntReg(1), isa.IntReg(2), isa.IntReg(9)
+	prog := &isa.Program{Name: "jroffset", Insts: []isa.Inst{
+		{Op: isa.OpLi, Rd: r1, Imm: 0},
+		{Op: isa.OpLi, Rd: r2, Imm: 3},
+		{Op: isa.OpLi, Rd: r9, Imm: 7},
+		{Op: isa.OpAddi, Rd: r1, Rs1: r1, Imm: 1}, // 3: loop
+		{Op: isa.OpBge, Rs1: r1, Rs2: r2, Imm: 6},
+		{Op: isa.OpJr, Rs1: r9, Imm: -4}, // back to 3
+		{Op: isa.OpJr, Rs1: r2, Imm: 5},  // 6: on to 8
+		{Op: isa.OpHalt},
+		{Op: isa.OpAddi, Rd: r1, Rs1: r1, Imm: 1}, // 8
+		{Op: isa.OpHalt},
+	}}
+	tr := record(t, prog, 1<<20)
+	if !tr.Halted() || tr.Len() != 14 {
+		t.Fatalf("test premise broken: %d records (halted %v), want 14 ending in the halt at 9", tr.Len(), tr.Halted())
+	}
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSteps(t, "jroffset", newMachine(t, prog), back)
+}
+
 // TestRoundTrip encodes a recorded trace and decodes it back, requiring
 // identical metadata and records.
 func TestRoundTrip(t *testing.T) {
