@@ -86,8 +86,9 @@ func inspect(path string, dump, start int, verify bool) error {
 	}
 	if dump > 0 {
 		var d emu.Record
-		for i := start; i < start+dump && i < t.Len(); i++ {
-			t.Record(i, &d)
+		r := trace.NewReplayer(t)
+		r.Seek(start)
+		for i := 0; i < dump && r.Next(&d); i++ {
 			extra := ""
 			switch {
 			case d.Inst.IsMem():

@@ -83,6 +83,9 @@ func (r *Record) project(d *DynInst) {
 func (r *Record) EffAddr() uint64 { return r.Vals[0] }
 
 // NextPC returns the instruction index of the next dynamic instruction.
+// Trace readers derive every PC but a block's first with it.
+//
+//sdv:hotpath
 func (r *Record) NextPC() uint64 { return SuccessorPC(r.Inst, r.PC, r.Vals[0], r.Taken) }
 
 // ErrLimit is returned by Run when the instruction budget is exhausted

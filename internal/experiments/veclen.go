@@ -5,6 +5,7 @@ import (
 
 	"specvec/internal/emu"
 	"specvec/internal/obs"
+	"specvec/internal/trace"
 )
 
 // meanRunLength measures, per static load, the lengths of maximal
@@ -90,8 +91,7 @@ func (r *Runner) eachRecord(bench string, budget int, yield func(*emu.Record)) e
 				ErrIntervalOutOfRange, budget, tr.Len())
 		}
 		var d emu.Record
-		for i, n := 0, min(tr.Len(), budget); i < n; i++ {
-			tr.Record(i, &d)
+		for i, rp := 0, trace.NewReplayer(tr); i < budget && rp.Next(&d); i++ {
 			yield(&d)
 		}
 		return nil

@@ -121,8 +121,9 @@ func TestReplayWindow(t *testing.T) {
 	t.Run("in-order", func(t *testing.T) {
 		s := newSim(t)
 		var want emu.Record
+		rp := trace.NewReplayer(tr)
 		for i := 0; i < tr.Len(); i++ {
-			tr.Record(i, &want)
+			rp.Next(&want)
 			if got := take(t, s); got != want {
 				t.Fatalf("record %d:\nwant %+v\ngot  %+v", i, want, got)
 			}

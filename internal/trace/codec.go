@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 
+	"specvec/internal/emu"
 	"specvec/internal/isa"
 )
 
@@ -30,7 +31,10 @@ import (
 //
 // PCs and tuple indexes are delta-encoded because both are locally
 // repetitive (loops revisit nearby PCs and recent operand tuples), which
-// keeps most deltas in one or two varint bytes. Versions 1 and 2 interned
+// keeps most deltas in one or two varint bytes. Every PC after the first
+// is its predecessor's successor (emu.Record.NextPC): Encode writes the
+// PCs a forward walk derives, the in-memory form keeps only each block's
+// first, and Decode rejects a file whose PCs break the rule. Versions 1 and 2 interned
 // five values per record (EffAddr, StoreVal, Result and both source
 // values); Decode rejects them, so such a trace is recorded again.
 
@@ -77,18 +81,12 @@ func (c *cwriter) varint(v int64) error {
 	return err
 }
 
-// deltas writes the first n values of col as zigzag-varint deltas from
-// the previous value (the first from zero).
-func (c *cwriter) deltas(col column, n int) error {
-	prev := int64(0)
-	for i := range n {
-		v := int64(col.at(i))
-		if err := c.varint(v - prev); err != nil {
-			return err
-		}
-		prev = v
-	}
-	return nil
+// delta writes v as a zigzag-varint delta from *prev and makes v the
+// new *prev.
+func (c *cwriter) delta(prev *int64, v uint32) error {
+	err := c.varint(int64(v) - *prev)
+	*prev = int64(v)
+	return err
 }
 
 // Encode streams the trace to w in the versioned on-disk format.
@@ -126,27 +124,40 @@ func (t *Trace) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	if err := c.deltas(t.pcs, t.n); err != nil {
-		return err
+	// The PC column is the forward walk's: every PC but each block's
+	// first is derived, exactly as a replay derives it.
+	var rec emu.Record
+	prev := int64(0)
+	for r := NewReplayer(t); r.Next(&rec); {
+		if err := c.delta(&prev, uint32(rec.PC)); err != nil {
+			return err
+		}
 	}
-	var chunk [4096]byte
-	for lo := 0; lo < t.n; lo += len(chunk) {
-		n := min(t.n-lo, len(chunk))
+	var chunk [blockLen]byte
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		n := b.len()
 		for j := range n {
 			chunk[j] = 0
-			if t.takenAt(lo + j) {
+			if b.takenAt(j) {
 				chunk[j] = flagTaken
 			}
 		}
-		if lo+n == t.n && t.halted {
+		if i == len(t.blocks)-1 && t.halted {
 			chunk[n-1] |= flagHalt
 		}
 		if _, err := c.Write(chunk[:n]); err != nil {
 			return err
 		}
 	}
-	if err := c.deltas(t.tupleIdx, t.n); err != nil {
-		return err
+	prev = 0
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		for j := range b.len() {
+			if err := c.delta(&prev, b.at(j)); err != nil {
+				return err
+			}
+		}
 	}
 	for _, v := range t.tuples {
 		if err := c.uvarint(v); err != nil {
@@ -191,27 +202,30 @@ func (c *creader) varint() (int64, error) {
 	return binary.ReadVarint(c)
 }
 
-// clampCap bounds an initial slice capacity; decode appends beyond it and
-// narrows the columns once the checksum has verified the counts.
+// clampCap bounds an initial slice capacity; decode appends beyond it,
+// so a corrupt count cannot drive a huge allocation before the data (and
+// finally the checksum) is seen.
 func clampCap(n int) int { return min(n, 1<<20) }
 
-// deltas reads n zigzag-varint deltas (the first from zero) into a
-// column of uint32 values; what names the column in errors.
-func (c *creader) deltas(n int, what string) ([]uint32, error) {
-	vals := make([]uint32, 0, clampCap(n))
+// deltas reads n zigzag-varint deltas (the first from zero) and passes
+// each running value to each with its record number; what names the
+// column in errors.
+func (c *creader) deltas(n int, what string, each func(i int, v uint32) error) error {
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, err := c.varint()
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading %s column: %w", what, err)
+			return fmt.Errorf("trace: reading %s column: %w", what, err)
 		}
 		prev += d
 		if prev < 0 || prev > math.MaxUint32 {
-			return nil, fmt.Errorf("trace: record %d %s %d out of range", i, what, prev)
+			return fmt.Errorf("trace: record %d %s %d out of range", i, what, prev)
 		}
-		vals = append(vals, uint32(prev))
+		if err := each(i, uint32(prev)); err != nil {
+			return err
+		}
 	}
-	return vals, nil
+	return nil
 }
 
 func (c *creader) count(what string) (int, error) {
@@ -287,12 +301,19 @@ func Decode(r io.Reader) (*Trace, error) {
 			Imm: imm,
 		})
 	}
-	var cols columns
-	if cols.pcs, err = c.deltas(nRecs, "PC"); err != nil {
+	// The stored PCs are held until the tuples are read: a jr's successor
+	// is in its tuple, so only then can each be checked against the PC
+	// the forward walk derives.
+	pcs := make([]uint32, 0, clampCap(nRecs))
+	if err := c.deltas(nRecs, "PC", func(_ int, pc uint32) error {
+		pcs = append(pcs, pc)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	cols.taken = make([]uint64, 0, clampCap((nRecs+63)/64))
-	var chunk [4096]byte
+	var cols columns
+	taken := make([]uint64, 0, clampCap((nRecs+63)/64))
+	var chunk [blockLen]byte
 	for lo := 0; lo < nRecs; lo += len(chunk) {
 		n := min(nRecs-lo, len(chunk))
 		if err := c.full(chunk[:n]); err != nil {
@@ -309,11 +330,17 @@ func Decode(r io.Reader) (*Trace, error) {
 			if f&flagHalt != 0 && i != nRecs-1 {
 				return nil, fmt.Errorf("trace: record %d of %d halts before the last record", i, nRecs)
 			}
-			cols.taken = appendBit(cols.taken, i, f&flagTaken != 0)
+			taken = appendBit(taken, i, f&flagTaken != 0)
 			cols.halted = f&flagHalt != 0
 		}
 	}
-	if cols.tupleIdx, err = c.deltas(nRecs, "tuple index"); err != nil {
+	if err := c.deltas(nRecs, "tuple index", func(i int, idx uint32) error {
+		if idx >= uint32(nTuples) {
+			return fmt.Errorf("trace: record %d references tuple %d of %d", i, idx, nTuples)
+		}
+		cols.add(pcs[i], taken[i/64]&(1<<(i%64)) != 0, idx)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	cols.tuples = make([]uint64, 0, clampCap(nTuples*tupleWords))
@@ -332,11 +359,31 @@ func Decode(r io.Reader) (*Trace, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch (file %#x, computed %#x)", got, want)
 	}
-	if err := cols.validate(); err != nil {
+	cols.build(t)
+	if err := t.checkPCs(pcs); err != nil {
 		return nil, err
 	}
-	cols.build(t)
 	return t, nil
+}
+
+// checkPCs walks t forward and requires every stored PC after the first
+// to be the successor of the record before it, as the emulator steps: t
+// keeps only each block's first PC, so a file whose PCs do not follow
+// would otherwise replay a stream other than the one it stores. PCs need
+// no bounds check: any PC outside the text materializes as a halt,
+// exactly as the emulator executes it (a register-indirect jump may
+// legitimately land past the text end).
+func (t *Trace) checkPCs(pcs []uint32) error {
+	var d emu.Record
+	next := uint64(0)
+	for i, r := 0, NewReplayer(t); r.Next(&d); i++ {
+		if i > 0 && uint64(pcs[i]) != next {
+			return fmt.Errorf("trace: record %d has PC %d, but the successor of record %d (%v at PC %d) is %d",
+				i, pcs[i], i-1, t.inst(uint64(pcs[i-1])).Op, pcs[i-1], next)
+		}
+		next = d.NextPC()
+	}
+	return nil
 }
 
 // EncodeBytes renders the trace in the versioned on-disk format and

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"specvec/internal/emu"
 )
 
 // withFlags returns a copy of an encoded trace whose header fflags are
@@ -42,7 +44,7 @@ func withRecordFlags(t testing.TB, tr *Trace, i int, f byte) []byte {
 	tail := 4 // checksum
 	prev := int64(0)
 	for j := range tr.Len() {
-		v := int64(tr.tupleIdx.at(j))
+		v := int64(tr.blocks[j/blockLen].at(j % blockLen))
 		tail += binary.PutVarint(buf[:], v-prev)
 		prev = v
 	}
@@ -58,10 +60,85 @@ func withRecordFlags(t testing.TB, tr *Trace, i int, f byte) []byte {
 	return enc
 }
 
+// withPCs returns tr's encoding with its PC column replaced by the PCs
+// that edit makes of the stored ones, and the trailing checksum
+// recomputed, so the PCs are the only thing wrong with the file. The PC
+// column sits just before the flag, tuple-index and tuple sections,
+// whose lengths are recomputed here.
+func withPCs(t testing.TB, tr *Trace, edit func(pcs []uint32)) []byte {
+	t.Helper()
+	enc, err := tr.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pcs []uint32
+	var d emu.Record
+	for r := NewReplayer(tr); r.Next(&d); {
+		pcs = append(pcs, uint32(d.PC))
+	}
+	column := func(vals []uint32) []byte {
+		var b []byte
+		prev := int64(0)
+		for _, v := range vals {
+			b = binary.AppendVarint(b, int64(v)-prev)
+			prev = int64(v)
+		}
+		return b
+	}
+	var idx []uint32
+	for j := range tr.Len() {
+		idx = append(idx, tr.blocks[j/blockLen].at(j%blockLen))
+	}
+	tail := 4 + tr.Len() + len(column(idx))
+	for _, v := range tr.tuples {
+		tail += len(binary.AppendUvarint(nil, v))
+	}
+	old := column(pcs)
+	off := len(enc) - tail - len(old)
+	if !bytes.Equal(enc[off:off+len(old)], old) {
+		t.Fatalf("PC column not found at offset %d", off)
+	}
+	edit(pcs)
+	out := append(append(append([]byte(nil), enc[:off]...), column(pcs)...), enc[off+len(old):]...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestDecodeRejectsPCs pins the PC column's one rule: every stored PC
+// after the first is its predecessor's successor, as the emulator steps.
+// A trace keeps only each block's first PC, so a file that breaks the
+// rule — mid-block, at a block's first record, or after a jr whose target
+// is in its tuple — fails with one line even when its checksum is sound.
+func TestDecodeRejectsPCs(t *testing.T) {
+	tr := record(t, jrBlockProgram(), 1<<20)
+	if _, err := DecodeBytes(withPCs(t, tr, func([]uint32) {})); err != nil {
+		t.Fatalf("unedited PCs rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		i    int
+		pc   uint32
+		want string
+	}{
+		{"mid-block", 10, 7, "record 10 has PC 7, but the successor of record 9"},
+		{"block start", blockLen, 5, "record 4096 has PC 5, but the successor of record 4095 (jr at PC 7) is 4"},
+		{"after a jr", 8, 10, "record 8 has PC 10, but the successor of record 7 (jr at PC 7) is 4"},
+		{"last record", tr.Len() - 1, 7, "has PC 7, but the successor"},
+	} {
+		_, err := DecodeBytes(withPCs(t, tr, func(pcs []uint32) { pcs[c.i] = c.pc }))
+		if err == nil {
+			t.Fatalf("%s: record %d at PC %d accepted", c.name, c.i, c.pc)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: want one line containing %q, got %q", c.name, c.want, msg)
+		}
+	}
+}
+
 // recordFlags returns the flag byte Encode writes for record i.
 func recordFlags(tr *Trace, i int) byte {
 	var f byte
-	if tr.takenAt(i) {
+	if tr.blocks[i/blockLen].takenAt(i % blockLen) {
 		f |= flagTaken
 	}
 	if tr.halted && i == tr.Len()-1 {
@@ -155,8 +232,9 @@ func TestDecodeRejectsBadFlags(t *testing.T) {
 }
 
 // FuzzDecode feeds arbitrary bytes — seeded with a valid encoding and
-// one carrying the retired checkpoint flag, plus the record-flag
-// rejections checked in under testdata/fuzz/FuzzDecode — to Decode: it
+// one carrying the retired checkpoint flag, plus the record-flag and
+// PC-successor rejections checked in under testdata/fuzz/FuzzDecode — to
+// Decode: it
 // must never panic, and anything it accepts must survive an
 // encode/decode round-trip unchanged.
 func FuzzDecode(f *testing.F) {

@@ -9,14 +9,15 @@ import (
 // Decoded is the shared, pre-decoded form of a Trace: records are
 // materialized into immutable fixed-size blocks of emu.Record, each
 // block decoded at most once (modulo a benign publication race) and then
-// served by reference to any number of concurrent Cursors. A group of
-// simulators replaying the same recording pays the column decode —
-// column reads, tuple-pool lookups, static-instruction fetch — once per
-// block instead of once per simulator.
+// served by reference to any number of concurrent Cursors. A decoded
+// block is one block of the Trace, walked forward from its checkpoint by
+// a Replayer (tuple-index reads, tuple-pool lookups, static-instruction
+// fetch, PC derivation), so a group of simulators replaying the same
+// recording pays that walk once per block instead of once per simulator.
 //
 // Blocks decode lazily, on first touch by any cursor, so a short replay
 // (a cancelled run) never pays for the whole trace. A decoded block holds
-// 56 B per record (emu.Record) where the columns hold a few bytes, which
+// 56 B per record (emu.Record) where the trace holds a few bytes, which
 // is why experiments.Runner replays through a Replayer instead: Decoded
 // is the bench ladder's shared-walk reader (cmd/sdvbench).
 type Decoded struct {
@@ -27,18 +28,12 @@ type Decoded struct {
 	loads   atomic.Int64 // block fetches by cursors (hits + decodes)
 }
 
-// decodedBlockShift sets the block granularity: 1<<12 = 4096 records
-// (224 KiB decoded) — coarse enough that the per-block bookkeeping
-// disappears from the replay hot path, fine enough that lazy decoding
-// tracks a cursor's actual reach.
-const decodedBlockShift = 12
-
-// NewDecoded wraps t. Decoding happens lazily, block by block, as
+// NewDecoded wraps t. Decoding happens lazily, block by block (one
+// decoded block per trace block, 224 KiB for blockLen records), as
 // cursors reach into the trace; the wrapper itself allocates only the
 // block directory.
 func NewDecoded(t *Trace) *Decoded {
-	n := (t.Len() + (1 << decodedBlockShift) - 1) >> decodedBlockShift
-	return &Decoded{t: t, blocks: make([]atomic.Pointer[[]emu.Record], n)}
+	return &Decoded{t: t, blocks: make([]atomic.Pointer[[]emu.Record], len(t.blocks))}
 }
 
 // BlockLoads returns how many block fetches cursors have performed
@@ -52,19 +47,20 @@ func (d *Decoded) BlockLoads() int64 { return d.loads.Load() }
 // number of lost races — the counters stay honest about work done.
 func (d *Decoded) BlockDecodes() int64 { return d.decodes.Load() }
 
-// block returns the decoded block containing record seq, decoding and
-// publishing it if no cursor has touched it yet. The returned slice is
-// immutable once published.
+// block returns decoded block i, decoding and publishing it if no
+// cursor has touched it yet: a Replayer seeks to the trace block's
+// checkpoint and walks it forward. The returned slice is immutable once
+// published.
 func (d *Decoded) block(i int) []emu.Record {
 	d.loads.Add(1)
 	if p := d.blocks[i].Load(); p != nil {
 		return *p
 	}
-	lo := i << decodedBlockShift
-	hi := min(lo+(1<<decodedBlockShift), d.t.Len())
-	blk := make([]emu.Record, hi-lo)
+	blk := make([]emu.Record, d.t.blocks[i].len())
+	r := Replayer{t: d.t}
+	r.Seek(i * blockLen)
 	for j := range blk {
-		d.t.Record(lo+j, &blk[j])
+		r.Next(&blk[j])
 	}
 	d.decodes.Add(1)
 	if d.blocks[i].CompareAndSwap(nil, &blk) {
@@ -102,9 +98,9 @@ func (c *Cursor) NextRef() (*emu.Record, bool) {
 		if c.pos >= uint64(c.d.t.Len()) {
 			return nil, false
 		}
-		i := int(c.pos >> decodedBlockShift)
+		i := int(c.pos / blockLen)
 		c.blk = c.d.block(i)
-		c.blkLo = uint64(i) << decodedBlockShift
+		c.blkLo = uint64(i) * blockLen
 		c.blkHi = c.blkLo + uint64(len(c.blk))
 	}
 	rec := &c.blk[c.pos-c.blkLo]

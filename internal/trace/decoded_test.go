@@ -35,7 +35,7 @@ func TestCursorMatchesReplayer(t *testing.T) {
 func TestDecodedBlocksDecodeOnce(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 6000), 1<<22)
 	d := NewDecoded(tr)
-	nblocks := int64((tr.Len() + (1 << decodedBlockShift) - 1) >> decodedBlockShift)
+	nblocks := int64((tr.Len() + blockLen - 1) / blockLen)
 	const k = 4
 	for i := 0; i < k; i++ {
 		c := d.Cursor()
@@ -60,8 +60,9 @@ func TestDecodedBlocksDecodeOnce(t *testing.T) {
 func TestDecodedConcurrentCursors(t *testing.T) {
 	tr := record(t, buildBench(t, "swim", 6000), 1<<22)
 	want := make([]emu.Record, tr.Len())
+	rp := NewReplayer(tr)
 	for i := range want {
-		tr.Record(i, &want[i])
+		rp.Next(&want[i])
 	}
 	d := NewDecoded(tr)
 	var wg sync.WaitGroup

@@ -27,24 +27,29 @@
 //     checksummed file (format in codec.go).
 //
 // Decoded and Cursor are a fourth, shared-walk reader: a trace decoded
-// once into blocks that any number of cursors read. The bench ladder
-// (cmd/sdvbench) measures it; experiments.Runner does not use it, since
-// a walked Decoded holds 56 B per record where a Replayer holds none.
+// once into blocks that any number of cursors read, each block walked
+// forward from its checkpoint. The bench ladder (cmd/sdvbench) measures
+// it; experiments.Runner does not use it, since a walked Decoded holds
+// 56 B per record where a Replayer holds none.
 //
-// The in-memory form is structure-of-arrays: a PC column and an
-// interned-tuple index column, each stored at the narrowest width (1 to
-// 4 bytes) that holds its largest value, a taken bitset (one bit per
-// record), one halt flag (only the last record can halt), and one pool of
-// distinct two-word operand tuples, interned through an open-addressed
-// table in first-occurrence order. A tuple is a record's Vals
-// (emu.Project): a memory op's effective address, the source values an
-// arithmetic op names, a jr's target register. The decoder builds
-// full-width columns and narrows them once; the recorder narrows as it
-// goes, stageLen records at a time, re-encoding a column in place when a
-// value needs more bytes, and reuses its per-record columns from one
-// recording to the next. A finished Trace has one layout either way. Record writes an emu.Record straight from the
-// columns: Seq is the record index and the static instruction comes from
-// the embedded program text. On disk, PC and tuple-index columns
+// The in-memory form holds only what a forward walk cannot derive. The
+// records are cut into blocks of 4,096 (blockLen); each block holds its
+// first record's PC (a checkpoint), its records' interned-tuple indexes
+// at the narrowest width (1 to 4 bytes) that holds the block's largest
+// index, and their taken bits. Every other PC is derived from the record
+// before it (emu.Record.NextPC: a jr's target is in its tuple), so a
+// Trace has no random access: the Replayer is its one reader, and it
+// seeks by starting at a checkpoint. The trace also holds one halt flag
+// (only the last record can halt) and one pool of distinct two-word
+// operand tuples, interned through an open-addressed table in
+// first-occurrence order. A tuple is a record's Vals (emu.Project): a
+// memory op's effective address, the source values an arithmetic op
+// names, a jr's target register. The recorder and the decoder stage
+// 4,096 records and seal each block at its exact size, so a finished
+// Trace holds no spare capacity and nothing is copied to finish it. Seq
+// is the record index and the static instruction comes from the
+// embedded program text. On disk, a PC column (derived on Encode, and
+// checked against the derived PCs on Decode) and the tuple-index column
 // are zigzag-varint delta encoded (loops keep both locally repetitive)
 // and each record keeps a flag byte.
 package trace

@@ -3,39 +3,45 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"specvec/internal/emu"
 	"specvec/internal/isa"
 )
 
-// requireExact fails unless every column of tr has cap == len and
-// SizeBytes is exactly the narrow layout: (wPC+wIdx) B per record, one
-// taken bit per record in whole words, 16 B per distinct tuple and 16 B
-// per static instruction.
+// requireExact fails unless tr holds exactly its data: every block but
+// the last holds blockLen records, each block's tuple indexes are w bytes
+// per record and its taken bits are whole words, every block, the block
+// directory and the tuple pool have cap == len, and SizeBytes is exactly
+// the sum of the index bytes, the directory entries (checkpoints
+// included), the taken words, 16 B per distinct tuple and 16 B per
+// static instruction.
 func requireExact(t *testing.T, name string, tr *Trace) {
 	t.Helper()
-	for _, c := range []struct {
-		col      string
-		len, cap int
-	}{
-		{"pcs", len(tr.pcs.b), cap(tr.pcs.b)},
-		{"tupleIdx", len(tr.tupleIdx.b), cap(tr.tupleIdx.b)},
-		{"taken", len(tr.taken), cap(tr.taken)},
-		{"tuples", len(tr.tuples), cap(tr.tuples)},
-	} {
-		if c.cap != c.len {
-			t.Errorf("%s: column %s has cap %d for len %d", name, c.col, c.cap, c.len)
+	if cap(tr.blocks) != len(tr.blocks) || cap(tr.tuples) != len(tr.tuples) {
+		t.Errorf("%s: directory cap %d for %d blocks, tuple pool cap %d for len %d",
+			name, cap(tr.blocks), len(tr.blocks), cap(tr.tuples), len(tr.tuples))
+	}
+	if want := (tr.Len() + blockLen - 1) / blockLen; len(tr.blocks) != want {
+		t.Errorf("%s: %d records in %d blocks, want %d", name, tr.Len(), len(tr.blocks), want)
+	}
+	want := len(tr.blocks)*int(unsafe.Sizeof(block{})) + 8*tupleWords*tr.TupleCount() + 16*cap(tr.insts)
+	for i := range tr.blocks {
+		b := &tr.blocks[i]
+		n := min(blockLen, tr.Len()-i*blockLen)
+		if b.w < 1 || b.w > 4 || len(b.idx) != int(b.w)*n || len(b.taken) != (n+63)/64 {
+			t.Errorf("%s: block %d of %d records has %d index bytes at width %d and %d taken words",
+				name, i, n, len(b.idx), b.w, len(b.taken))
 		}
+		if cap(b.idx) != len(b.idx) || cap(b.taken) != len(b.taken) {
+			t.Errorf("%s: block %d has index cap %d for len %d, taken cap %d for len %d",
+				name, i, cap(b.idx), len(b.idx), cap(b.taken), len(b.taken))
+		}
+		want += len(b.idx) + 8*len(b.taken)
 	}
-	n := tr.Len()
-	if len(tr.pcs.b) != tr.pcs.w*n || len(tr.tupleIdx.b) != tr.tupleIdx.w*n || len(tr.taken) != (n+63)/64 {
-		t.Errorf("%s: %d records in %d PC bytes (width %d), %d index bytes (width %d), %d taken words",
-			name, n, len(tr.pcs.b), tr.pcs.w, len(tr.tupleIdx.b), tr.tupleIdx.w, len(tr.taken))
-	}
-	want := (tr.pcs.w+tr.tupleIdx.w)*n + 8*((n+63)/64) + 8*tupleWords*tr.TupleCount() + 16*cap(tr.insts)
 	if got := tr.SizeBytes(); got != want {
 		t.Errorf("%s: SizeBytes %d, want %d", name, got, want)
 	}
@@ -43,9 +49,9 @@ func requireExact(t *testing.T, name string, tr *Trace) {
 
 // TestFinishExactFootprint pins that a finished recording holds exactly
 // its data: whether the program halts short of a reserved target, the
-// recording is truncated with grown-on-demand columns, or the columns
-// were reserved up front, Finish leaves no capacity slack, and the
-// recorder lets go of its columns and its interning table.
+// recording is truncated without a reservation, or the block directory
+// was reserved up front, Finish leaves no capacity slack, and the
+// recorder lets go of its blocks and its interning table.
 func TestFinishExactFootprint(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -70,27 +76,28 @@ func TestFinishExactFootprint(t *testing.T) {
 			t.Fatalf("%s: empty recording (%d records, %d tuples)", c.name, tr.Len(), tr.TupleCount())
 		}
 		requireExact(t, c.name, tr)
-		if rec.intern.slots != nil || rec.cols.pcs != nil || rec.cols.tuples != nil {
-			t.Errorf("%s: recorder kept its columns or interning table after Finish", c.name)
+		if rec.intern.slots != nil || rec.cols.blocks != nil || rec.cols.tuples != nil {
+			t.Errorf("%s: recorder kept its blocks or interning table after Finish", c.name)
 		}
 	}
 }
 
 // TestDecodeExactFootprint decodes a trace longer than the codec's
-// initial-capacity clamp, so its columns grow by append, and requires the
-// decoded trace to hold exactly its data. The trace is built in-package,
-// without emulation: a two-instruction loop whose add source values cycle
-// with coprime periods 397 and 396, so the add records hold 78,606
-// distinct tuples and the tuple-index column needs 3 bytes.
+// initial-capacity clamp, so its directory and tuple pool grow by
+// append, and requires the decoded trace to hold exactly its data and to
+// equal the encoded one. The trace is built in-package, without
+// emulation: a two-instruction loop whose add source values cycle with
+// coprime periods 397 and 396, so the add records hold 78,606 distinct
+// tuples and the blocks that first reach index 2^16 need 3 bytes.
 func TestDecodeExactFootprint(t *testing.T) {
 	const n = 1<<20 + 4099
 	tr := synthetic(n, func(i int) emu.DynInst {
 		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i % 397), Src2Val: uint64(i % 396)}
 	})
 	tr.truncated = true
-	if tr.TupleCount() != 78_606 || tr.tupleIdx.w != 3 {
-		t.Fatalf("synthetic trace has %d tuples in a %d-byte index column; want 78606 in 3 bytes",
-			tr.TupleCount(), tr.tupleIdx.w)
+	if tr.TupleCount() != 78_606 || widest(tr) != 3 {
+		t.Fatalf("synthetic trace has %d tuples, widest block index %d bytes; want 78606 in 3 bytes",
+			tr.TupleCount(), widest(tr))
 	}
 
 	var buf bytes.Buffer
@@ -104,32 +111,29 @@ func TestDecodeExactFootprint(t *testing.T) {
 	if back.Len() != n || back.TupleCount() != tr.TupleCount() {
 		t.Fatalf("decoded %d records, %d tuples; want %d, %d", back.Len(), back.TupleCount(), n, tr.TupleCount())
 	}
-	if back.tupleIdx.w != 3 {
-		t.Errorf("decoded tuple-index column is %d bytes wide, want 3", back.tupleIdx.w)
-	}
 	requireExact(t, "decoded", back)
-	var a, b emu.Record
-	for _, i := range []int{0, 1, 1 << 20, n - 1} {
-		tr.Record(i, &a)
-		back.Record(i, &b)
-		if a != b {
-			t.Fatalf("record %d differs after round-trip:\nin:  %+v\nout: %+v", i, a, b)
-		}
+	if !reflect.DeepEqual(tr, back) {
+		t.Fatal("trace changed across round-trip")
 	}
+	sameStream(t, "decoded", NewReplayer(tr), NewReplayer(back))
+}
+
+// widest returns the widest block index width of tr.
+func widest(tr *Trace) uint8 {
+	var w uint8
+	for _, b := range tr.blocks {
+		w = max(w, b.w)
+	}
+	return w
 }
 
 // synthetic builds an n-record trace in-package, without emulation, over
 // a two-instruction loop text (add at PC 0, j at PC 1); rec(i) supplies
-// record i's PC, branch outcome and operand values, of which the tuple
-// keeps what emu.Project keeps for the instruction at that PC.
+// record i's PC, which must follow the text (i%2), its branch outcome and
+// its operand values, of which the tuple keeps what emu.Project keeps for
+// the instruction at that PC.
 func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
-	tr := &Trace{
-		name: "synthetic",
-		insts: []isa.Inst{
-			{Op: isa.OpAdd, Rd: isa.IntReg(1), Rs1: isa.IntReg(1), Rs2: isa.IntReg(2)},
-			{Op: isa.OpJ, Imm: 0},
-		},
-	}
+	tr := &Trace{name: "synthetic", insts: loopText()}
 	var cols columns
 	var in interner
 	for i := range n {
@@ -142,37 +146,19 @@ func synthetic(n int, rec func(i int) emu.DynInst) *Trace {
 	return tr
 }
 
-// TestColumnWidensInPlace appends batches whose largest values cross
-// every byte boundary to a column with room for all of them: the column
-// takes each new width without moving, and every value reads back.
-func TestColumnWidensInPlace(t *testing.T) {
-	c := column{b: make([]byte, 0, 4*16)}
-	var want []uint32
-	for _, batch := range [][]uint32{{0, 1, 2}, {255, 3}, {256, 7}, {1<<16 - 1}, {1 << 16, 9}, {1 << 24, 1<<32 - 1, 5}} {
-		c.append(batch, 16)
-		want = append(want, batch...)
-		if hi := slices.Max(want); c.w != width(hi) || cap(c.b) != 4*16 {
-			t.Fatalf("after %v: width %d, cap %d; want width %d in place (cap 64)", batch, c.w, cap(c.b), width(hi))
-		}
-	}
-	if c.len() != len(want) {
-		t.Fatalf("column holds %d values, want %d", c.len(), len(want))
-	}
-	for i, v := range want {
-		if got := c.at(i); got != v {
-			t.Errorf("value %d reads %#x, want %#x", i, got, v)
-		}
+// loopText is synthetic's program text: an add at PC 0 and a jump back to
+// it at PC 1.
+func loopText() []isa.Inst {
+	return []isa.Inst{
+		{Op: isa.OpAdd, Rd: isa.IntReg(1), Rs1: isa.IntReg(1), Rs2: isa.IntReg(2)},
+		{Op: isa.OpJ, Imm: 0},
 	}
 }
 
-// TestRecordingsShareNoScratch records programs one after another, so
-// each recorder works in the per-record columns the one before returned
-// to the scratch pool, and requires every trace to survive the later
-// recordings intact. Recorded to a reserved target past its halt, a
-// program's trace gets copies of the columns and the scratch keeps them;
-// recorded exactly to a reserved truncation point by a recorder that had
-// to allocate its columns, the trace takes them, and the next recording
-// of the same length must not write into them.
+// TestRecordingsShareNoScratch records programs one after another and
+// requires that no two traces share a block's memory, and that every
+// trace survives the later recordings intact: each recording seals its
+// own exact-size blocks, so nothing a finished trace holds is reused.
 func TestRecordingsShareNoScratch(t *testing.T) {
 	compress, swim := buildBench(t, "compress", 20_000), buildBench(t, "swim", 20_000)
 	type recorded struct {
@@ -180,6 +166,7 @@ func TestRecordingsShareNoScratch(t *testing.T) {
 		tr   *Trace
 	}
 	var all []recorded
+	owner := map[unsafe.Pointer]string{}
 	record := func(p *isa.Program, n int) {
 		rec, err := NewRecorder(newMachine(t, p), p, n)
 		if err != nil {
@@ -190,15 +177,20 @@ func TestRecordingsShareNoScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireExact(t, p.Name, tr)
+		name := fmt.Sprintf("recording %d (%s)", len(all), p.Name)
+		for i, b := range tr.blocks {
+			for _, p := range []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(b.idx)), unsafe.Pointer(unsafe.SliceData(b.taken))} {
+				if o, ok := owner[p]; ok {
+					t.Fatalf("%s block %d shares memory with %s", name, i, o)
+				}
+				owner[p] = fmt.Sprintf("%s block %d", name, i)
+			}
+		}
 		all = append(all, recorded{p, tr})
 	}
 	for range 2 {
 		record(compress, 1<<20)
 		record(swim, 1<<20)
-		// Two collections empty the pool, so the next recorder allocates
-		// its columns at exactly 20,000 records.
-		runtime.GC()
-		runtime.GC()
 		record(compress, 20_000)
 		record(swim, 20_000)
 	}
@@ -207,50 +199,84 @@ func TestRecordingsShareNoScratch(t *testing.T) {
 	}
 }
 
-// TestColumnWidths pins the narrowing rule at each byte boundary: a
-// column takes the fewest bytes that hold its largest value, whether
-// that value is a PC or a tuple index (driven here by synthetic tuple
-// counts), and every value reads back unchanged.
+// TestColumnWidths pins the narrowing rule. A sealed block takes the
+// fewest bytes that hold its largest tuple index, at every byte
+// boundary, and every index reads back unchanged. The width is chosen
+// per block: in a trace whose one block reaches 2^8 or 2^16, that block
+// widens while its neighbours stay 1 byte wide, and every record
+// replays its own tuple, through Encode and Decode too.
 func TestColumnWidths(t *testing.T) {
 	for _, c := range []struct {
 		max  uint32
-		want int
+		want uint8
 	}{
 		{0, 1}, {1<<8 - 1, 1}, {1 << 8, 2}, {1<<16 - 1, 2}, {1 << 16, 3}, {1<<24 - 1, 3}, {1 << 24, 4}, {1<<32 - 1, 4},
 	} {
 		vals := []uint32{c.max, 0, c.max / 2, min(1, c.max), c.max}
-		var col column
-		col.append(vals, len(vals))
-		if col.w != c.want || len(col.b) != c.want*len(vals) || cap(col.b) != len(col.b) {
-			t.Errorf("max %#x: width %d, %d bytes (cap %d); want width %d", c.max, col.w, len(col.b), cap(col.b), c.want)
+		var cols columns
+		for _, v := range vals {
+			cols.add(0, false, v)
 		}
-		for i, v := range vals {
-			if got := col.at(i); got != v {
-				t.Errorf("max %#x: value %d reads %#x, want %#x", c.max, i, got, v)
+		cols.seal()
+		b := &cols.blocks[0]
+		if b.w != c.want || b.len() != len(vals) || cap(b.idx) != len(b.idx) {
+			t.Errorf("max %#x: width %d, %d bytes (cap %d); want width %d", c.max, b.w, len(b.idx), cap(b.idx), c.want)
+		}
+		for j, v := range vals {
+			if got := b.at(j); got != v {
+				t.Errorf("max %#x: index %d reads %#x, want %#x", c.max, j, got, v)
 			}
 		}
 	}
 
-	// A recording with 2^8 or 2^16 tuples is the first to need a wider
-	// index column once it gains one more (the largest index is
-	// count-1). Each record is the add with a fresh first source value, so
-	// count == records.
-	// The 2^24 boundary is pinned on the column above: a pool of 2^24
-	// tuples would hold 671 MB.
-	for _, c := range []struct{ tuples, want int }{
-		{1<<8 - 1, 1}, {1 << 8, 1}, {1<<8 + 1, 2},
-		{1<<16 - 1, 2}, {1 << 16, 2}, {1<<16 + 1, 3},
-	} {
-		tr := synthetic(c.tuples, func(i int) emu.DynInst { return emu.DynInst{Src1Val: uint64(i)} })
-		if tr.TupleCount() != c.tuples || tr.tupleIdx.w != c.want || tr.pcs.w != 1 {
-			t.Errorf("%d tuples: index width %d, PC width %d, %d tuples; want index width %d, PC width 1",
-				c.tuples, tr.tupleIdx.w, tr.pcs.w, tr.TupleCount(), c.want)
+	// Four blocks: small indexes, the boundary less one, the boundary,
+	// small indexes again. Tuple k is (k, k), so a record's Vals[0] is
+	// its index.
+	for _, bound := range []uint32{1 << 8, 1 << 16} {
+		idx := func(i int) uint32 {
+			switch i / blockLen {
+			case 1:
+				return bound - 1 - uint32(i%2)
+			case 2:
+				return bound - uint32(i%2)
+			}
+			return uint32(i % 200)
 		}
-		requireExact(t, "synthetic", tr)
-		var d emu.Record
-		tr.Record(c.tuples-1, &d)
-		if d.Vals[0] != uint64(c.tuples-1) {
-			t.Errorf("%d tuples: last record's tuple reads Vals[0] %d", c.tuples, d.Vals[0])
+		const n = 4 * blockLen
+		tr := &Trace{name: "widths", insts: loopText(), truncated: true}
+		var cols columns
+		for k := range bound + 1 {
+			cols.tuples = append(cols.tuples, uint64(k), uint64(k))
+		}
+		for i := range n {
+			cols.add(uint32(i%2), false, idx(i))
+		}
+		cols.build(tr)
+		requireExact(t, "widths", tr)
+		var got []uint8
+		for _, b := range tr.blocks {
+			got = append(got, b.w)
+		}
+		if want := []uint8{1, uint8(width(bound - 1)), uint8(width(bound)), 1}; !slices.Equal(got, want) {
+			t.Errorf("bound %#x: block widths %v, want %v", bound, got, want)
+		}
+		enc, err := tr.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeBytes(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tr := range map[string]*Trace{"recorded": tr, "decoded": back} {
+			var d emu.Record
+			r := NewReplayer(tr)
+			for i := 0; r.Next(&d); i++ {
+				if d.Vals[0] != uint64(idx(i)) || d.PC != uint64(i%2) {
+					t.Fatalf("bound %#x, %s: record %d reads PC %d, Vals[0] %d; want %d, %d",
+						bound, name, i, d.PC, d.Vals[0], i%2, idx(i))
+				}
+			}
 		}
 	}
 }

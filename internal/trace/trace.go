@@ -2,7 +2,8 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
+	"unsafe"
 
 	"specvec/internal/emu"
 	"specvec/internal/isa"
@@ -18,38 +19,45 @@ const (
 // Vals of an emu.Record.
 const tupleWords = len(emu.Record{}.Vals)
 
+// blockLen is the number of records in a block: the recorder stages this
+// many records before it seals them into one, a Decoded trace decodes a
+// block at a time, and a reader seeks by starting at a block's checkpoint.
+const blockLen = 4096
+
 // Trace is the compact recorded form of a dynamic instruction stream. It
-// is structure-of-arrays: per-record columns hold only what cannot be
-// re-derived (PC, branch outcome), the operand values the timing model
-// reads are interned as two-word tuples (emu.Record.Vals; loops repeat
-// operand patterns, so distinct tuples are stored once and referenced by
-// index), and the static instruction is looked up from the embedded
-// program text. The PC and tuple-index columns are each stored at the
-// narrowest width (1 to 4 bytes) that holds their largest value, the
-// branch outcomes are one bit per record, and a halt — which only the
-// last record can be — is one bool. Seq is the record index.
+// holds only what a forward walk cannot derive. The records are cut into
+// blocks of blockLen (the last block may be shorter); each block holds
+// its first record's PC (a checkpoint), its records' tuple indexes at the
+// narrowest width (1 to 4 bytes) that holds the block's largest index,
+// and their branch outcomes, one bit each. Every other PC is derived from
+// the record before it (emu.Record.NextPC), so a Trace is read forward, by
+// a Replayer. The operand values the timing model reads are interned as
+// two-word tuples (emu.Record.Vals; loops repeat operand patterns, so
+// distinct tuples are stored once and referenced by index), the static
+// instruction is looked up from the embedded program text, and a halt —
+// which only the last record can be — is one bool. Seq is the record
+// index.
 //
-// A Trace is immutable once built: Recorder.Finish and Decode fill
-// full-width columns and narrow them once (see build).
+// A Trace is immutable once built: Recorder.Finish and Decode seal each
+// block at its exact size as its records arrive (see columns).
 type Trace struct {
 	name  string
 	insts []isa.Inst // static program text, indexed by PC
 
-	n        int      // number of records
-	pcs      column   // PC per record
-	tupleIdx column   // operand-tuple index per record
-	taken    []uint64 // branch outcome per record, one bit each
-	tuples   []uint64 // interned tuples, flat (tupleWords values each)
-	halted   bool     // the last record is a halt
+	n      int      // number of records
+	blocks []block  // records [blockLen*i, blockLen*(i+1)) in blocks[i]
+	tuples []uint64 // interned tuples, flat (tupleWords values each)
+	halted bool     // the last record is a halt
 
 	truncated bool // recording hit its cap before the program halted
 }
 
-// column is a per-record uint32 column stored little-endian at w bytes
-// per value.
-type column struct {
-	w int
-	b []byte
+// block is up to blockLen consecutive records of a Trace.
+type block struct {
+	idx   []byte   // tuple index per record, little-endian at w bytes each
+	taken []uint64 // branch outcome per record, one bit each
+	pc    uint32   // the first record's PC
+	w     uint8    // bytes per tuple index
 }
 
 // width returns the fewest bytes (1 to 4) that hold v.
@@ -59,43 +67,6 @@ func width(v uint32) int {
 		w++
 	}
 	return w
-}
-
-// len returns the number of values in c.
-func (c *column) len() int {
-	if c.w == 0 {
-		return 0
-	}
-	return len(c.b) / c.w
-}
-
-// append adds vals to c, keeping c at the narrowest width that holds
-// every value it has: when a value needs more bytes than c.w, c first
-// re-encodes what it holds at the new width, in place when c.b has room
-// for at least size values and into a new buffer with that room
-// otherwise. A zero column takes the width of its first values.
-func (c *column) append(vals []uint32, size int) {
-	var hi uint32
-	for _, v := range vals {
-		hi = max(hi, v)
-	}
-	if w := width(hi); w > c.w {
-		old, n := *c, c.len()
-		if need := w * max(size, n+len(vals)); cap(c.b) < need {
-			c.b = append(make([]byte, 0, need), c.b...)
-			old.b = c.b
-		}
-		// Backwards, so a value is read before any wider one overwrites it.
-		c.w, c.b = w, c.b[:w*n]
-		for i := n - 1; i >= 0; i-- {
-			v := old.at(i)
-			c.b = appendAt(c.b[:w*i], w, v)
-		}
-		c.b = c.b[:w*n]
-	}
-	for _, v := range vals {
-		c.b = appendAt(c.b, c.w, v)
-	}
 }
 
 // appendAt appends v to b little-endian in w bytes.
@@ -112,62 +83,79 @@ func appendAt(b []byte, w int, v uint32) []byte {
 	}
 }
 
-// at returns value i.
-func (c column) at(i int) uint32 {
-	switch c.w {
+// at returns the tuple index of the block's record j.
+func (b *block) at(j int) uint32 {
+	switch b.w {
 	case 1:
-		return uint32(c.b[i])
+		return uint32(b.idx[j])
 	case 2:
-		return uint32(binary.LittleEndian.Uint16(c.b[2*i:]))
+		return uint32(binary.LittleEndian.Uint16(b.idx[2*j:]))
 	case 3:
-		b := c.b[3*i : 3*i+3]
-		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16
+		p := b.idx[3*j : 3*j+3]
+		return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
 	default:
-		return binary.LittleEndian.Uint32(c.b[4*i:])
+		return binary.LittleEndian.Uint32(b.idx[4*j:])
 	}
 }
 
-// columns is a trace under construction. PCs and tuple indexes arrive at
-// full width in pcs and tupleIdx, and flush narrows them into narrowPCs
-// and narrowIdx: add flushes every stageLen records, so a recording holds
-// its records at their final widths plus one small full-width stage,
-// never a full-width copy of the trace. The decoder fills pcs and
-// tupleIdx whole, and build narrows them once.
+// len returns the number of records in the block.
+func (b *block) len() int { return len(b.idx) / int(b.w) }
+
+// takenAt reports the branch outcome of the block's record j.
+func (b *block) takenAt(j int) bool { return b.taken[j/64]&(1<<(j%64)) != 0 }
+
+// columns is a trace under construction: the blocks sealed so far, and
+// one staged block whose tuple indexes are held at full width until
+// blockLen records have arrived (or the trace ends), when seal narrows
+// them into a block of exactly their size. So a recording never holds
+// more than one block's worth of full-width indexes, and no block is
+// copied when the trace is finished.
 type columns struct {
-	pcs      []uint32 // PCs not yet narrowed
-	tupleIdx []uint32 // tuple indexes not yet narrowed
-	taken    []uint64 // one bit per record
-	tuples   []uint64
-	halted   bool
+	blocks []block
+	tuples []uint64
+	halted bool
 
-	narrowPCs, narrowIdx column // the records flushed so far
-	flushed              int    // how many
-	size                 int    // expected record count (0 = unknown): room for the narrow columns
+	pc     uint32                // the staged block's first PC
+	staged int                   // records staged
+	idx    [blockLen]uint32      // their tuple indexes
+	taken  [blockLen / 64]uint64 // their branch outcomes
 }
-
-// stageLen is how many records add stages at full width before it
-// narrows them.
-const stageLen = 4096
 
 // len returns the number of records added.
-func (c *columns) len() int { return c.flushed + len(c.pcs) }
+func (c *columns) len() int { return blockLen*len(c.blocks) + c.staged }
 
-// add appends one record's PC, branch outcome and tuple index.
+// add appends one record's PC, branch outcome and tuple index. Only a
+// block's first PC is kept; the others are derived on replay.
 func (c *columns) add(pc uint32, taken bool, idx uint32) {
-	c.taken = appendBit(c.taken, c.len(), taken)
-	c.pcs = append(c.pcs, pc)
-	c.tupleIdx = append(c.tupleIdx, idx)
-	if len(c.pcs) == stageLen {
-		c.flush()
+	j := c.staged
+	if j == 0 {
+		c.pc = pc
+	}
+	c.idx[j] = idx
+	if taken {
+		c.taken[j/64] |= 1 << (j % 64)
+	}
+	if c.staged++; c.staged == blockLen {
+		c.seal()
 	}
 }
 
-// flush narrows the staged records onto the narrow columns.
-func (c *columns) flush() {
-	c.narrowPCs.append(c.pcs, c.size)
-	c.narrowIdx.append(c.tupleIdx, c.size)
-	c.flushed += len(c.pcs)
-	c.pcs, c.tupleIdx = c.pcs[:0], c.tupleIdx[:0]
+// seal appends the staged records as one exact-size block.
+func (c *columns) seal() {
+	n := c.staged
+	if n == 0 {
+		return
+	}
+	idx := c.idx[:n]
+	w := width(slices.Max(idx))
+	b := block{pc: c.pc, w: uint8(w), idx: make([]byte, 0, w*n), taken: make([]uint64, (n+63)/64)}
+	copy(b.taken, c.taken[:])
+	for _, v := range idx {
+		b.idx = appendAt(b.idx, w, v)
+	}
+	c.blocks = append(c.blocks, b)
+	c.staged = 0
+	clear(c.taken[:])
 }
 
 // appendBit sets bit i of a bitset that holds bits [0, i), growing it by
@@ -182,14 +170,12 @@ func appendBit(bits []uint64, i int, b bool) []uint64 {
 	return bits
 }
 
-// build narrows the columns into t, leaving every column of t with
-// cap == len.
+// build seals the staged records and moves the columns into t, leaving
+// the block directory and the tuple pool with cap == len.
 func (c *columns) build(t *Trace) {
-	c.flush()
-	t.n = c.flushed
-	t.pcs = column{w: c.narrowPCs.w, b: exact(c.narrowPCs.b)}
-	t.tupleIdx = column{w: c.narrowIdx.w, b: exact(c.narrowIdx.b)}
-	t.taken = exact(c.taken)
+	t.n = c.len()
+	c.seal()
+	t.blocks = exact(c.blocks)
 	t.tuples = exact(c.tuples)
 	t.halted = c.halted
 }
@@ -225,11 +211,17 @@ func (t *Trace) Truncated() bool { return t.truncated }
 // Halted reports whether the trace ends with a halt record.
 func (t *Trace) Halted() bool { return t.halted }
 
-// SizeBytes returns the approximate in-memory footprint of the columns,
-// counting their capacity rather than their length (the inspect tool
-// reports it next to the equivalent array-of-structs size).
+// SizeBytes returns the in-memory footprint of the trace's data: the
+// block directory (one entry per block, its checkpoint included), each
+// block's tuple indexes and taken words, the tuple pool and the program
+// text, counting capacity rather than length (the inspect tool reports
+// it next to the equivalent array-of-structs size).
 func (t *Trace) SizeBytes() int {
-	return cap(t.pcs.b) + cap(t.tupleIdx.b) + cap(t.taken)*8 + cap(t.tuples)*8 + cap(t.insts)*16
+	n := cap(t.blocks)*int(unsafe.Sizeof(block{})) + cap(t.tuples)*8 + cap(t.insts)*16
+	for i := range t.blocks {
+		n += cap(t.blocks[i].idx) + cap(t.blocks[i].taken)*8
+	}
+	return n
 }
 
 // inst returns the static instruction at pc, mirroring isa.Program.Inst:
@@ -239,37 +231,4 @@ func (t *Trace) inst(pc uint64) isa.Inst {
 		return isa.Inst{Op: isa.OpHalt}
 	}
 	return t.insts[pc]
-}
-
-// takenAt reports record i's branch outcome.
-func (t *Trace) takenAt(i int) bool { return t.taken[i/64]&(1<<(i%64)) != 0 }
-
-// Record writes record i into r, straight from the columns. It panics if
-// i is out of range.
-//
-//sdv:hotpath
-func (t *Trace) Record(i int, r *emu.Record) {
-	pc := uint64(t.pcs.at(i))
-	j := int(t.tupleIdx.at(i)) * tupleWords
-	// Field by field, as in emu's project: a composite literal is copied
-	// in 8+16+16+16-byte stores that split Inst, and the caller's next
-	// read of Inst then waits for both stores to retire.
-	r.Seq, r.PC, r.Inst = uint64(i), pc, t.inst(pc)
-	r.Vals = [tupleWords]uint64(t.tuples[j : j+tupleWords])
-	r.Taken, r.Halt = t.takenAt(i), t.halted && i == t.n-1
-}
-
-// validate checks internal consistency (Decode calls it so a logically
-// corrupt file cannot panic the replayer later).
-func (c *columns) validate() error {
-	n := uint32(len(c.tuples) / tupleWords)
-	for i, idx := range c.tupleIdx {
-		if idx >= n {
-			return fmt.Errorf("trace: record %d references tuple %d of %d", i, idx, n)
-		}
-	}
-	// PCs need no bounds check: any PC outside the text materializes as a
-	// halt, exactly as the emulator executes it (a register-indirect jump
-	// may legitimately land past the text end).
-	return nil
 }

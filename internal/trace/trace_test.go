@@ -115,9 +115,10 @@ func sameStream(t *testing.T, name string, want, got source) {
 func sameSteps(t *testing.T, name string, m *emu.Machine, tr *Trace) {
 	t.Helper()
 	var r emu.Record
+	rp := NewReplayer(tr)
 	for i := 0; i < tr.Len(); i++ {
 		d := m.Step()
-		tr.Record(i, &r)
+		rp.Next(&r)
 		if want := emu.Project(&d); r != want {
 			t.Fatalf("%s: record %d:\nmachine: %+v\ntrace:   %+v", name, i, want, r)
 		}
@@ -235,14 +236,7 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(tr, back) {
 			t.Fatalf("%s: trace changed across round-trip", bench)
 		}
-		var a, b emu.Record
-		for i := 0; i < tr.Len(); i++ {
-			tr.Record(i, &a)
-			back.Record(i, &b)
-			if a != b {
-				t.Fatalf("%s: record %d differs after round-trip:\nin:  %+v\nout: %+v", bench, i, a, b)
-			}
-		}
+		sameStream(t, bench+"/round-trip", NewReplayer(tr), NewReplayer(back))
 	}
 }
 
@@ -339,5 +333,79 @@ func TestRecorderRequiresFreshMachine(t *testing.T) {
 	m.Step()
 	if _, err := NewRecorder(m, prog, 0); err == nil {
 		t.Error("recorder accepted a machine with executed instructions")
+	}
+}
+
+// jrBlockProgram loops 3,000 times over four instructions, the last a jr
+// with a nonzero immediate (r9 = 10, imm -6, back to the loop at 4), after
+// a four-instruction prologue. So record 4+4k+3 is a jr for every k: in
+// particular records 4,095 and 8,191, the last of the first two blocks.
+func jrBlockProgram() *isa.Program {
+	r1, r2, r3, r9 := isa.IntReg(1), isa.IntReg(2), isa.IntReg(3), isa.IntReg(9)
+	return &isa.Program{Name: "jrblock", Insts: []isa.Inst{
+		{Op: isa.OpLi, Rd: r1, Imm: 0},
+		{Op: isa.OpLi, Rd: r2, Imm: 3000},
+		{Op: isa.OpLi, Rd: r9, Imm: 10},
+		{Op: isa.OpNop},
+		{Op: isa.OpAddi, Rd: r1, Rs1: r1, Imm: 1}, // 4: loop
+		{Op: isa.OpBge, Rs1: r1, Rs2: r2, Imm: 8},
+		{Op: isa.OpAddi, Rd: r3, Rs1: r3, Imm: 1},
+		{Op: isa.OpJr, Rs1: r9, Imm: -6},
+		{Op: isa.OpHalt}, // 8
+	}}
+}
+
+// TestBlockBoundaries walks a recording whose blocks end in a jr with a
+// nonzero immediate, so the first record of the next block is the one
+// PC whose successor rule reads a tuple. The Replayer, a Decoded cursor
+// and a Replayer seeking across each boundary must serve the machine's
+// stream, every block's checkpoint must be the machine's PC at that
+// record, and the same must hold after an encode/decode round trip.
+func TestBlockBoundaries(t *testing.T) {
+	prog := jrBlockProgram()
+	tr := record(t, prog, 1<<20)
+	if !tr.Halted() || tr.Len() != 12_003 || len(tr.blocks) != 3 {
+		t.Fatalf("test premise broken: %d records in %d blocks (halted %v), want 12003 in 3", tr.Len(), len(tr.blocks), tr.Halted())
+	}
+	enc, err := tr.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeBytes(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []emu.Record
+	m := newMachine(t, prog)
+	for {
+		var r emu.Record
+		if !m.Next(&r) {
+			break
+		}
+		want = append(want, r)
+	}
+	for _, i := range []int{blockLen - 1, 2*blockLen - 1} {
+		if r := want[i]; r.Inst.Op != isa.OpJr || r.Inst.Imm == 0 {
+			t.Fatalf("test premise broken: record %d is %v (imm %d), want a jr with a nonzero immediate", i, r.Inst.Op, r.Inst.Imm)
+		}
+	}
+	for name, tr := range map[string]*Trace{"recorded": tr, "decoded": back} {
+		sameSteps(t, name+"/replayer", newMachine(t, prog), tr)
+		sameStream(t, name+"/cursor", newMachine(t, prog), NewDecoded(tr).Cursor())
+		for k, b := range tr.blocks {
+			if got := uint64(b.pc); got != want[k*blockLen].PC {
+				t.Errorf("%s: block %d checkpoint %d, machine PC %d", name, k, got, want[k*blockLen].PC)
+			}
+		}
+		for _, start := range []int{blockLen - 2, 2*blockLen - 1, 2 * blockLen} {
+			r := NewReplayer(tr)
+			r.Seek(start)
+			var d emu.Record
+			for i := start; i < start+4; i++ {
+				if !r.Next(&d) || d != want[i] {
+					t.Fatalf("%s: seek to %d: record %d:\nwant %+v\ngot  %+v", name, start, i, want[i], d)
+				}
+			}
+		}
 	}
 }
