@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -150,39 +151,41 @@ func TestTraceStoreDiskCorruption(t *testing.T) {
 		}
 	}
 
-	// A recording in an older format (the header says version 2, the
-	// checksum is sound) is dropped like a corrupt one: a restarted
+	// A recording in an older format (the header says version 2 or 3,
+	// the checksum is sound) is dropped like a corrupt one: a restarted
 	// daemon records the benchmark again, stores the current format in
 	// its place, and serves what a fresh daemon serves.
-	dir := t.TempDir()
-	first, ts := testServer(t, Options{CacheDir: dir})
-	view, _ := postJob(t, ts.URL, JobSpec{Workload: "compress", Config: "4w-1pV", Scale: 2_000}, true)
-	decodeResult(t, view)
-	path := first.traces.diskPath("compress-" + traceScope(opts))
-	corruptFile(t, path, func(b []byte) []byte {
-		binary.LittleEndian.PutUint16(b[4:], 2)
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-		return b
-	})
-	if _, err := trace.ReadFile(path); err == nil || strings.Contains(err.Error(), "\n") ||
-		!strings.Contains(err.Error(), "unsupported format version 2") {
-		t.Fatalf("version-2 artifact: want a one-line unsupported-version error, got %v", err)
-	}
-	restarted, ts := testServer(t, Options{CacheDir: dir})
 	spec := JobSpec{Workload: "compress", Config: "8w-1pV", Scale: 2_000}
-	got, _ := postJob(t, ts.URL, spec, true)
-	decodeResult(t, got)
-	if n := restarted.sched.recorded.Value(); n != 1 {
-		t.Errorf("version-2 artifact: the restarted daemon made %d recordings, want 1", n)
-	}
-	if _, err := trace.ReadFile(path); err != nil {
-		t.Errorf("version-2 artifact not replaced by the new recording: %v", err)
-	}
 	_, fresh := testServer(t, Options{})
 	want, _ := postJob(t, fresh.URL, spec, true)
 	decodeResult(t, want)
-	if !bytes.Equal(got.Result, want.Result) {
-		t.Error("the result served over a re-recorded version-2 artifact differs from a fresh daemon's")
+	for _, v := range []uint16{2, 3} {
+		dir := t.TempDir()
+		first, ts := testServer(t, Options{CacheDir: dir})
+		view, _ := postJob(t, ts.URL, JobSpec{Workload: "compress", Config: "4w-1pV", Scale: 2_000}, true)
+		decodeResult(t, view)
+		path := first.traces.diskPath("compress-" + traceScope(opts))
+		corruptFile(t, path, func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[4:], v)
+			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+			return b
+		})
+		if _, err := trace.ReadFile(path); err == nil || strings.Contains(err.Error(), "\n") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported format version %d", v)) {
+			t.Fatalf("version-%d artifact: want a one-line unsupported-version error, got %v", v, err)
+		}
+		restarted, ts := testServer(t, Options{CacheDir: dir})
+		got, _ := postJob(t, ts.URL, spec, true)
+		decodeResult(t, got)
+		if n := restarted.sched.recorded.Value(); n != 1 {
+			t.Errorf("version-%d artifact: the restarted daemon made %d recordings, want 1", v, n)
+		}
+		if _, err := trace.ReadFile(path); err != nil {
+			t.Errorf("version-%d artifact not replaced by the new recording: %v", v, err)
+		}
+		if !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("the result served over a re-recorded version-%d artifact differs from a fresh daemon's", v)
+		}
 	}
 }
 

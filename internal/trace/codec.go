@@ -15,161 +15,115 @@ import (
 	"specvec/internal/isa"
 )
 
-// On-disk format (version 3), little-endian, streamed:
+// On-disk format (version 4), little-endian, streamed:
 //
 //	magic   [4]byte "SDVT"
 //	version uint16
 //	fflags  uint16            bit 0: truncated (no other bit is defined)
 //	name    uvarint len + bytes
 //	counts  uvarint ×3        static instructions, records, tuples
+//	entry   uvarint           the first record's PC
 //	text    per instruction: op, rd, rs1, rs2 (bytes) + zigzag-varint imm
-//	pcs     zigzag-varint delta from the previous record's PC
-//	flags   one byte per record: bit 0 taken, bit 1 halt (last record only)
-//	tupleIdx zigzag-varint delta from the previous record's index
 //	tuples  uvarint per value, two per tuple (an emu.Record's Vals)
+//	blocks  per block of up to 4,096 records, as the Trace holds it:
+//	          w      byte     bytes per tuple index (1 to 4)
+//	          idx    w × len  tuple index per record
+//	          taken  uint64 × ⌈len/64⌉, one bit per record
 //	crc32   uint32 (IEEE) over every preceding byte, header included
 //
-// PCs and tuple indexes are delta-encoded because both are locally
-// repetitive (loops revisit nearby PCs and recent operand tuples), which
-// keeps most deltas in one or two varint bytes. Every PC after the first
-// is its predecessor's successor (emu.Record.NextPC): Encode writes the
-// PCs a forward walk derives, the in-memory form keeps only each block's
-// first, and Decode rejects a file whose PCs break the rule. Versions 1 and 2 interned
-// five values per record (EffAddr, StoreVal, Result and both source
-// values); Decode rejects them, so such a trace is recorded again.
+// The record section is the in-memory block layout written as it is, so
+// Encode writes each block's bytes and Decode reads them into a block of
+// exactly their size. No PC is stored but the entry PC: every other is
+// its predecessor's successor (emu.Record.NextPC), and Decode derives
+// each block's checkpoint in one forward walk. Nor is a halt: a trace
+// that is not truncated ends in its halt record. Versions 1 and 2
+// interned five values per record (EffAddr, StoreVal, Result and both
+// source values), and version 3 stored a PC and a flag byte per record
+// and delta-encoded its tuple indexes; Decode rejects them all, so such
+// a trace is recorded again.
 
 var magic = [4]byte{'S', 'D', 'V', 'T'}
 
 // Version is the on-disk format version, the only one Decode accepts.
-const Version = 3
+const Version = 4
 
 const (
 	fmtTruncated uint16 = 1 << 0
 
-	// maxCount bounds decoded element counts so a corrupt header cannot
-	// drive allocation before the checksum is verified.
+	// maxCount bounds decoded element counts, and maxName the name's
+	// length, so a corrupt header cannot drive allocation before the
+	// checksum is verified.
 	maxCount = 1 << 31
+	maxName  = 1 << 12
+
+	// chunk is how many encoded bytes Encode stages between writes.
+	chunk = 32 << 10
 )
 
-// cwriter counts a CRC over everything written.
+// cwriter stages encoded bytes and writes them in chunks, counting a CRC
+// over everything written. It keeps the first write error and writes
+// nothing after it.
 type cwriter struct {
-	w   *bufio.Writer
+	w   io.Writer
 	crc hash.Hash32
+	buf []byte // staged bytes
+	err error
 }
 
-func (c *cwriter) Write(p []byte) (int, error) {
-	c.crc.Write(p)
-	return c.w.Write(p)
-}
-
-func (c *cwriter) byte(b byte) error {
-	c.crc.Write([]byte{b})
-	return c.w.WriteByte(b)
-}
-
-func (c *cwriter) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := c.Write(buf[:n])
-	return err
-}
-
-func (c *cwriter) varint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := c.Write(buf[:n])
-	return err
-}
-
-// delta writes v as a zigzag-varint delta from *prev and makes v the
-// new *prev.
-func (c *cwriter) delta(prev *int64, v uint32) error {
-	err := c.varint(int64(v) - *prev)
-	*prev = int64(v)
-	return err
+// flush writes the staged bytes once there are at least n of them.
+func (c *cwriter) flush(n int) {
+	if len(c.buf) < n {
+		return
+	}
+	if c.err == nil {
+		c.crc.Write(c.buf)
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
 }
 
 // Encode streams the trace to w in the versioned on-disk format.
 func (t *Trace) Encode(w io.Writer) error {
-	c := &cwriter{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
-	if _, err := c.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:], Version)
+	c := &cwriter{w: w, crc: crc32.NewIEEE()}
 	var ff uint16
-	if t.truncated {
-		ff |= fmtTruncated
+	if !t.halted {
+		ff = fmtTruncated
 	}
-	binary.LittleEndian.PutUint16(hdr[2:], ff)
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
+	var entry uint32
+	if len(t.blocks) > 0 {
+		entry = t.blocks[0].pc
 	}
-	if err := c.uvarint(uint64(len(t.name))); err != nil {
-		return err
-	}
-	if _, err := c.Write([]byte(t.name)); err != nil {
-		return err
-	}
-	for _, n := range []int{len(t.insts), t.n, t.TupleCount()} {
-		if err := c.uvarint(uint64(n)); err != nil {
-			return err
-		}
+	c.buf = append(c.buf, magic[:]...)
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, Version)
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, ff)
+	c.buf = binary.AppendUvarint(c.buf, uint64(len(t.name)))
+	c.buf = append(c.buf, t.name...)
+	for _, n := range []int{len(t.insts), t.n, t.TupleCount(), int(entry)} {
+		c.buf = binary.AppendUvarint(c.buf, uint64(n))
 	}
 	for _, in := range t.insts {
-		if _, err := c.Write([]byte{byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2)}); err != nil {
-			return err
-		}
-		if err := c.varint(in.Imm); err != nil {
-			return err
-		}
-	}
-	// The PC column is the forward walk's: every PC but each block's
-	// first is derived, exactly as a replay derives it.
-	var rec emu.Record
-	prev := int64(0)
-	for r := NewReplayer(t); r.Next(&rec); {
-		if err := c.delta(&prev, uint32(rec.PC)); err != nil {
-			return err
-		}
-	}
-	var chunk [blockLen]byte
-	for i := range t.blocks {
-		b := &t.blocks[i]
-		n := b.len()
-		for j := range n {
-			chunk[j] = 0
-			if b.takenAt(j) {
-				chunk[j] = flagTaken
-			}
-		}
-		if i == len(t.blocks)-1 && t.halted {
-			chunk[n-1] |= flagHalt
-		}
-		if _, err := c.Write(chunk[:n]); err != nil {
-			return err
-		}
-	}
-	prev = 0
-	for i := range t.blocks {
-		b := &t.blocks[i]
-		for j := range b.len() {
-			if err := c.delta(&prev, b.at(j)); err != nil {
-				return err
-			}
-		}
+		c.buf = append(c.buf, byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2))
+		c.buf = binary.AppendVarint(c.buf, in.Imm)
+		c.flush(chunk)
 	}
 	for _, v := range t.tuples {
-		if err := c.uvarint(v); err != nil {
-			return err
+		c.buf = binary.AppendUvarint(c.buf, v)
+		c.flush(chunk)
+	}
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		c.buf = append(append(c.buf, b.w), b.idx...)
+		for _, w := range b.taken {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, w)
 		}
+		c.flush(chunk)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], c.crc.Sum32())
-	if _, err := c.w.Write(sum[:]); err != nil { // the checksum is not part of itself
-		return err
-	}
-	return c.w.Flush()
+	c.flush(0)
+	// The checksum is not part of itself: it goes out after the CRC is
+	// taken, and the CRC is not read again.
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, c.crc.Sum32())
+	c.flush(0)
+	return c.err
 }
 
 // creader counts a CRC over everything read.
@@ -207,27 +161,6 @@ func (c *creader) varint() (int64, error) {
 // finally the checksum) is seen.
 func clampCap(n int) int { return min(n, 1<<20) }
 
-// deltas reads n zigzag-varint deltas (the first from zero) and passes
-// each running value to each with its record number; what names the
-// column in errors.
-func (c *creader) deltas(n int, what string, each func(i int, v uint32) error) error {
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, err := c.varint()
-		if err != nil {
-			return fmt.Errorf("trace: reading %s column: %w", what, err)
-		}
-		prev += d
-		if prev < 0 || prev > math.MaxUint32 {
-			return fmt.Errorf("trace: record %d %s %d out of range", i, what, prev)
-		}
-		if err := each(i, uint32(prev)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (c *creader) count(what string) (int, error) {
 	v, err := c.uvarint()
 	if err != nil {
@@ -263,6 +196,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nameLen > maxName {
+		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+	}
 	name := make([]byte, nameLen)
 	if err := c.full(name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
@@ -279,14 +215,21 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	halted := ff&fmtTruncated == 0
+	if halted && nRecs == 0 {
+		return nil, fmt.Errorf("trace: not truncated, but no record holds the halt")
+	}
+	entry, err := c.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading entry PC: %w", err)
+	}
+	if entry > math.MaxUint32 {
+		return nil, fmt.Errorf("trace: entry PC %#x exceeds the recordable range", entry)
+	}
 
 	// Initial capacities are clamped so a corrupt count cannot drive a
 	// huge allocation before the data (and finally the checksum) is seen.
-	t := &Trace{
-		name:      string(name),
-		truncated: ff&fmtTruncated != 0,
-		insts:     make([]isa.Inst, 0, clampCap(nInsts)),
-	}
+	t := &Trace{name: string(name), n: nRecs, halted: halted, insts: make([]isa.Inst, 0, clampCap(nInsts))}
 	var quad [4]byte
 	for i := 0; i < nInsts; i++ {
 		if err := c.full(quad[:]); err != nil {
@@ -301,55 +244,21 @@ func Decode(r io.Reader) (*Trace, error) {
 			Imm: imm,
 		})
 	}
-	// The stored PCs are held until the tuples are read: a jr's successor
-	// is in its tuple, so only then can each be checked against the PC
-	// the forward walk derives.
-	pcs := make([]uint32, 0, clampCap(nRecs))
-	if err := c.deltas(nRecs, "PC", func(_ int, pc uint32) error {
-		pcs = append(pcs, pc)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var cols columns
-	taken := make([]uint64, 0, clampCap((nRecs+63)/64))
-	var chunk [blockLen]byte
-	for lo := 0; lo < nRecs; lo += len(chunk) {
-		n := min(nRecs-lo, len(chunk))
-		if err := c.full(chunk[:n]); err != nil {
-			return nil, fmt.Errorf("trace: reading flags: %w", err)
-		}
-		for j, f := range chunk[:n] {
-			// The in-memory form holds a taken bit per record and one halt,
-			// which only the last record can carry.
-			i := lo + j
-			if f&^(flagTaken|flagHalt) != 0 {
-				return nil, fmt.Errorf("trace: record %d has flags %#x (only %#x, taken, and %#x, halt, are defined)",
-					i, f, flagTaken, flagHalt)
-			}
-			if f&flagHalt != 0 && i != nRecs-1 {
-				return nil, fmt.Errorf("trace: record %d of %d halts before the last record", i, nRecs)
-			}
-			taken = appendBit(taken, i, f&flagTaken != 0)
-			cols.halted = f&flagHalt != 0
-		}
-	}
-	if err := c.deltas(nRecs, "tuple index", func(i int, idx uint32) error {
-		if idx >= uint32(nTuples) {
-			return fmt.Errorf("trace: record %d references tuple %d of %d", i, idx, nTuples)
-		}
-		cols.add(pcs[i], taken[i/64]&(1<<(i%64)) != 0, idx)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	cols.tuples = make([]uint64, 0, clampCap(nTuples*tupleWords))
+	t.tuples = make([]uint64, 0, clampCap(nTuples*tupleWords))
 	for i := 0; i < nTuples*tupleWords; i++ {
 		v, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading tuples: %w", err)
 		}
-		cols.tuples = append(cols.tuples, v)
+		t.tuples = append(t.tuples, v)
+	}
+	t.blocks = make([]block, 0, clampCap(nRecs)/blockLen+1)
+	for lo := 0; lo < nRecs; lo += blockLen {
+		b, err := c.block(lo, min(nRecs-lo, blockLen), uint32(nTuples))
+		if err != nil {
+			return nil, err
+		}
+		t.blocks = append(t.blocks, b)
 	}
 	want := c.crc.Sum32()
 	var sum [4]byte
@@ -359,29 +268,74 @@ func Decode(r io.Reader) (*Trace, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch (file %#x, computed %#x)", got, want)
 	}
-	cols.build(t)
-	if err := t.checkPCs(pcs); err != nil {
+	t.blocks, t.tuples = exact(t.blocks), exact(t.tuples)
+	if err := t.walk(uint32(entry)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// checkPCs walks t forward and requires every stored PC after the first
-// to be the successor of the record before it, as the emulator steps: t
-// keeps only each block's first PC, so a file whose PCs do not follow
-// would otherwise replay a stream other than the one it stores. PCs need
-// no bounds check: any PC outside the text materializes as a halt,
-// exactly as the emulator executes it (a register-indirect jump may
-// legitimately land past the text end).
-func (t *Trace) checkPCs(pcs []uint32) error {
-	var d emu.Record
-	next := uint64(0)
-	for i, r := 0, NewReplayer(t); r.Next(&d); i++ {
-		if i > 0 && uint64(pcs[i]) != next {
-			return fmt.Errorf("trace: record %d has PC %d, but the successor of record %d (%v at PC %d) is %d",
-				i, pcs[i], i-1, t.inst(uint64(pcs[i-1])).Op, pcs[i-1], next)
+// block reads the block of records [lo, lo+n) at its exact size and
+// checks it as the recorder builds it: indexes at the narrowest width
+// that holds the largest, every index below the tuple count, and no
+// taken bit past the last record.
+func (c *creader) block(lo, n int, tuples uint32) (block, error) {
+	w, err := c.ReadByte()
+	if err != nil {
+		return block{}, fmt.Errorf("trace: reading block at record %d: %w", lo, err)
+	}
+	if w < 1 || w > 4 {
+		return block{}, fmt.Errorf("trace: block at record %d has index width %d (1 to 4 are defined)", lo, w)
+	}
+	b := block{w: w, idx: make([]byte, int(w)*n), taken: make([]uint64, (n+63)/64)}
+	var words [blockLen / 8]byte
+	p := words[:8*len(b.taken)]
+	if err := c.full(b.idx); err != nil {
+		return block{}, fmt.Errorf("trace: reading block at record %d: %w", lo, err)
+	}
+	if err := c.full(p); err != nil {
+		return block{}, fmt.Errorf("trace: reading block at record %d: %w", lo, err)
+	}
+	var top uint32
+	for j := range n {
+		v := b.at(j)
+		if v >= tuples {
+			return block{}, fmt.Errorf("trace: record %d references tuple %d of %d", lo+j, v, tuples)
 		}
-		next = d.NextPC()
+		top = max(top, v)
+	}
+	if width(top) != int(w) {
+		return block{}, fmt.Errorf("trace: block at record %d stores indexes in %d bytes, but its largest, %d, needs %d", lo, w, top, width(top))
+	}
+	for k := range b.taken {
+		b.taken[k] = binary.LittleEndian.Uint64(p[8*k:])
+	}
+	if tail := n % 64; tail != 0 && b.taken[len(b.taken)-1]>>tail != 0 {
+		return block{}, fmt.Errorf("trace: block at record %d sets taken bits past its %d records", lo, n)
+	}
+	return b, nil
+}
+
+// walk derives every PC forward from entry, as a Replayer does, and
+// stores each block's first as the block's checkpoint. A PC above
+// math.MaxUint32 is rejected, as Recorder.Finish rejects it; PCs need no
+// other check: any PC outside the text materializes as a halt, exactly
+// as the emulator executes it (a register-indirect jump may legitimately
+// land past the text end).
+func (t *Trace) walk(entry uint32) error {
+	if t.n == 0 {
+		return nil
+	}
+	t.blocks[0].pc = entry
+	var d emu.Record
+	for r := NewReplayer(t); r.Next(&d) && r.pos < t.n; {
+		if r.pc > math.MaxUint32 {
+			return fmt.Errorf("trace: record %d has PC %#x, beyond the recordable range (the successor of %v at PC %d)",
+				r.pos, r.pc, d.Inst.Op, d.PC)
+		}
+		if r.pos%blockLen == 0 {
+			t.blocks[r.pos/blockLen].pc = uint32(r.pc)
+		}
 	}
 	return nil
 }

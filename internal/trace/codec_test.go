@@ -3,12 +3,16 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"specvec/internal/emu"
+	"specvec/internal/isa"
 )
 
 // withFlags returns a copy of an encoded trace whose header fflags are
@@ -30,131 +34,10 @@ func withVersion(good []byte, v uint16) []byte {
 	return bad
 }
 
-// withRecordFlags returns tr's encoding with record i's flag byte set to
-// f and the trailing checksum recomputed, so the flag byte is the only
-// thing wrong with the file. The flag section sits just before the
-// tuple-index and tuple sections, whose lengths are recomputed here.
-func withRecordFlags(t testing.TB, tr *Trace, i int, f byte) []byte {
-	t.Helper()
-	enc, err := tr.EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	tail := 4 // checksum
-	prev := int64(0)
-	for j := range tr.Len() {
-		v := int64(tr.blocks[j/blockLen].at(j % blockLen))
-		tail += binary.PutVarint(buf[:], v-prev)
-		prev = v
-	}
-	for _, v := range tr.tuples {
-		tail += binary.PutUvarint(buf[:], v)
-	}
-	off := len(enc) - tail - tr.Len() + i
-	if want := recordFlags(tr, i); enc[off] != want {
-		t.Fatalf("flag byte of record %d at offset %d reads %#x, want %#x", i, off, enc[off], want)
-	}
-	enc[off] = f
-	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
-	return enc
-}
-
-// withPCs returns tr's encoding with its PC column replaced by the PCs
-// that edit makes of the stored ones, and the trailing checksum
-// recomputed, so the PCs are the only thing wrong with the file. The PC
-// column sits just before the flag, tuple-index and tuple sections,
-// whose lengths are recomputed here.
-func withPCs(t testing.TB, tr *Trace, edit func(pcs []uint32)) []byte {
-	t.Helper()
-	enc, err := tr.EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pcs []uint32
-	var d emu.Record
-	for r := NewReplayer(tr); r.Next(&d); {
-		pcs = append(pcs, uint32(d.PC))
-	}
-	column := func(vals []uint32) []byte {
-		var b []byte
-		prev := int64(0)
-		for _, v := range vals {
-			b = binary.AppendVarint(b, int64(v)-prev)
-			prev = int64(v)
-		}
-		return b
-	}
-	var idx []uint32
-	for j := range tr.Len() {
-		idx = append(idx, tr.blocks[j/blockLen].at(j%blockLen))
-	}
-	tail := 4 + tr.Len() + len(column(idx))
-	for _, v := range tr.tuples {
-		tail += len(binary.AppendUvarint(nil, v))
-	}
-	old := column(pcs)
-	off := len(enc) - tail - len(old)
-	if !bytes.Equal(enc[off:off+len(old)], old) {
-		t.Fatalf("PC column not found at offset %d", off)
-	}
-	edit(pcs)
-	out := append(append(append([]byte(nil), enc[:off]...), column(pcs)...), enc[off+len(old):]...)
-	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
-	return out
-}
-
-// TestDecodeRejectsPCs pins the PC column's one rule: every stored PC
-// after the first is its predecessor's successor, as the emulator steps.
-// A trace keeps only each block's first PC, so a file that breaks the
-// rule — mid-block, at a block's first record, or after a jr whose target
-// is in its tuple — fails with one line even when its checksum is sound.
-func TestDecodeRejectsPCs(t *testing.T) {
-	tr := record(t, jrBlockProgram(), 1<<20)
-	if _, err := DecodeBytes(withPCs(t, tr, func([]uint32) {})); err != nil {
-		t.Fatalf("unedited PCs rejected: %v", err)
-	}
-	for _, c := range []struct {
-		name string
-		i    int
-		pc   uint32
-		want string
-	}{
-		{"mid-block", 10, 7, "record 10 has PC 7, but the successor of record 9"},
-		{"block start", blockLen, 5, "record 4096 has PC 5, but the successor of record 4095 (jr at PC 7) is 4"},
-		{"after a jr", 8, 10, "record 8 has PC 10, but the successor of record 7 (jr at PC 7) is 4"},
-		{"last record", tr.Len() - 1, 7, "has PC 7, but the successor"},
-	} {
-		_, err := DecodeBytes(withPCs(t, tr, func(pcs []uint32) { pcs[c.i] = c.pc }))
-		if err == nil {
-			t.Fatalf("%s: record %d at PC %d accepted", c.name, c.i, c.pc)
-		}
-		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, c.want) {
-			t.Errorf("%s: want one line containing %q, got %q", c.name, c.want, msg)
-		}
-	}
-}
-
-// recordFlags returns the flag byte Encode writes for record i.
-func recordFlags(tr *Trace, i int) byte {
-	var f byte
-	if tr.blocks[i/blockLen].takenAt(i % blockLen) {
-		f |= flagTaken
-	}
-	if tr.halted && i == tr.Len()-1 {
-		f |= flagHalt
-	}
-	return f
-}
-
 // encodeBench records bench at scale and returns its encoding.
 func encodeBench(t testing.TB, bench string, scale int) []byte {
 	t.Helper()
-	b, err := record(t, buildBench(t, bench, scale), 1<<22).EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return encode(t, record(t, buildBench(t, bench, scale), 1<<22))
 }
 
 // TestDecodeRejectsUnknownFlags pins the header's one defined flag bit:
@@ -178,15 +61,16 @@ func TestDecodeRejectsUnknownFlags(t *testing.T) {
 }
 
 // TestDecodeRejectsOldVersions pins the one accepted format version:
-// versions 1 and 2 interned five values per record, which this build no
-// longer reads, so such a file — and any future version — fails with one
-// line naming the version, even when its checksum is sound.
+// versions 1 and 2 interned five values per record and version 3 stored
+// a PC and a flag byte per record, which this build no longer reads, so
+// such a file — and any future version — fails with one line naming the
+// version, even when its checksum is sound.
 func TestDecodeRejectsOldVersions(t *testing.T) {
 	good := encodeBench(t, "compress", 600)
 	if _, err := DecodeBytes(withVersion(good, Version)); err != nil {
 		t.Fatalf("version %d rejected: %v", Version, err)
 	}
-	for _, v := range []uint16{0, 1, 2, Version + 1} {
+	for _, v := range []uint16{0, 1, 2, 3, Version + 1} {
 		_, err := DecodeBytes(withVersion(good, v))
 		if err == nil {
 			t.Fatalf("version %d accepted", v)
@@ -197,46 +81,106 @@ func TestDecodeRejectsOldVersions(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadFlags pins the record flag byte: the in-memory
-// form holds only a taken bit per record and a halt on the last record,
-// so a flag byte with an undefined bit, or a halt anywhere but the last
-// record, fails with one line even when the checksum is sound.
-func TestDecodeRejectsBadFlags(t *testing.T) {
-	tr := record(t, controlProgram(t), 1<<20)
-	n := tr.Len()
-	if !tr.Halted() || n < 3 {
-		t.Fatalf("control program recorded %d records (halted %v)", n, tr.Halted())
+// TestDecodeRejectsBlocks pins the checks Decode makes of a block, of
+// the walk that derives its PCs and of the header's halt and name
+// length: each file below breaks one rule, with a sound checksum, and
+// must fail with one line.
+// Each is also a FuzzDecode seed under testdata/fuzz/FuzzDecode
+// (rewritten with -update).
+func TestDecodeRejectsBlocks(t *testing.T) {
+	good := record(t, controlProgram(t), 1<<20)
+	n := good.Len()
+	if !good.Halted() || n%64 == 0 || good.TupleCount() >= 1<<8 {
+		t.Fatalf("test premise broken: %d records (halted %v), %d tuples", n, good.Halted(), good.TupleCount())
 	}
-	if _, err := DecodeBytes(withRecordFlags(t, tr, 1, flagTaken)); err != nil {
-		t.Fatalf("taken flag rejected: %v", err)
+	if _, err := DecodeBytes(encode(t, good)); err != nil {
+		t.Fatalf("pristine trace rejected: %v", err)
+	}
+	// edited returns a copy of good, one block deep, with edit applied
+	// to its only block.
+	edited := func(edit func(b *block)) *Trace {
+		tr := *good
+		b := tr.blocks[0]
+		b.idx, b.taken = slices.Clone(b.idx), slices.Clone(b.taken)
+		edit(&b)
+		tr.blocks = []block{b}
+		return &tr
 	}
 	for _, c := range []struct {
 		name string
-		i    int
-		f    byte
+		tr   *Trace
 		want string
 	}{
-		{"undefined bit", 1, 1 << 2, "has flags 0x4"},
-		{"undefined bit with taken", n - 1, flagHalt | 1<<7, "has flags 0x82"},
-		{"mid-stream halt", 1, flagHalt, "halts before the last record"},
-		{"first-record halt", 0, flagHalt | flagTaken, "halts before the last record"},
+		{"block-bad-width", edited(func(b *block) { b.w = 5 }),
+			"block at record 0 has index width 5 (1 to 4 are defined)"},
+		{"block-wide-index", edited(func(b *block) {
+			var idx []byte
+			for j := range n {
+				idx = appendAt(idx, 2, b.at(j))
+			}
+			b.idx, b.w = idx, 2
+		}), "stores indexes in 2 bytes, but its largest"},
+		{"block-index-range", edited(func(b *block) { b.idx[n-1] = 0xff }),
+			fmt.Sprintf("record %d references tuple 255 of %d", n-1, good.TupleCount())},
+		{"block-stray-taken", edited(func(b *block) { b.taken[len(b.taken)-1] |= 1 << 63 }),
+			fmt.Sprintf("block at record 0 sets taken bits past its %d records", n)},
+		{"pc-beyond-uint32", farJump(), "record 1 has PC 0x100000000, beyond the recordable range"},
+		{"halted-no-records", &Trace{name: "empty", insts: loopText(), halted: true},
+			"not truncated, but no record holds the halt"},
+		{"name-too-long", &Trace{name: strings.Repeat("x", maxName+1)}, "implausible name length 4097"},
 	} {
-		_, err := DecodeBytes(withRecordFlags(t, tr, c.i, c.f))
+		enc := encode(t, c.tr)
+		_, err := DecodeBytes(enc)
 		if err == nil {
-			t.Fatalf("%s: record %d flags %#x accepted", c.name, c.i, c.f)
+			t.Fatalf("%s: accepted", c.name)
 		}
 		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, c.want) {
 			t.Errorf("%s: want one line containing %q, got %q", c.name, c.want, msg)
 		}
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", enc)
+		path := filepath.Join("testdata", "fuzz", "FuzzDecode", c.name)
+		if *update {
+			if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != seed {
+			t.Errorf("%s: FuzzDecode seed %s missing or stale (run with -update): %v", c.name, path, err)
+		}
 	}
 }
 
+// farJump returns a trace the recorder refuses to make: a jr whose
+// target, 2^32, does not fit a uint32 checkpoint, followed by the halt
+// the emulator executes there.
+func farJump() *Trace {
+	tr := &Trace{name: "jrfar", insts: []isa.Inst{{Op: isa.OpJr, Rs1: isa.IntReg(1)}}}
+	var cols columns
+	var in interner
+	for _, vals := range [][tupleWords]uint64{{1 << 32, 0}, {}} {
+		cols.add(0, false, in.intern(&cols.tuples, &vals))
+	}
+	cols.halted = true
+	cols.build(tr)
+	return tr
+}
+
+// encode returns tr's encoding.
+func encode(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	b, err := tr.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // FuzzDecode feeds arbitrary bytes — seeded with a valid encoding and
-// one carrying the retired checkpoint flag, plus the record-flag and
-// PC-successor rejections checked in under testdata/fuzz/FuzzDecode — to
-// Decode: it
-// must never panic, and anything it accepts must survive an
-// encode/decode round-trip unchanged.
+// one carrying the retired checkpoint flag, plus the files checked in
+// under testdata/fuzz/FuzzDecode: TestDecodeRejectsBlocks' cases and
+// three version-3 files — to Decode: it must never panic, and anything
+// it accepts must survive an encode/decode round-trip unchanged.
 func FuzzDecode(f *testing.F) {
 	good := encodeBench(f, "compress", 600)
 	f.Add(good)

@@ -44,12 +44,12 @@
 // operand tuples, interned through an open-addressed table in
 // first-occurrence order. A tuple is a record's Vals (emu.Project): a
 // memory op's effective address, the source values an arithmetic op
-// names, a jr's target register. The recorder and the decoder stage
-// 4,096 records and seal each block at its exact size, so a finished
+// names, a jr's target register. The recorder stages
+// 4,096 records and seals each block at its exact size, so a finished
 // Trace holds no spare capacity and nothing is copied to finish it. Seq
 // is the record index and the static instruction comes from the
-// embedded program text. On disk, a PC column (derived on Encode, and
-// checked against the derived PCs on Decode) and the tuple-index column
-// are zigzag-varint delta encoded (loops keep both locally repetitive)
-// and each record keeps a flag byte.
+// embedded program text. On disk the blocks are written as they are
+// held, after the text and the tuple pool, and the only PC stored is the
+// entry PC: Decode reads each block at its exact size and derives every
+// checkpoint in one forward walk.
 package trace

@@ -94,7 +94,6 @@ func TestDecodeExactFootprint(t *testing.T) {
 	tr := synthetic(n, func(i int) emu.DynInst {
 		return emu.DynInst{PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i % 397), Src2Val: uint64(i % 396)}
 	})
-	tr.truncated = true
 	if tr.TupleCount() != 78_606 || widest(tr) != 3 {
 		t.Fatalf("synthetic trace has %d tuples, widest block index %d bytes; want 78606 in 3 bytes",
 			tr.TupleCount(), widest(tr))
@@ -243,7 +242,7 @@ func TestColumnWidths(t *testing.T) {
 			return uint32(i % 200)
 		}
 		const n = 4 * blockLen
-		tr := &Trace{name: "widths", insts: loopText(), truncated: true}
+		tr := &Trace{name: "widths", insts: loopText()}
 		var cols columns
 		for k := range bound + 1 {
 			cols.tuples = append(cols.tuples, uint64(k), uint64(k))

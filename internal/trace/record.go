@@ -2,8 +2,10 @@ package trace
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"specvec/internal/emu"
 	"specvec/internal/isa"
@@ -81,7 +83,7 @@ func (r *Recorder) Finish(target int) (*Trace, error) {
 	for r.cols.len() < target && r.m.Next(&rec) {
 		if rec.PC > math.MaxUint32 {
 			// A register-indirect jump far outside the text cannot be
-			// encoded in a uint32 checkpoint or the on-disk PC column.
+			// held in a uint32 checkpoint or the on-disk entry PC.
 			return nil, fmt.Errorf("trace: PC %#x exceeds the recordable range", rec.PC)
 		}
 		r.cols.add(uint32(rec.PC), rec.Taken, r.intern.intern(&r.cols.tuples, &rec.Vals))
@@ -96,8 +98,85 @@ func (r *Recorder) Finish(target int) (*Trace, error) {
 		}
 	}
 	t := r.t
-	t.truncated = !r.cols.halted
 	r.cols.build(t)
 	r.cols, r.intern = columns{}, interner{}
 	return t, nil
+}
+
+// appendAt appends v to b little-endian in w bytes.
+func appendAt(b []byte, w int, v uint32) []byte {
+	switch w {
+	case 1:
+		return append(b, uint8(v))
+	case 2:
+		return binary.LittleEndian.AppendUint16(b, uint16(v))
+	case 3:
+		return append(b, uint8(v), uint8(v>>8), uint8(v>>16))
+	default:
+		return binary.LittleEndian.AppendUint32(b, v)
+	}
+}
+
+// columns is a recording under construction: the blocks sealed so far, and
+// one staged block whose tuple indexes are held at full width until
+// blockLen records have arrived (or the trace ends), when seal narrows
+// them into a block of exactly their size. So a recording never holds
+// more than one block's worth of full-width indexes, and no block is
+// copied when the trace is finished.
+type columns struct {
+	blocks []block
+	tuples []uint64
+	halted bool
+
+	pc     uint32                // the staged block's first PC
+	staged int                   // records staged
+	idx    [blockLen]uint32      // their tuple indexes
+	taken  [blockLen / 64]uint64 // their branch outcomes
+}
+
+// len returns the number of records added.
+func (c *columns) len() int { return blockLen*len(c.blocks) + c.staged }
+
+// add appends one record's PC, branch outcome and tuple index. Only a
+// block's first PC is kept; the others are derived on replay.
+func (c *columns) add(pc uint32, taken bool, idx uint32) {
+	j := c.staged
+	if j == 0 {
+		c.pc = pc
+	}
+	c.idx[j] = idx
+	if taken {
+		c.taken[j/64] |= 1 << (j % 64)
+	}
+	if c.staged++; c.staged == blockLen {
+		c.seal()
+	}
+}
+
+// seal appends the staged records as one exact-size block.
+func (c *columns) seal() {
+	n := c.staged
+	if n == 0 {
+		return
+	}
+	idx := c.idx[:n]
+	w := width(slices.Max(idx))
+	b := block{pc: c.pc, w: uint8(w), idx: make([]byte, 0, w*n), taken: make([]uint64, (n+63)/64)}
+	copy(b.taken, c.taken[:])
+	for _, v := range idx {
+		b.idx = appendAt(b.idx, w, v)
+	}
+	c.blocks = append(c.blocks, b)
+	c.staged = 0
+	clear(c.taken[:])
+}
+
+// build seals the staged records and moves the columns into t, leaving
+// the block directory and the tuple pool with cap == len.
+func (c *columns) build(t *Trace) {
+	t.n = c.len()
+	c.seal()
+	t.blocks = exact(c.blocks)
+	t.tuples = exact(c.tuples)
+	t.halted = c.halted
 }

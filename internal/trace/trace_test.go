@@ -230,7 +230,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if back.Name() != tr.Name() || back.Len() != tr.Len() ||
 			back.StaticLen() != tr.StaticLen() || back.TupleCount() != tr.TupleCount() ||
-			back.Truncated() != tr.Truncated() || back.Halted() != tr.Halted() {
+			back.Halted() != tr.Halted() {
 			t.Fatalf("%s: metadata changed across round-trip:\nin:  %+v\nout: %+v", bench, tr, back)
 		}
 		if !reflect.DeepEqual(tr, back) {
