@@ -56,6 +56,15 @@ const (
 	maxCount = 1 << 31
 	maxName  = 1 << 12
 
+	// textCap bounds the text's initial capacity in instructions (64
+	// KiB; every workload's text is far shorter), and dirRecs the block
+	// directory's in records (257 blocks). Decode appends beyond them,
+	// so a corrupt count cannot drive a large allocation before the data
+	// (and finally the checksum) is seen. The tuple pool needs no bound:
+	// it grows a chunk at a time as tuples are read.
+	textCap = 4096
+	dirRecs = 1 << 20
+
 	// chunk is how many encoded bytes Encode stages between writes.
 	chunk = 32 << 10
 )
@@ -106,9 +115,11 @@ func (t *Trace) Encode(w io.Writer) error {
 		c.buf = binary.AppendVarint(c.buf, in.Imm)
 		c.flush(chunk)
 	}
-	for _, v := range t.tuples {
-		c.buf = binary.AppendUvarint(c.buf, v)
-		c.flush(chunk)
+	for _, ch := range t.tuples.chunks {
+		for _, k := range ch {
+			c.buf = binary.AppendUvarint(binary.AppendUvarint(c.buf, k[0]), k[1])
+			c.flush(chunk)
+		}
 	}
 	for i := range t.blocks {
 		b := &t.blocks[i]
@@ -155,11 +166,6 @@ func (c *creader) uvarint() (uint64, error) {
 func (c *creader) varint() (int64, error) {
 	return binary.ReadVarint(c)
 }
-
-// clampCap bounds an initial slice capacity; decode appends beyond it,
-// so a corrupt count cannot drive a huge allocation before the data (and
-// finally the checksum) is seen.
-func clampCap(n int) int { return min(n, 1<<20) }
 
 func (c *creader) count(what string) (int, error) {
 	v, err := c.uvarint()
@@ -227,9 +233,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: entry PC %#x exceeds the recordable range", entry)
 	}
 
-	// Initial capacities are clamped so a corrupt count cannot drive a
-	// huge allocation before the data (and finally the checksum) is seen.
-	t := &Trace{name: string(name), n: nRecs, halted: halted, insts: make([]isa.Inst, 0, clampCap(nInsts))}
+	t := &Trace{name: string(name), n: nRecs, halted: halted, insts: make([]isa.Inst, 0, min(nInsts, textCap))}
 	var quad [4]byte
 	for i := 0; i < nInsts; i++ {
 		if err := c.full(quad[:]); err != nil {
@@ -244,15 +248,16 @@ func Decode(r io.Reader) (*Trace, error) {
 			Imm: imm,
 		})
 	}
-	t.tuples = make([]uint64, 0, clampCap(nTuples*tupleWords))
-	for i := 0; i < nTuples*tupleWords; i++ {
-		v, err := c.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading tuples: %w", err)
+	var k [tupleWords]uint64
+	for range nTuples {
+		for w := range k {
+			if k[w], err = c.uvarint(); err != nil {
+				return nil, fmt.Errorf("trace: reading tuples: %w", err)
+			}
 		}
-		t.tuples = append(t.tuples, v)
+		t.tuples.add(&k)
 	}
-	t.blocks = make([]block, 0, clampCap(nRecs)/blockLen+1)
+	t.blocks = make([]block, 0, min(nRecs, dirRecs)/blockLen+1)
 	for lo := 0; lo < nRecs; lo += blockLen {
 		b, err := c.block(lo, min(nRecs-lo, blockLen), uint32(nTuples))
 		if err != nil {
@@ -268,7 +273,8 @@ func Decode(r io.Reader) (*Trace, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("trace: checksum mismatch (file %#x, computed %#x)", got, want)
 	}
-	t.blocks, t.tuples = exact(t.blocks), exact(t.tuples)
+	t.blocks = exact(t.blocks)
+	t.tuples.seal()
 	if err := t.walk(uint32(entry)); err != nil {
 		return nil, err
 	}

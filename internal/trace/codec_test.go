@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -77,6 +78,41 @@ func TestDecodeRejectsOldVersions(t *testing.T) {
 		}
 		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, "unsupported format version") {
 			t.Errorf("version %d: want one line naming the version, got %q", v, msg)
+		}
+	}
+}
+
+// TestDecodeBoundsHeaderCounts feeds Decode headers that claim 2^24
+// instructions, tuples or records and then end. The counts are not
+// verified until the data (and finally the checksum) is read, so each
+// must fail with one line, having allocated under 1 MiB.
+func TestDecodeBoundsHeaderCounts(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		insts, recs, tuples uint64
+		want                string
+	}{
+		{"text", 1 << 24, 0, 0, "reading text"},
+		{"tuples", 0, 0, 1 << 24, "reading tuples"},
+		{"blocks", 0, 1 << 24, 0, "reading block at record 0"},
+	} {
+		hdr := binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), Version)
+		hdr = binary.LittleEndian.AppendUint16(hdr, fmtTruncated)
+		for _, v := range []uint64{0, c.insts, c.recs, c.tuples, 0} { // name length, counts, entry PC
+			hdr = binary.AppendUvarint(hdr, v)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBytes(hdr)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: want one line containing %q, got %q", c.name, c.want, msg)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: Decode of a %d-byte header allocated %d B", c.name, len(hdr), got)
 		}
 	}
 }

@@ -44,9 +44,12 @@
 // operand tuples, interned through an open-addressed table in
 // first-occurrence order. A tuple is a record's Vals (emu.Project): a
 // memory op's effective address, the source values an arithmetic op
-// names, a jr's target register. The recorder stages
-// 4,096 records and seals each block at its exact size, so a finished
-// Trace holds no spare capacity and nothing is copied to finish it. Seq
+// names, a jr's target register. The pool is held in chunks of 4,096
+// tuples (poolChunk, 64 KiB), so adding a tuple never copies it. The
+// recorder stages 4,096 records and seals each block at its exact size,
+// so a finished Trace holds no spare capacity, and finishing it copies
+// only the last pool chunk; a recording peaks at about its finished
+// size plus the interning table. Seq
 // is the record index and the static instruction comes from the
 // embedded program text. On disk the blocks are written as they are
 // held, after the text and the tuple pool, and the only PC stored is the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -14,21 +15,33 @@ import (
 
 // requireExact fails unless tr holds exactly its data: every block but
 // the last holds blockLen records, each block's tuple indexes are w bytes
-// per record and its taken bits are whole words, every block, the block
-// directory and the tuple pool have cap == len, and SizeBytes is exactly
-// the sum of the index bytes, the directory entries (checkpoints
-// included), the taken words, 16 B per distinct tuple and 16 B per
-// static instruction.
+// per record and its taken bits are whole words, every block and the
+// block directory have cap == len, every tuple-pool chunk but the last
+// is full at cap == len == poolChunk, the last chunk and the chunk
+// directory have cap == len, and SizeBytes is exactly the sum of the
+// index bytes, the block directory entries (checkpoints included), the
+// taken words, 16 B per distinct tuple, 24 B per chunk directory entry
+// and 16 B per static instruction.
 func requireExact(t *testing.T, name string, tr *Trace) {
 	t.Helper()
-	if cap(tr.blocks) != len(tr.blocks) || cap(tr.tuples) != len(tr.tuples) {
-		t.Errorf("%s: directory cap %d for %d blocks, tuple pool cap %d for len %d",
-			name, cap(tr.blocks), len(tr.blocks), cap(tr.tuples), len(tr.tuples))
+	chunks := tr.tuples.chunks
+	if cap(tr.blocks) != len(tr.blocks) || cap(chunks) != len(chunks) {
+		t.Errorf("%s: block directory cap %d for %d blocks, chunk directory cap %d for %d chunks",
+			name, cap(tr.blocks), len(tr.blocks), cap(chunks), len(chunks))
 	}
 	if want := (tr.Len() + blockLen - 1) / blockLen; len(tr.blocks) != want {
 		t.Errorf("%s: %d records in %d blocks, want %d", name, tr.Len(), len(tr.blocks), want)
 	}
-	want := len(tr.blocks)*int(unsafe.Sizeof(block{})) + 8*tupleWords*tr.TupleCount() + 16*cap(tr.insts)
+	if want := (tr.TupleCount() + poolChunk - 1) / poolChunk; len(chunks) != want {
+		t.Errorf("%s: %d tuples in %d chunks, want %d", name, tr.TupleCount(), len(chunks), want)
+	}
+	for i, c := range chunks {
+		n := min(poolChunk, tr.TupleCount()-i*poolChunk)
+		if len(c) != n || cap(c) != n {
+			t.Errorf("%s: tuple chunk %d of %d has len %d, cap %d; want %d", name, i, len(chunks), len(c), cap(c), n)
+		}
+	}
+	want := len(tr.blocks)*int(unsafe.Sizeof(block{})) + 8*tupleWords*tr.TupleCount() + 24*len(chunks) + 16*cap(tr.insts)
 	for i := range tr.blocks {
 		b := &tr.blocks[i]
 		n := min(blockLen, tr.Len()-i*blockLen)
@@ -51,7 +64,8 @@ func requireExact(t *testing.T, name string, tr *Trace) {
 // its data: whether the program halts short of a reserved target, the
 // recording is truncated without a reservation, or the block directory
 // was reserved up front, Finish leaves no capacity slack, and the
-// recorder lets go of its blocks and its interning table.
+// recorder lets go of its blocks, its tuple pool and its interning
+// table.
 func TestFinishExactFootprint(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -76,19 +90,20 @@ func TestFinishExactFootprint(t *testing.T) {
 			t.Fatalf("%s: empty recording (%d records, %d tuples)", c.name, tr.Len(), tr.TupleCount())
 		}
 		requireExact(t, c.name, tr)
-		if rec.intern.slots != nil || rec.cols.blocks != nil || rec.cols.tuples != nil {
-			t.Errorf("%s: recorder kept its blocks or interning table after Finish", c.name)
+		if rec.intern.slots != nil || rec.cols.blocks != nil || rec.cols.tuples.chunks != nil {
+			t.Errorf("%s: recorder kept its blocks, tuple pool or interning table after Finish", c.name)
 		}
 	}
 }
 
 // TestDecodeExactFootprint decodes a trace longer than the codec's
-// initial-capacity clamp, so its directory and tuple pool grow by
-// append, and requires the decoded trace to hold exactly its data and to
-// equal the encoded one. The trace is built in-package, without
-// emulation: a two-instruction loop whose add source values cycle with
-// coprime periods 397 and 396, so the add records hold 78,606 distinct
-// tuples and the blocks that first reach index 2^16 need 3 bytes.
+// initial block-directory capacity, so its directory grows by append,
+// and whose tuple pool spans 20 chunks, and requires the decoded trace
+// to hold exactly its data and to equal the encoded one. The trace is
+// built in-package, without emulation: a two-instruction loop whose add
+// source values cycle with coprime periods 397 and 396, so the add
+// records hold 78,606 distinct tuples and the blocks that first reach
+// index 2^16 need 3 bytes.
 func TestDecodeExactFootprint(t *testing.T) {
 	const n = 1<<20 + 4099
 	tr := synthetic(n, func(i int) emu.DynInst {
@@ -115,6 +130,84 @@ func TestDecodeExactFootprint(t *testing.T) {
 		t.Fatal("trace changed across round-trip")
 	}
 	sameStream(t, "decoded", NewReplayer(tr), NewReplayer(back))
+}
+
+// TestPoolChunkBoundaries builds traces whose tuple pools end one short
+// of a chunk boundary, on it, one past it and one past the second, and
+// requires each to hold exactly its data, to replay its input stream
+// record for record and to survive an Encode/Decode round trip
+// unchanged.
+func TestPoolChunkBoundaries(t *testing.T) {
+	// The add at record 2k interns the new tuple (k+1, 0) and every jump
+	// the tuple (0, 0), so 2(tuples-1) records intern tuples tuples.
+	in := func(i int) emu.DynInst {
+		return emu.DynInst{Seq: uint64(i), PC: uint64(i % 2), Taken: i%2 == 1, Src1Val: uint64(i/2 + 1)}
+	}
+	for _, tuples := range []int{poolChunk - 1, poolChunk, poolChunk + 1, 2*poolChunk + 1} {
+		n := 2 * (tuples - 1)
+		tr := synthetic(n, in)
+		name := fmt.Sprintf("%d tuples", tuples)
+		if tr.TupleCount() != tuples {
+			t.Fatalf("%s: synthetic trace has %d tuples", name, tr.TupleCount())
+		}
+		back, err := DecodeBytes(encode(t, tr))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("%s: trace changed across round-trip", name)
+		}
+		for side, tr := range map[string]*Trace{"recorded": tr, "decoded": back} {
+			requireExact(t, name+", "+side, tr)
+			var got emu.Record
+			r := NewReplayer(tr)
+			for i := range n {
+				d := in(i)
+				d.Inst = tr.inst(d.PC)
+				if want := emu.Project(&d); !r.Next(&got) || got != want {
+					t.Fatalf("%s, %s: record %d reads %+v, want %+v", name, side, i, got, want)
+				}
+			}
+			if r.Next(&got) {
+				t.Fatalf("%s, %s: replay serves past record %d", name, side, n)
+			}
+		}
+	}
+}
+
+// TestRecordingAllocations pins what a recording allocates from
+// NewRecorder through Finish, as runtime.MemStats.TotalAlloc counts it
+// (every byte allocated, live or not, so the count repeats exactly): the
+// finished trace (SizeBytes), the interning table's doublings, and a
+// fixed allowance for the recorder with its staged block (17 KiB), the
+// last tuple chunk before its trim (64 KiB) and the chunk directory's
+// growth. The table's doublings come to under 32 B per tuple: the final
+// table has at most 4 slots of 4 B per tuple, and each doubling
+// allocates twice the one before. turb3d and applu intern tens of
+// thousands of tuples at 200k, so a pool that copied itself as it grew,
+// or once more to finish, would exceed the bound by megabytes.
+func TestRecordingAllocations(t *testing.T) {
+	const scale, allowance = 200_000, 128 << 10
+	for _, bench := range []string{"turb3d", "applu"} {
+		prog := buildBench(t, bench, scale)
+		m := newMachine(t, prog)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := NewRecorder(m, prog, scale+RecordSlack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Finish(scale + RecordSlack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if bound := uint64(tr.SizeBytes() + 32*tr.TupleCount() + allowance); got > bound {
+			t.Errorf("%s at %d: recording allocated %d B, over %d B (SizeBytes %d, %d tuples)",
+				bench, scale, got, bound, tr.SizeBytes(), tr.TupleCount())
+		}
+	}
 }
 
 // widest returns the widest block index width of tr.
@@ -155,9 +248,10 @@ func loopText() []isa.Inst {
 }
 
 // TestRecordingsShareNoScratch records programs one after another and
-// requires that no two traces share a block's memory, and that every
-// trace survives the later recordings intact: each recording seals its
-// own exact-size blocks, so nothing a finished trace holds is reused.
+// requires that no two traces share a block's or a tuple chunk's memory,
+// and that every trace survives the later recordings intact: each
+// recording seals its own exact-size blocks and fills its own chunks,
+// so nothing a finished trace holds is reused.
 func TestRecordingsShareNoScratch(t *testing.T) {
 	compress, swim := buildBench(t, "compress", 20_000), buildBench(t, "swim", 20_000)
 	type recorded struct {
@@ -184,6 +278,13 @@ func TestRecordingsShareNoScratch(t *testing.T) {
 				}
 				owner[p] = fmt.Sprintf("%s block %d", name, i)
 			}
+		}
+		for i, c := range tr.tuples.chunks {
+			p := unsafe.Pointer(unsafe.SliceData(c))
+			if o, ok := owner[p]; ok {
+				t.Fatalf("%s tuple chunk %d shares memory with %s", name, i, o)
+			}
+			owner[p] = fmt.Sprintf("%s tuple chunk %d", name, i)
 		}
 		all = append(all, recorded{p, tr})
 	}
@@ -245,7 +346,7 @@ func TestColumnWidths(t *testing.T) {
 		tr := &Trace{name: "widths", insts: loopText()}
 		var cols columns
 		for k := range bound + 1 {
-			cols.tuples = append(cols.tuples, uint64(k), uint64(k))
+			cols.tuples.add(&[tupleWords]uint64{uint64(k), uint64(k)})
 		}
 		for i := range n {
 			cols.add(uint32(i%2), false, idx(i))

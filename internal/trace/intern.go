@@ -1,15 +1,13 @@
 package trace
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // interner numbers distinct operand tuples in first-occurrence order.
 // Its table is open-addressed with linear probing: a slot holds a pool
 // index + 1 (0 marks an empty slot), so a tuple's words are stored only
 // once, in the pool, and the table costs 4 B per slot. The load factor
-// stays at or below one half.
+// stays at or below one half, and the table doubles to keep it there;
+// the pool grows a chunk at a time and is never copied.
 type interner struct {
 	slots []uint32
 	used  int
@@ -34,43 +32,37 @@ func hashTuple(k *[tupleWords]uint64) uint64 {
 	return mix(mix(k[0]^hashK0, k[1]^hashK1)^hashK2, hashK3)
 }
 
-// intern returns k's index in pool, appending k to pool if it is new.
-func (in *interner) intern(pool *[]uint64, k *[tupleWords]uint64) uint32 {
+// intern returns k's index in p, adding k to p if it is new.
+func (in *interner) intern(p *pool, k *[tupleWords]uint64) uint32 {
 	if 2*(in.used+1) > len(in.slots) {
-		in.grow(*pool)
+		in.grow(p)
 	}
 	mask := uint64(len(in.slots) - 1)
 	for i := hashTuple(k) & mask; ; i = (i + 1) & mask {
 		s := in.slots[i]
 		if s == 0 {
-			idx := uint32(len(*pool) / tupleWords)
-			if len(*pool) == cap(*pool) {
-				// Double: append's growth for large slices (about 1.25x)
-				// would copy the pool about five times its final size.
-				*pool = slices.Grow(*pool, max(len(*pool), 64*tupleWords))
-			}
-			*pool = append(*pool, k[:]...)
+			idx := uint32(p.len())
+			p.add(k)
 			in.slots[i] = idx + 1
 			in.used++
 			return idx
 		}
-		j := int(s-1) * tupleWords
-		if [tupleWords]uint64((*pool)[j:j+tupleWords]) == *k {
+		if *p.at(s - 1) == *k {
 			return s - 1
 		}
 	}
 }
 
 // grow doubles the table (starting at 1024 slots) and re-inserts every
-// tuple of pool.
-func (in *interner) grow(pool []uint64) {
+// tuple of p.
+func (in *interner) grow(p *pool) {
 	in.slots = make([]uint32, max(1024, 2*len(in.slots)))
 	mask := uint64(len(in.slots) - 1)
-	for j := 0; j < len(pool); j += tupleWords {
-		i := hashTuple((*[tupleWords]uint64)(pool[j:])) & mask
+	for j := range uint32(p.len()) {
+		i := hashTuple(p.at(j)) & mask
 		for in.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		in.slots[i] = uint32(j/tupleWords) + 1
+		in.slots[i] = j + 1
 	}
 }

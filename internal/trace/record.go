@@ -44,9 +44,12 @@ func (r *Recorder) SetContext(ctx context.Context) { r.ctx = ctx }
 // one block at a time and each block is allocated at its exact size when
 // it is sealed, so a recording never holds spare or full-width capacity
 // beyond one staged block. The tuple pool and the interning table grow
-// on demand: their size is the number of distinct operand tuples, which
-// varies widely between programs (ARCHITECTURE.md, "The recorded form"),
-// so an up-front guess mostly reserves memory the recording never uses.
+// on demand, and n does not size them: their size is the number of
+// distinct operand tuples, which varies widely between programs
+// (ARCHITECTURE.md, "The recorded form"), so an up-front guess mostly
+// reserves memory the recording never uses. The pool grows a chunk of
+// poolChunk tuples at a time and is never copied, so a recording peaks
+// at about its finished size plus the interning table.
 // prog must be the program loaded into m; its text is embedded in the
 // trace so replay needs no program object.
 func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
@@ -73,9 +76,10 @@ func NewRecorder(m *emu.Machine, prog *isa.Program, n int) (*Recorder, error) {
 //
 // Finish ends the recording: it seals the last staged records and builds
 // the blocks into the finished trace, which holds exactly its data (every
-// block at its exact size, with no capacity slack), and drops its
-// columns and the interning table, so the recorder must not be used
-// afterwards. On error it returns no trace.
+// block and the last tuple-pool chunk at its exact size, with no
+// capacity slack), and drops its columns, tuple pool included, and the
+// interning table, so the recorder must not be used afterwards. On error
+// it returns no trace.
 func (r *Recorder) Finish(target int) (*Trace, error) {
 	const ctxPoll = 4096 // records between context cancellation checks
 	poll := ctxPoll
@@ -125,7 +129,7 @@ func appendAt(b []byte, w int, v uint32) []byte {
 // copied when the trace is finished.
 type columns struct {
 	blocks []block
-	tuples []uint64
+	tuples pool
 	halted bool
 
 	pc     uint32                // the staged block's first PC
@@ -171,12 +175,13 @@ func (c *columns) seal() {
 	clear(c.taken[:])
 }
 
-// build seals the staged records and moves the columns into t, leaving
-// the block directory and the tuple pool with cap == len.
+// build seals the staged records and the tuple pool and moves the
+// columns into t, leaving the block directory with cap == len.
 func (c *columns) build(t *Trace) {
 	t.n = c.len()
 	c.seal()
+	c.tuples.seal()
 	t.blocks = exact(c.blocks)
-	t.tuples = exact(c.tuples)
+	t.tuples = c.tuples
 	t.halted = c.halted
 }

@@ -43,12 +43,11 @@ func (r *Replayer) Next(d *emu.Record) bool {
 	if j == 0 {
 		r.pc = uint64(b.pc)
 	}
-	k := int(b.at(j)) * tupleWords
 	// Field by field, as in emu's project: a composite literal is copied
 	// in 8+16+16+16-byte stores that split Inst, and the caller's next
 	// read of Inst then waits for both stores to retire.
 	d.Seq, d.PC, d.Inst = uint64(i), r.pc, r.t.inst(r.pc)
-	d.Vals = [tupleWords]uint64(r.t.tuples[k : k+tupleWords])
+	d.Vals = *r.t.tuples.at(b.at(j))
 	d.Taken, d.Halt = b.takenAt(j), r.t.halted && i == r.t.n-1
 	r.pc = d.NextPC()
 	r.pos++

@@ -17,6 +17,11 @@ const tupleWords = len(emu.Record{}.Vals)
 // block at a time, and a reader seeks by starting at a block's checkpoint.
 const blockLen = 4096
 
+// poolChunk is the number of tuples in a chunk of the tuple pool (64 KiB):
+// the pool grows a chunk at a time, so adding a tuple never copies it,
+// and a finished pool trims only its last chunk.
+const poolChunk = 4096
+
 // Trace is the compact recorded form of a dynamic instruction stream. It
 // holds only what a forward walk cannot derive. The records are cut into
 // blocks of blockLen (the last block may be shorter); each block holds
@@ -34,15 +39,57 @@ const blockLen = 4096
 //
 // A Trace is immutable once built: Recorder.Finish seals each block at
 // its exact size as its records arrive (see columns), and Decode reads
-// each block at its exact size.
+// each block at its exact size. The tuple pool is held in chunks of
+// poolChunk tuples, of which only the last may be shorter (see pool).
 type Trace struct {
 	name  string
 	insts []isa.Inst // static program text, indexed by PC
 
-	n      int      // number of records
-	blocks []block  // records [blockLen*i, blockLen*(i+1)) in blocks[i]
-	tuples []uint64 // interned tuples, flat (tupleWords values each)
-	halted bool     // the last record is a halt; else the recording was truncated
+	n      int     // number of records
+	blocks []block // records [blockLen*i, blockLen*(i+1)) in blocks[i]
+	tuples pool    // interned tuples, indexed by the blocks
+	halted bool    // the last record is a halt; else the recording was truncated
+}
+
+// pool holds interned tuples in chunks of poolChunk: tuple i is element
+// i%poolChunk of chunk i/poolChunk. Every chunk but the last is full, and
+// a chunk is allocated at its full size when the one before it fills, so
+// the pool grows without copying what it holds; seal trims the last
+// chunk and the directory to their exact size.
+type pool struct {
+	chunks [][][tupleWords]uint64
+}
+
+// len returns the number of tuples in the pool.
+func (p *pool) len() int {
+	n := len(p.chunks)
+	if n == 0 {
+		return 0
+	}
+	return (n-1)*poolChunk + len(p.chunks[n-1])
+}
+
+// at returns tuple i.
+func (p *pool) at(i uint32) *[tupleWords]uint64 {
+	return &p.chunks[i/poolChunk][i%poolChunk]
+}
+
+// add appends k to the pool.
+func (p *pool) add(k *[tupleWords]uint64) {
+	n := len(p.chunks)
+	if n == 0 || len(p.chunks[n-1]) == poolChunk {
+		p.chunks = append(p.chunks, make([][tupleWords]uint64, 0, poolChunk))
+		n++
+	}
+	p.chunks[n-1] = append(p.chunks[n-1], *k)
+}
+
+// seal trims the last chunk and the chunk directory to cap == len.
+func (p *pool) seal() {
+	if n := len(p.chunks); n > 0 {
+		p.chunks[n-1] = exact(p.chunks[n-1])
+	}
+	p.chunks = exact(p.chunks)
 }
 
 // block is up to blockLen consecutive records of a Trace.
@@ -102,7 +149,7 @@ func (t *Trace) Len() int { return t.n }
 func (t *Trace) StaticLen() int { return len(t.insts) }
 
 // TupleCount returns the number of distinct interned operand tuples.
-func (t *Trace) TupleCount() int { return len(t.tuples) / tupleWords }
+func (t *Trace) TupleCount() int { return t.tuples.len() }
 
 // Truncated reports whether recording stopped (at its target length)
 // before the program halted. A truncated trace replays exactly like the
@@ -116,13 +163,17 @@ func (t *Trace) Halted() bool { return t.halted }
 
 // SizeBytes returns the in-memory footprint of the trace's data: the
 // block directory (one entry per block, its checkpoint included), each
-// block's tuple indexes and taken words, the tuple pool and the program
-// text, counting capacity rather than length (the inspect tool reports
-// it next to the equivalent array-of-structs size).
+// block's tuple indexes and taken words, the tuple pool's chunk directory
+// and chunks, and the program text, counting capacity rather than length
+// (the inspect tool reports it next to the equivalent array-of-structs
+// size).
 func (t *Trace) SizeBytes() int {
-	n := cap(t.blocks)*int(unsafe.Sizeof(block{})) + cap(t.tuples)*8 + cap(t.insts)*16
+	n := cap(t.blocks)*int(unsafe.Sizeof(block{})) + cap(t.tuples.chunks)*int(unsafe.Sizeof(t.tuples.chunks[0])) + cap(t.insts)*16
 	for i := range t.blocks {
 		n += cap(t.blocks[i].idx) + cap(t.blocks[i].taken)*8
+	}
+	for _, c := range t.tuples.chunks {
+		n += cap(c) * int(unsafe.Sizeof(c[0]))
 	}
 	return n
 }
