@@ -7,5 +7,7 @@
 // core with one L1D port and the full SDV proposal; "8w-2pIM" is an 8-way
 // core with two ports and a wide (line-sized) bus but no vectorization.
 // Unbounded turns the TL, VRMT and vector register file into the infinite
-// structures of the Figure 3 limit study.
+// structures of the Figure 3 limit study: the TL and VRMT become one set of
+// one way per PC, grown as PCs appear, and the register file grows on
+// demand.
 package config

@@ -20,11 +20,8 @@ type Journal struct {
 
 	tlRecs    jstack[tlRestore]
 	tlConfs   jstack[tlConf]
-	tlDels    jstack[tlDelete]
 	vrmtRecs  jstack[vrmtRestore]
 	vrmtOffs  jstack[vrmtOffset]
-	vrmtDels  jstack[vrmtDelete]
-	vrmtReins jstack[vrmtReinsert]
 	regAllocs jstack[regAllocUndo]
 	elemUs    jstack[elemU]
 	vsRecs    jstack[vsRestore]
@@ -37,11 +34,8 @@ type jkind uint8
 const (
 	jTLRestore jkind = iota
 	jTLConf
-	jTLDelete
 	jVRMTRestore
 	jVRMTOffset
-	jVRMTDelete
-	jVRMTReinsert
 	jRegAlloc
 	jElemU
 	jVS
@@ -63,10 +57,6 @@ type tlConf struct {
 	e   *TLEntry
 	old int
 }
-type tlDelete struct {
-	t  *TL
-	pc uint64
-}
 type vrmtRestore struct {
 	e   *Entry
 	old Entry
@@ -74,15 +64,6 @@ type vrmtRestore struct {
 type vrmtOffset struct {
 	e   *Entry
 	old int
-}
-type vrmtDelete struct {
-	v  *VRMT
-	pc uint64
-}
-type vrmtReinsert struct {
-	v    *VRMT
-	pc   uint64
-	prev *Entry
 }
 type regAllocUndo struct {
 	rf    *RegFile
@@ -161,14 +142,6 @@ func (j *Journal) pushTLConf(seq uint64, e *TLEntry) {
 	j.tlConfs.push(tlConf{e: e, old: e.Conf})
 }
 
-func (j *Journal) pushTLDelete(seq uint64, t *TL, pc uint64) {
-	if j == nil {
-		return
-	}
-	j.record(seq, jTLDelete)
-	j.tlDels.push(tlDelete{t: t, pc: pc})
-}
-
 func (j *Journal) pushVRMTRestore(seq uint64, e *Entry) {
 	if j == nil {
 		return
@@ -183,22 +156,6 @@ func (j *Journal) pushVRMTOffset(seq uint64, e *Entry) {
 	}
 	j.record(seq, jVRMTOffset)
 	j.vrmtOffs.push(vrmtOffset{e: e, old: e.Offset})
-}
-
-func (j *Journal) pushVRMTDelete(seq uint64, v *VRMT, pc uint64) {
-	if j == nil {
-		return
-	}
-	j.record(seq, jVRMTDelete)
-	j.vrmtDels.push(vrmtDelete{v: v, pc: pc})
-}
-
-func (j *Journal) pushVRMTReinsert(seq uint64, v *VRMT, pc uint64, prev *Entry) {
-	if j == nil {
-		return
-	}
-	j.record(seq, jVRMTReinsert)
-	j.vrmtReins.push(vrmtReinsert{v: v, pc: pc, prev: prev})
 }
 
 func (j *Journal) pushRegAlloc(seq uint64, rf *RegFile, id int, epoch uint64) {
@@ -260,21 +217,12 @@ func (j *Journal) undoNewest() {
 	case jTLConf:
 		r := j.tlConfs.pop()
 		r.e.Conf = r.old
-	case jTLDelete:
-		r := j.tlDels.pop()
-		delete(r.t.unbounded, r.pc)
 	case jVRMTRestore:
 		r := j.vrmtRecs.pop()
 		*r.e = r.old
 	case jVRMTOffset:
 		r := j.vrmtOffs.pop()
 		r.e.Offset = r.old
-	case jVRMTDelete:
-		r := j.vrmtDels.pop()
-		delete(r.v.unbounded, r.pc)
-	case jVRMTReinsert:
-		r := j.vrmtReins.pop()
-		r.v.unbounded[r.pc] = r.prev
 	case jRegAlloc:
 		r := j.regAllocs.pop()
 		r.rf.undoAlloc(r.id, r.epoch)
@@ -315,16 +263,10 @@ func (j *Journal) Prune(seq uint64) {
 			j.tlRecs.dropOldest()
 		case jTLConf:
 			j.tlConfs.dropOldest()
-		case jTLDelete:
-			j.tlDels.dropOldest()
 		case jVRMTRestore:
 			j.vrmtRecs.dropOldest()
 		case jVRMTOffset:
 			j.vrmtOffs.dropOldest()
-		case jVRMTDelete:
-			j.vrmtDels.dropOldest()
-		case jVRMTReinsert:
-			j.vrmtReins.dropOldest()
 		case jRegAlloc:
 			j.regAllocs.dropOldest()
 		case jElemU:
@@ -365,11 +307,8 @@ func (j *Journal) StackSizes() []StackSize {
 		{"recs", j.Len(), cap(j.recs)},
 		sizeOf("tlRecs", &j.tlRecs),
 		sizeOf("tlConfs", &j.tlConfs),
-		sizeOf("tlDels", &j.tlDels),
 		sizeOf("vrmtRecs", &j.vrmtRecs),
 		sizeOf("vrmtOffs", &j.vrmtOffs),
-		sizeOf("vrmtDels", &j.vrmtDels),
-		sizeOf("vrmtReins", &j.vrmtReins),
 		sizeOf("regAllocs", &j.regAllocs),
 		sizeOf("elemUs", &j.elemUs),
 		sizeOf("vsRecs", &j.vsRecs),

@@ -19,28 +19,24 @@ type Observation struct {
 }
 
 // TL is the Table of Loads: 4-way set-associative, 512 sets in Table 1,
-// or unbounded for the Figure 3 limit study.
+// or unbounded for the Figure 3 limit study. The unbounded table is the
+// same table with one set of one way per PC, grown when a PC first
+// appears (PCs are dense instruction indices), so no entry ever evicts
+// another.
 type TL struct {
 	sets      [][]TLEntry
-	ways      int
 	threshold int
 	stamp     uint64
-	unbounded map[uint64]*TLEntry
+	grow      bool
 }
 
 // NewTL builds a table with the given geometry; sets <= 0 selects the
 // unbounded variant.
 func NewTL(sets, ways, threshold int) *TL {
-	t := &TL{ways: ways, threshold: threshold}
 	if sets <= 0 {
-		t.unbounded = make(map[uint64]*TLEntry)
-		return t
+		return &TL{threshold: threshold, grow: true}
 	}
-	t.sets = make([][]TLEntry, sets)
-	for i := range t.sets {
-		t.sets[i] = make([]TLEntry, ways)
-	}
-	return t
+	return &TL{sets: newSets[TLEntry](sets, ways), threshold: threshold}
 }
 
 // Observe records the dynamic instance (seq) of the load at pc accessing
@@ -49,22 +45,12 @@ func NewTL(sets, ways, threshold int) *TL {
 // new stride) on a mismatch; the last address always updates. All
 // mutations are journalled for squash replay.
 func (t *TL) Observe(seq, pc, addr uint64, j *Journal) Observation {
-	e, evict := t.locate(pc)
-	if e == nil || !e.valid || e.pc != pc {
+	e, victim := t.locate(pc)
+	if e == nil {
 		// Miss: insert, possibly evicting another load's history.
-		var slot *TLEntry
-		if t.unbounded != nil {
-			slot = &TLEntry{}
-			t.unbounded[pc] = slot
-		} else {
-			slot = evict
-			j.pushTLRestore(seq, slot)
-		}
+		j.pushTLRestore(seq, victim)
 		t.stamp++
-		*slot = TLEntry{pc: pc, valid: true, LastAddr: addr, lru: t.stamp}
-		if t.unbounded != nil {
-			j.pushTLDelete(seq, t, pc)
-		}
+		*victim = TLEntry{pc: pc, valid: true, LastAddr: addr, lru: t.stamp}
 		return Observation{FirstSeen: true}
 	}
 
@@ -88,7 +74,7 @@ func (t *TL) Observe(seq, pc, addr uint64, j *Journal) Observation {
 // vectorizing engine detects again a new vectorizable pattern" (§3.1).
 func (t *TL) ResetConfidence(seq, pc uint64, j *Journal) {
 	e, _ := t.locate(pc)
-	if e == nil || !e.valid || e.pc != pc {
+	if e == nil {
 		return
 	}
 	j.pushTLConf(seq, e)
@@ -98,17 +84,17 @@ func (t *TL) ResetConfidence(seq, pc uint64, j *Journal) {
 // Lookup returns the entry for pc without modifying it.
 func (t *TL) Lookup(pc uint64) (TLEntry, bool) {
 	e, _ := t.locate(pc)
-	if e == nil || !e.valid || e.pc != pc {
+	if e == nil {
 		return TLEntry{}, false
 	}
 	return *e, true
 }
 
-// locate returns the matching entry if present; otherwise (nil-or-miss,
-// eviction victim).
+// locate returns the matching entry if present; otherwise (nil, eviction
+// victim). An unbounded table grows here, and only here.
 func (t *TL) locate(pc uint64) (match, victim *TLEntry) {
-	if t.unbounded != nil {
-		return t.unbounded[pc], nil
+	if t.grow && pc >= uint64(len(t.sets)) {
+		t.sets = growSets(t.sets, pc)
 	}
 	set := t.sets[pc%uint64(len(t.sets))]
 	victim = &set[0]

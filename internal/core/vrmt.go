@@ -55,26 +55,28 @@ type Entry struct {
 }
 
 // VRMT is the Vector Register Map Table: 4-way set-associative, 64 sets in
-// Table 1, or unbounded for the Figure 3 limit study.
+// Table 1, or unbounded for the Figure 3 limit study: one set of one way
+// per PC, grown when a PC first appears, as the unbounded TL is.
 type VRMT struct {
-	sets      [][]Entry
-	ways      int
-	stamp     uint64
-	unbounded map[uint64]*Entry
+	sets  [][]Entry
+	stamp uint64
+	grow  bool
 }
 
 // NewVRMT builds the table; sets <= 0 selects the unbounded variant.
 func NewVRMT(sets, ways int) *VRMT {
-	v := &VRMT{ways: ways}
 	if sets <= 0 {
-		v.unbounded = make(map[uint64]*Entry)
-		return v
+		return &VRMT{grow: true}
 	}
-	v.sets = make([][]Entry, sets)
-	for i := range v.sets {
-		v.sets[i] = make([]Entry, ways)
+	return &VRMT{sets: newSets[Entry](sets, ways)}
+}
+
+// set returns pc's set. An unbounded table grows here, and only here.
+func (v *VRMT) set(pc uint64) []Entry {
+	if v.grow && pc >= uint64(len(v.sets)) {
+		v.sets = growSets(v.sets, pc)
 	}
-	return v
+	return v.sets[pc%uint64(len(v.sets))]
 }
 
 // Lookup returns the live entry for pc, touching its LRU stamp. The
@@ -90,30 +92,11 @@ func (v *VRMT) Lookup(pc uint64) (*Entry, bool) {
 	return e, true
 }
 
-// Insert installs a new entry for e.PC, evicting an LRU victim if the set
-// is full. It returns the evicted entry (valid=true in the returned copy)
-// so the caller can account for the orphaned vector register. The
-// insertion is journalled.
-func (v *VRMT) Insert(seq uint64, e Entry, j *Journal) (evicted Entry, hadEvict bool) {
-	e.valid = true
-	v.stamp++
-	e.lru = v.stamp
-
-	if v.unbounded != nil {
-		pc := e.PC
-		if prev := v.unbounded[pc]; prev != nil {
-			j.pushVRMTRestore(seq, prev)
-			*prev = e
-			return Entry{}, false
-		}
-		slot := new(Entry)
-		*slot = e
-		v.unbounded[pc] = slot
-		j.pushVRMTDelete(seq, v, pc)
-		return Entry{}, false
-	}
-
-	set := v.sets[e.PC%uint64(len(v.sets))]
+// Insert installs a new entry for e.PC in place of pc's current entry, or
+// else an invalid or the LRU way of its set, and returns the live slot.
+// The insertion is journalled.
+func (v *VRMT) Insert(seq uint64, e Entry, j *Journal) *Entry {
+	set := v.set(e.PC)
 	victim := &set[0]
 	for i := range set {
 		if set[i].valid && set[i].PC == e.PC {
@@ -127,90 +110,37 @@ func (v *VRMT) Insert(seq uint64, e Entry, j *Journal) (evicted Entry, hadEvict 
 		}
 	}
 	j.pushVRMTRestore(seq, victim)
-	if victim.valid && victim.PC != e.PC {
-		evicted, hadEvict = *victim, true
-	}
+	e.valid = true
+	v.stamp++
+	e.lru = v.stamp
 	*victim = e
-	return evicted, hadEvict
+	return victim
 }
 
-// Advance increments the offset of pc's entry (one more element has a
-// validation in flight), journalled.
-func (v *VRMT) Advance(seq, pc uint64, j *Journal) {
-	e := v.find(pc)
-	if e == nil {
-		return
-	}
-	v.AdvanceEntry(seq, e, j)
-}
-
-// AdvanceEntry is Advance for a caller that already holds the live entry
-// (the pipeline's decode stage amortizes one find per instruction).
+// AdvanceEntry increments the offset of the live entry e (one more
+// element has a validation in flight), journalled.
 func (v *VRMT) AdvanceEntry(seq uint64, e *Entry, j *Journal) {
 	j.pushVRMTOffset(seq, e)
 	e.Offset++
 }
 
-// Invalidate removes pc's entry (validation failure or store conflict),
-// journalled.
-func (v *VRMT) Invalidate(seq, pc uint64, j *Journal) {
-	if v.unbounded != nil {
-		if prev := v.unbounded[pc]; prev != nil {
-			j.pushVRMTReinsert(seq, v, pc, prev)
-			delete(v.unbounded, pc)
-		}
-		return
-	}
-	e := v.find(pc)
-	if e == nil {
-		return
-	}
-	j.pushVRMTRestore(seq, e)
-	*e = Entry{}
-}
-
-// InvalidateEntry is Invalidate for a caller that already holds the live
-// entry returned by Lookup.
+// InvalidateEntry removes the live entry e returned by Lookup (validation
+// failure or store conflict), journalled.
 func (v *VRMT) InvalidateEntry(seq uint64, e *Entry, j *Journal) {
-	if v.unbounded != nil {
-		pc := e.PC
-		if prev := v.unbounded[pc]; prev != nil {
-			j.pushVRMTReinsert(seq, v, pc, prev)
-			delete(v.unbounded, pc)
-		}
-		return
-	}
 	j.pushVRMTRestore(seq, e)
 	*e = Entry{}
 }
 
-// InvalidateByVReg removes the entry whose destination is vreg (store
-// coherence, §3.6). Returns the PC of the invalidated entry.
+// InvalidateByVReg removes the first entry, in set order, whose
+// destination is vreg (store coherence, §3.6). Returns the PC of the
+// invalidated entry.
 func (v *VRMT) InvalidateByVReg(seq uint64, vreg int, j *Journal) (pc uint64, found bool) {
-	visit := func(e *Entry) bool {
-		if e.valid && e.VReg == vreg {
-			j.pushVRMTRestore(seq, e)
-			pcOut := e.PC
-			*e = Entry{}
-			pc, found = pcOut, true
-			return true
-		}
-		return false
-	}
-	if v.unbounded != nil {
-		for key, e := range v.unbounded {
-			if e.VReg == vreg {
-				j.pushVRMTReinsert(seq, v, key, e)
-				delete(v.unbounded, key)
-				return e.PC, true
-			}
-		}
-		return 0, false
-	}
-	for s := range v.sets {
-		for w := range v.sets[s] {
-			if visit(&v.sets[s][w]) {
-				return pc, found
+	for _, set := range v.sets {
+		for w := range set {
+			if e := &set[w]; e.valid && e.VReg == vreg {
+				pc = e.PC
+				v.InvalidateEntry(seq, e, j)
+				return pc, true
 			}
 		}
 	}
@@ -218,10 +148,7 @@ func (v *VRMT) InvalidateByVReg(seq uint64, vreg int, j *Journal) (pc uint64, fo
 }
 
 func (v *VRMT) find(pc uint64) *Entry {
-	if v.unbounded != nil {
-		return v.unbounded[pc]
-	}
-	set := v.sets[pc%uint64(len(v.sets))]
+	set := v.set(pc)
 	for i := range set {
 		if set[i].valid && set[i].PC == pc {
 			return &set[i]

@@ -19,9 +19,9 @@ func TestVRMTInsertLookup(t *testing.T) {
 func TestVRMTAdvanceAndRewind(t *testing.T) {
 	v := NewVRMT(64, 4)
 	j := NewJournal()
-	v.Insert(0, Entry{PC: 100, VReg: 1}, j)
-	v.Advance(1, 100, j)
-	v.Advance(2, 100, j)
+	e := v.Insert(0, Entry{PC: 100, VReg: 1}, j)
+	v.AdvanceEntry(1, e, j)
+	v.AdvanceEntry(2, e, j)
 	if e, _ := v.Lookup(100); e.Offset != 2 {
 		t.Errorf("offset = %d, want 2", e.Offset)
 	}
@@ -39,7 +39,8 @@ func TestVRMTInvalidate(t *testing.T) {
 	v := NewVRMT(64, 4)
 	j := NewJournal()
 	v.Insert(0, Entry{PC: 100, VReg: 1}, j)
-	v.Invalidate(1, 100, j)
+	e, _ := v.Lookup(100)
+	v.InvalidateEntry(1, e, j)
 	if _, ok := v.Lookup(100); ok {
 		t.Error("entry survived invalidate")
 	}
@@ -87,9 +88,8 @@ func TestVRMTEviction(t *testing.T) {
 	v.Insert(0, Entry{PC: 1, VReg: 1}, j)
 	v.Insert(1, Entry{PC: 2, VReg: 2}, j)
 	v.Lookup(1) // make PC 2 the LRU
-	evicted, had := v.Insert(2, Entry{PC: 3, VReg: 3}, j)
-	if !had || evicted.PC != 2 {
-		t.Errorf("evicted = %+v, %v", evicted, had)
+	if e := v.Insert(2, Entry{PC: 3, VReg: 3}, j); e.PC != 3 || e.VReg != 3 {
+		t.Errorf("Insert returned %+v, want the live PC 3 entry", e)
 	}
 	if _, ok := v.Lookup(2); ok {
 		t.Error("victim still present")
@@ -102,15 +102,19 @@ func TestVRMTEviction(t *testing.T) {
 func TestVRMTUnbounded(t *testing.T) {
 	v := NewVRMT(0, 0)
 	j := NewJournal()
-	for pc := uint64(0); pc < 3000; pc++ {
-		if _, had := v.Insert(pc, Entry{PC: pc, VReg: int(pc)}, j); had {
-			t.Fatal("unbounded VRMT evicted")
-		}
+	// Thousands of distinct PCs, none evicted. Growing the table never
+	// moves an entry: the journal holds pointers to them.
+	first := v.Insert(0, Entry{PC: 0, VReg: 0}, j)
+	for pc := uint64(1); pc < 3000; pc++ {
+		v.Insert(pc, Entry{PC: pc, VReg: int(pc)}, j)
 	}
 	for pc := uint64(0); pc < 3000; pc++ {
 		if e, ok := v.Lookup(pc); !ok || e.VReg != int(pc) {
 			t.Fatalf("entry %d missing", pc)
 		}
+	}
+	if e, _ := v.Lookup(0); e != first {
+		t.Error("growing the table moved an entry")
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 // detCriticalPackages are the packages whose outputs must be
 // byte-identical across runs: statistics and their JSON form, trace
 // recordings, workload-spec canonical forms, experiment tables, the HTTP
-// service's responses, and the emulator whose record stream traces
-// capture.
+// service's responses, the emulator whose record stream traces capture,
+// and the simulator's SDV tables and pipeline, whose state every
+// statistic derives from.
 var detCriticalPackages = []string{
 	"internal/stats",
 	"internal/trace",
@@ -17,6 +18,8 @@ var detCriticalPackages = []string{
 	"internal/experiments",
 	"internal/server",
 	"internal/emu",
+	"internal/core",
+	"internal/pipeline",
 }
 
 // DetRange flags map iteration whose per-iteration effect is

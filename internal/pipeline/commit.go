@@ -152,39 +152,16 @@ func (s *Simulator) recycle(u *uop) {
 // removeLSQ drops a committing memory op from the load/store queue. The
 // queue is program-ordered and commit retires in program order, so the op
 // is the queue's oldest entry (and, for stores, the oldest tracked store
-// position).
+// position); anything else is a broken pipeline invariant.
 func (s *Simulator) removeLSQ(u *uop) {
 	if !u.inLSQ {
 		return
 	}
-	if s.lsq.len() > 0 && s.lsq.front() == u {
-		s.lsq.popFront()
-		if u.d.Inst.IsStore() && len(s.storePos) > 0 {
-			s.storePos = s.storePos[:copy(s.storePos, s.storePos[1:])]
-		}
-		return
+	if s.lsq.len() == 0 || s.lsq.front() != u {
+		panic("pipeline: committing memory op is not the oldest LSQ entry")
 	}
-	// Unreachable by construction; kept as a safe fallback so a future
-	// out-of-order removal cannot corrupt the ring silently.
-	for p := s.lsq.head; p < s.lsq.tail; p++ {
-		if s.lsq.at(p) == u {
-			for q := p; q > s.lsq.head; q-- {
-				s.lsq.buf[q&s.lsq.mask] = s.lsq.buf[(q-1)&s.lsq.mask]
-			}
-			s.lsq.popFront()
-			s.rebuildStorePos()
-			return
-		}
-	}
-}
-
-// rebuildStorePos reconstructs the store-position mirror from the ring
-// (fallback paths only; the hot paths maintain it incrementally).
-func (s *Simulator) rebuildStorePos() {
-	s.storePos = s.storePos[:0]
-	for p := s.lsq.head; p < s.lsq.tail; p++ {
-		if s.lsq.at(p).d.Inst.IsStore() {
-			s.storePos = append(s.storePos, p)
-		}
+	s.lsq.popFront()
+	if u.d.Inst.IsStore() {
+		s.storePos = s.storePos[:copy(s.storePos, s.storePos[1:])]
 	}
 }

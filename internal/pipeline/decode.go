@@ -145,7 +145,7 @@ func (s *Simulator) decodeLoadSDV(u *uop, stride int64, confident bool) {
 		// iteration before its first validation arrives. If no register is
 		// free the offset-exhausted path above retries later.
 		if eOffset == vl-1 {
-			s.dispatchNextLoadWindow(u.d.Seq, u.d.PC, nextBase, nextStride)
+			s.dispatchVectorLoad(seq, pc, nextBase, nextStride)
 		}
 		return
 	}
@@ -164,53 +164,36 @@ func (s *Simulator) loadMisspeculation(u *uop, entry *core.Entry) {
 	s.tl.ResetConfidence(u.d.Seq, u.d.PC, s.jnl)
 }
 
-// createVectorLoad allocates a register, dispatches a vector-load instance
-// for the next VL addresses and turns u into the validation of element 0.
+// createVectorLoad dispatches a vector-load instance for the next VL
+// addresses and turns u into the validation of element 0.
 func (s *Simulator) createVectorLoad(u *uop, stride int64) bool {
-	if len(s.viq) >= s.cfg.VIQSize {
-		s.countSkip(u.d.Seq)
+	v, slot := s.dispatchVectorLoad(u.d.Seq, u.d.PC, u.d.EffAddr(), stride)
+	if v == nil {
 		return false
 	}
-	id, epoch, ok := s.allocVReg(u.d.Seq, u.d.PC, true, 0)
-	if !ok {
-		s.countSkip(u.d.Seq)
-		return false
-	}
-	s.vrf.SetRange(id, u.d.EffAddr(), stride)
-	slot := s.insertVRMT(u.d.Seq, core.Entry{PC: u.d.PC, VReg: id, VEpoch: epoch})
-
-	v := s.vops.get()
-	v.isLoad = true
-	v.op = u.d.Inst.Op
-	v.vreg = id
-	v.vepoch = epoch
-	v.vl = s.cfg.VectorLen
-	s.buildLoadGroups(v, u.d.EffAddr(), stride)
-	s.viq = append(s.viq, v)
-
-	s.sim.VectorLoadInstances++
-	s.jnl.PushDec(u.d.Seq, &s.sim.VectorLoadInstances)
-
-	s.makeValidation(u, kindLoadValidation, id, epoch, 0, slot)
+	s.makeValidation(u, kindLoadValidation, v.vreg, v.vepoch, 0, slot)
 	u.producer, u.producerGen = v, v.gen
 	return true
 }
 
-// dispatchNextLoadWindow speculatively allocates and dispatches the next
-// window of a vectorized load (predicted base address; the element-0
-// validation later confirms it).
-func (s *Simulator) dispatchNextLoadWindow(seq, pc, base uint64, stride int64) {
+// dispatchVectorLoad allocates a register for the load at pc, maps it in
+// the VRMT and dispatches a vector-load instance for the VL addresses from
+// base. It returns the instance and its live VRMT slot, or a nil instance
+// (counted as a skip) when the vector queue is full or no register is
+// free.
+func (s *Simulator) dispatchVectorLoad(seq, pc, base uint64, stride int64) (*vop, *core.Entry) {
 	if len(s.viq) >= s.cfg.VIQSize {
 		s.countSkip(seq)
-		return
+		return nil, nil
 	}
 	id, epoch, ok := s.allocVReg(seq, pc, true, 0)
 	if !ok {
 		s.countSkip(seq)
-		return
+		return nil, nil
 	}
 	s.vrf.SetRange(id, base, stride)
-	s.vrmt.Insert(seq, core.Entry{PC: pc, VReg: id, VEpoch: epoch}, s.jnl)
+	slot := s.vrmt.Insert(seq, core.Entry{PC: pc, VReg: id, VEpoch: epoch}, s.jnl)
+
 	v := s.vops.get()
 	v.isLoad = true
 	v.vreg = id
@@ -218,15 +201,10 @@ func (s *Simulator) dispatchNextLoadWindow(seq, pc, base uint64, stride int64) {
 	v.vl = s.cfg.VectorLen
 	s.buildLoadGroups(v, base, stride)
 	s.viq = append(s.viq, v)
+
 	s.sim.VectorLoadInstances++
 	s.jnl.PushDec(seq, &s.sim.VectorLoadInstances)
-}
-
-// insertVRMT installs a mapping and returns its live slot.
-func (s *Simulator) insertVRMT(seq uint64, e core.Entry) *core.Entry {
-	s.vrmt.Insert(seq, e, s.jnl)
-	slot, _ := s.vrmt.Lookup(e.PC)
-	return slot
+	return v, slot
 }
 
 // buildLoadGroups splits a vector load's element addresses into bus
@@ -433,10 +411,10 @@ func (s *Simulator) createVectorArith(u *uop, cur [2]core.Operand, curVS [2]core
 		s.countSkip(u.d.Seq)
 		return false
 	}
-	slot := s.insertVRMT(u.d.Seq, core.Entry{
+	slot := s.vrmt.Insert(u.d.Seq, core.Entry{
 		PC: u.d.PC, VReg: id, VEpoch: epoch, Offset: destStart,
 		Src1: cur[0], Src2: cur[1],
-	})
+	}, s.jnl)
 
 	v := s.vops.get()
 	v.op = u.d.Inst.Op

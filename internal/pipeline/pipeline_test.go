@@ -370,3 +370,28 @@ func TestScalarOperandBlockingCostsCycles(t *testing.T) {
 		t.Errorf("ideal IPC %.3f below real %.3f", is.IPC(), rs.IPC())
 	}
 }
+
+// TestRemoveLSQRequiresOldest: commit retires in program order, so a
+// memory op leaving the load/store queue must be its oldest entry. Any
+// other removal is a broken invariant and panics rather than being
+// repaired.
+func TestRemoveLSQRequiresOldest(t *testing.T) {
+	s, err := New(config.MustNamed(4, 1, config.ModeV), sumLoop(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	older, younger := s.uops.get(), s.uops.get()
+	for _, u := range []*uop{older, younger} {
+		u.lsqPos = s.lsq.push(u)
+		u.inLSQ = true
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("removing the younger of two LSQ entries did not panic")
+		}
+		if s.lsq.len() != 2 {
+			t.Errorf("LSQ holds %d entries after the refused removal, want 2", s.lsq.len())
+		}
+	}()
+	s.removeLSQ(younger)
+}
